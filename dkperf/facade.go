@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"repro/pkg/dk"
@@ -44,29 +45,63 @@ func opMetric(st step) string {
 
 // runSession runs session i of a run through the public facade pkg/dk
 // and returns the time of each operation kind, of the whole session as
-// run_s, and, given a sampler, the session's peak RSS. Output checks run after the clock stops; ok is false when
+// run_s, and, if peak is set, the session's RSS high-water mark as
+// peak_rss_mb. With repeat set it then runs the session's ReadGraph and
+// Extract calls again, as often as the workload asks, each in a fresh
+// session off the run_s clock, so that ingest_s and extract_s have more
+// samples. Output checks run after the clock stops; ok is false when
 // the session failed before producing an outcome.
-func runSession(ctx context.Context, t *tally, w workload, seed int64, i int, input []byte, rss *rssSampler) (times map[string]float64, o outcome, ok bool) {
+func runSession(ctx context.Context, t *tally, w workload, seed int64, i int, input []byte, repeat, peak bool) (times map[string][]float64, o outcome, ok bool) {
 	// Sessions are independent users: each starts from a collected heap
 	// with its free memory returned to the OS, outside the clock, so one
 	// session's garbage neither slows the next nor raises its RSS.
 	debug.FreeOSMemory()
-	times = map[string]float64{}
-	if rss != nil {
-		rss.take()
+	if peak {
+		if err := resetPeakRSS(); err != nil {
+			t.fail("peak RSS: %v", err)
+			peak = false
+		}
 	}
+	one := map[string]float64{}
 	start := time.Now()
-	o, err := facadeSession(ctx, w, sessionSeed(seed, i), input, times)
-	times["run_s"] = time.Since(start).Seconds()
-	if rss != nil {
-		times["peak_rss_mb"] = float64(rss.take()) / mib
+	o, err := facadeSession(ctx, w, sessionSeed(seed, i), input, one)
+	one["run_s"] = time.Since(start).Seconds()
+	if peak {
+		if b, err := peakRSS(); err != nil {
+			t.fail("peak RSS: %v", err)
+		} else {
+			one["peak_rss_mb"] = float64(b) / mib
+		}
 	}
 	t.attempted += 1 + len(w.steps)
+	times = map[string][]float64{}
+	for name, v := range one {
+		times[name] = []float64{v}
+	}
 	if err != nil {
 		t.fail("session %d: %v", i, err)
 		return times, o, false
 	}
 	checkRandomizeExact(t, w, i, o)
+
+	extracts := slices.DeleteFunc(slices.Clone(w.steps), func(st step) bool { return st.op != opExtract })
+	for r := 1; repeat && r < w.ingestRepeats; r++ {
+		quick := workload{}
+		if r < w.extractRepeats {
+			quick.steps = extracts
+		}
+		debug.FreeOSMemory()
+		again := map[string]float64{}
+		_, err := facadeSession(ctx, quick, sessionSeed(seed, i), input, again)
+		t.attempted += 1 + len(quick.steps)
+		if err != nil {
+			t.fail("session %d, repeat %d: %v", i, r, err)
+			break
+		}
+		for name, v := range again {
+			times[name] = append(times[name], v)
+		}
+	}
 	return times, o, true
 }
 

@@ -78,6 +78,7 @@ var perLayerMetrics = []metricDef{
 	{"runtime.alloc_mb", "MB"},
 	{"runtime.gc_cpu_frac", "ratio"},
 	{"pipeline.unattributed_s", "s"},
+	{"pipeline.traced_run_s", "s"},
 }
 
 // runtimeSamples are read before and after each traced session: bytes

@@ -2,75 +2,33 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strconv"
-	"sync/atomic"
-	"time"
 )
 
-// rssSampler tracks the resident set size's high-water mark between
-// calls to take, sampling /proc/self/statm from its own goroutine.
-type rssSampler struct {
-	peak atomic.Int64 // bytes
-	stop chan struct{}
-	done chan struct{}
+// resetPeakRSS starts a new high-water interval: writing 5 to
+// /proc/self/clear_refs resets the kernel's VmHWM to the current RSS.
+func resetPeakRSS() error {
+	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
 }
 
-func startRSSSampler(every time.Duration) *rssSampler {
-	s := &rssSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			s.sample()
-			select {
-			case <-s.stop:
-				return
-			case <-tick.C:
+// peakRSS returns the process's resident set size high-water mark in
+// bytes since the last resetPeakRSS, as the kernel keeps it in VmHWM.
+func peakRSS() (int64, error) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("VmHWM:")); ok {
+			f := bytes.Fields(rest) // "<n> kB"
+			if len(f) != 2 {
+				break
 			}
-		}
-	}()
-	return s
-}
-
-func (s *rssSampler) sample() {
-	rss := currentRSS()
-	for {
-		old := s.peak.Load()
-		if rss <= old || s.peak.CompareAndSwap(old, rss) {
-			return
+			kb, err := strconv.ParseInt(string(f[0]), 10, 64)
+			return kb << 10, err
 		}
 	}
-}
-
-// take returns the high-water mark since the previous take and starts
-// the next interval from the current RSS.
-func (s *rssSampler) take() int64 {
-	s.sample()
-	return s.peak.Swap(currentRSS())
-}
-
-// close stops the sampling goroutine and waits for it to exit.
-func (s *rssSampler) close() {
-	close(s.stop)
-	<-s.done
-}
-
-// currentRSS returns the process's resident set size in bytes, or 0
-// when /proc/self/statm cannot be read.
-func currentRSS() int64 {
-	b, err := os.ReadFile("/proc/self/statm")
-	if err != nil {
-		return 0
-	}
-	f := bytes.Fields(b)
-	if len(f) < 2 {
-		return 0
-	}
-	pages, err := strconv.ParseInt(string(f[1]), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return pages * int64(os.Getpagesize())
+	return 0, fmt.Errorf("/proc/self/status: no VmHWM line")
 }

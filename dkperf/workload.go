@@ -13,6 +13,7 @@ import (
 	dkprof "repro/internal/dk"
 	"repro/internal/generate"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/pkg/dkapi"
@@ -50,6 +51,11 @@ type workload struct {
 	// input synthesizes the topology of one session from its seed.
 	input func(seed int64) (*graph.CSR, error)
 	steps []step
+	// ingestRepeats and extractRepeats are how many times a session
+	// times its ReadGraph and its Extract calls: they are short next to
+	// the session, so one sample each is too noisy. extractRepeats is at
+	// most ingestRepeats, since every Extract needs a ReadGraph first.
+	ingestRepeats, extractRepeats int
 }
 
 // simulateScenarios is the behavioural check of the paper's §5:
@@ -67,7 +73,7 @@ var workloads = []workload{
 		// and by JDD targeting, and compare and simulate them.
 		name:     "skitter_d2",
 		sessions: 12,
-		input:    func(seed int64) (*graph.CSR, error) { return skitter(1500, shape{2937, 157742}, seed) },
+		input:    func(seed int64) (*graph.CSR, error) { return skitter(1500, shape{2937, 157742, 3950}, seed) },
 		steps: []step{
 			{op: opExtract, d: 2, metrics: true, spectral: true},
 			{op: opGenerate, d: 2, method: "randomize", replicas: 8, compare: true},
@@ -75,18 +81,22 @@ var workloads = []workload{
 			{op: opCompare, d: 2, spectral: true},
 			{op: opSimulate, scenarios: simulateScenarios},
 		},
+		ingestRepeats:  5,
+		extractRepeats: 5,
 	},
 	{
 		// The 3K workflow: both census-delta engines (Tracker under
 		// randomizing rewiring, map Delta under targeting); no metrics.
 		name:     "skitter_d3",
 		sessions: 9,
-		input:    func(seed int64) (*graph.CSR, error) { return skitter(1000, shape{1844, 69166}, seed) },
+		input:    func(seed int64) (*graph.CSR, error) { return skitter(1000, shape{1844, 69166, 2000}, seed) },
 		steps: []step{
 			{op: opExtract, d: 3},
 			{op: opGenerate, d: 3, method: "randomize", replicas: 4, compare: true},
 			{op: opGenerate, d: 3, method: "targeting", replicas: 2, compare: true},
 		},
+		ingestRepeats:  9,
+		extractRepeats: 9,
 	},
 	{
 		// Ingest, the census and single-replica rewiring at a size whose
@@ -94,13 +104,15 @@ var workloads = []workload{
 		// above metrics.AutoSampleThreshold. No fan-out, no targeting.
 		name:     "powerlaw_scale",
 		sessions: 1,
-		input:    func(seed int64) (*graph.CSR, error) { return powerLaw(120000, shape{274787, 38079629}, seed) },
+		input:    func(seed int64) (*graph.CSR, error) { return powerLaw(120000, shape{274787, 38079629, 0}, seed) },
 		steps: []step{
 			{op: opExtract, d: 3},
 			{op: opGenerate, d: 2, method: "pseudograph", replicas: 1},
 			{op: opGenerate, d: 2, method: "randomize", replicas: 1, compare: true},
 			{op: opExtract, d: 1, metrics: true},
 		},
+		ingestRepeats:  5,
+		extractRepeats: 1,
 	},
 }
 
@@ -141,14 +153,16 @@ func setup(w workload, seed int64) ([][]byte, []float64, error) {
 }
 
 // shape is the amount of work an input topology carries: its edge
-// count, which rewiring and ingest scale with, and its wedge count
-// Σ k(k−1)/2, which the census, targeting and 3K rewiring scale with.
-// Heavy-tailed degree sequences make the wedge count vary several-fold
-// between seeds, so each workload fixes the shape of its inputs: a seed
-// draws candidate degree sequences and builds its input from the one
-// whose shape is closest to the workload's. The targets are the medians
-// of the candidate distribution.
-type shape struct{ m, wedges float64 }
+// count, which rewiring and ingest scale with, its wedge count
+// Σ k(k−1)/2, which the census, targeting and 3K rewiring scale with,
+// and its triangle count, which the census's size follows. Heavy-tailed
+// degree sequences make the wedge count vary several-fold between
+// seeds, so each workload fixes the shape of its inputs: a seed draws
+// candidate degree sequences and builds its input from the one whose
+// shape is closest to the workload's. The targets are the medians of
+// the candidate distribution. The triangle count is known only once a
+// topology is built; only skitter inputs check it.
+type shape struct{ m, wedges, triangles float64 }
 
 func shapeOf(degrees []int) shape {
 	var s shape
@@ -206,8 +220,10 @@ func closestSeeds(seed int64, count int, want shape, draw func(rng *rand.Rand) (
 // skitter builds a datasets.Skitter topology of target size n and shape
 // close to want. The candidate sequences repeat datasets.Skitter's own
 // first draw (γ=2, k_max=n/4), so the closest candidate's seed yields a
-// topology of that shape; its giant component is then checked, since
-// the generator occasionally leaves only about half the nodes in it.
+// topology of that shape. Its giant component is then checked, since
+// the generator occasionally leaves only about half the nodes in it,
+// and its triangle count, which in about one topology of five comes out
+// at a third of the others'.
 func skitter(n int, want shape, seed int64) (*graph.CSR, error) {
 	seeds, err := closestSeeds(seed, 64, want, func(rng *rand.Rand) ([]int, error) {
 		return powerLawSequence(rng, n, max(n/4, 3))
@@ -215,13 +231,15 @@ func skitter(n int, want shape, seed int64) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range seeds[:16] {
+	for _, s := range seeds[:32] {
 		g, err := datasets.Skitter(datasets.SkitterConfig{N: n, Seed: s})
 		if err != nil {
 			return nil, err
 		}
 		got := shapeOf(g.DegreeSequence())
-		if g.N() >= n*85/100 && math.Abs(math.Log(got.wedges/want.wedges)) < 0.25 {
+		got.triangles = float64(metrics.Triangles(g.Static()).Total)
+		if g.N() >= n*85/100 && math.Abs(math.Log(got.wedges/want.wedges)) < 0.25 &&
+			math.Abs(math.Log(got.triangles/want.triangles)) < 0.15 {
 			return g, nil
 		}
 	}
