@@ -31,6 +31,12 @@
 //	connect            Viger–Latapy connectivity repair of the
 //	                   matching output (ConnectViaSwaps)
 //	rewire_d0..d3      dK-preserving randomizing rewiring
+//	target_d2          §4.1.4 2K-targeting 1K-preserving rewiring from
+//	                   a 1K matching (20·M proposals)
+//	target_d3          3K-targeting 2K-preserving rewiring from the 2K
+//	                   matching output (20·M proposals)
+//	explore_clustering §4.3 C̄-maximizing 2K-preserving exploration
+//	                   (20·M proposals)
 //	netsim_robustness  §5 percolation robustness curve (20 fractions)
 //	netsim_epidemic    §5 SI worm spread (beta 0.5)
 //	metrics            scalar metric sweep of the GCC (incl. spectral)
@@ -96,6 +102,7 @@ var workloadKeys = []string{
 	"stochastic_1k", "stochastic_2k",
 	"pseudograph_2k", "matching_2k", "connect",
 	"rewire_d0", "rewire_d1", "rewire_d2", "rewire_d3",
+	"target_d2", "target_d3", "explore_clustering",
 	"netsim_robustness", "netsim_epidemic",
 	"metrics",
 }
@@ -228,7 +235,7 @@ func runSize(name string, n int, seed int64) (*sizeReport, error) {
 	}
 
 	// Extraction at each depth; the depth-3 census dominates.
-	var profile *dk.Profile
+	var profile, profile3 *dk.Profile
 	for d := 1; d <= 3; d++ {
 		d := d
 		iters := 5
@@ -237,8 +244,12 @@ func runSize(name string, n int, seed int64) (*sizeReport, error) {
 		}
 		err := record(fmt.Sprintf("extract_%dk", d), iters, func(*rand.Rand) error {
 			p, err := dk.Extract(src, d)
-			if err == nil && d == 2 {
+			switch {
+			case err != nil:
+			case d == 2:
 				profile = p
+			case d == 3:
+				profile3 = p
 			}
 			return err
 		})
@@ -308,6 +319,40 @@ func runSize(name string, n int, seed int64) (*sizeReport, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+
+	// Objective-driven rewiring: dK-targeting from a (d−1)K matching,
+	// the core.Generate targeting path, and clustering exploration, the
+	// Skitter generator's steering step. Each runs a fixed proposal
+	// budget, so the timing is per-proposal cost times 20·M.
+	budget := 20 * src.M()
+	start1K, err := generate.Matching1K(profile.Degrees, generate.Options{Rng: rand.New(rand.NewSource(seed))})
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range []struct {
+		key   string
+		d     int
+		start *graph.CSR
+	}{{"target_d2", 2, start1K}, {"target_d3", 3, matched}} {
+		w := w
+		err := record(w.key, 1, func(rng *rand.Rand) error {
+			_, err := generate.TargetRewire(w.start, profile3, w.d, generate.TargetOptions{
+				Rng: rng, StopAtZero: true, MaxAttempts: budget,
+			})
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := record("explore_clustering", 1, func(rng *rand.Rand) error {
+		_, err := generate.Explore(src, generate.MetricClustering, generate.ExploreOptions{
+			Rng: rng, Maximize: true, MaxAttempts: budget,
+		})
+		return err
+	}); err != nil {
+		return nil, err
 	}
 
 	// Scenario simulations — the per-trial hot loops of the netsim

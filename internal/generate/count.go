@@ -81,13 +81,8 @@ func CountInitialRewirings(g *graph.CSR, depth int) (RewiringCount, error) {
 		}
 		if depth == 3 {
 			// The depth-2 filter above guarantees a 2K-preserving
-			// orientation, so the specialized symmetric-difference walk
-			// applies (flipped arguments for the du = dx case).
-			if deg[v] == deg[y] {
-				tracker.SwapDeltaJDD(td, u, v, x, y)
-			} else {
-				tracker.SwapDeltaJDD(td, v, u, y, x)
-			}
+			// orientation, so swapDelta takes the symmetric-difference walk.
+			swapDelta(tracker, td, deg, u, v, x, y)
 			if !td.IsZero() {
 				return false, false
 			}

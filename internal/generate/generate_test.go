@@ -663,6 +663,63 @@ func TestTargetRewireValidation(t *testing.T) {
 	}
 }
 
+// targetStopFixture returns a small graph's 2K profile and a 1K-random
+// start with the same degree sequence.
+func targetStopFixture(t *testing.T) (*dk.Profile, *graph.CSR) {
+	t.Helper()
+	rng := newRng(1)
+	src := connectedRandom(rng, 30, 10)
+	tgt, err := dk.Extract(src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, _, err := Randomize(src, 1, RandomizeOptions{Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgt, start
+}
+
+func TestTargetRewireStopZero(t *testing.T) {
+	tgt, start := targetStopFixture(t)
+	res, err := TargetRewire(start, tgt, 2, TargetOptions{Rng: newRng(1), StopAtZero: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != StopZero || res.FinalD != 0 || res.InitialD == 0 {
+		t.Fatalf("Stop = %v, D %v → %v; want zero, D > 0 → 0", res.Stop, res.InitialD, res.FinalD)
+	}
+	if res.Stats.Attempts >= 200*start.M() {
+		t.Fatalf("stopped at zero only after the full budget: %d attempts", res.Stats.Attempts)
+	}
+}
+
+func TestTargetRewireStopPatience(t *testing.T) {
+	tgt, start := targetStopFixture(t)
+	const patience = 5
+	res, err := TargetRewire(start, tgt, 2, TargetOptions{Rng: newRng(2), Patience: patience, MaxAttempts: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != StopPatience || res.Stats.Attempts >= 1<<20 {
+		t.Fatalf("Stop = %v after %d attempts; want patience", res.Stop, res.Stats.Attempts)
+	}
+}
+
+func TestTargetRewireStopMaxAttempts(t *testing.T) {
+	tgt, start := targetStopFixture(t)
+	res, err := TargetRewire(start, tgt, 2, TargetOptions{Rng: newRng(3), MaxAttempts: 40, Patience: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != StopMaxAttempts || res.Stats.Attempts != 40 {
+		t.Fatalf("Stop = %v after %d attempts; want max_attempts after 40", res.Stop, res.Stats.Attempts)
+	}
+	if res.Stop.String() != "max_attempts" || StopZero.String() != "zero" || StopPatience.String() != "patience" {
+		t.Fatal("stop reason names changed")
+	}
+}
+
 func TestTargetRewireAnnealedBeatsOrMatchesGreedy(t *testing.T) {
 	// Smoke test of the temperature machinery: annealed runs must remain
 	// valid and end with finite distance; the ergodicity experiment

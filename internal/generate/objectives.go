@@ -8,20 +8,48 @@ import (
 	"repro/internal/subgraphs"
 )
 
-// Objective scores candidate rewiring moves incrementally. The Rewirer
-// calls Begin, then WillRemove/WillAdd immediately before each edge
-// mutation of the candidate (so the objective sees the adjacency state
-// right before the change), then reads Delta and finally either Commits or
-// Rolls back. Objectives must be cheap: they are evaluated once per
-// proposal.
+// Objective scores candidate rewiring moves. The Rewirer calls Score
+// before a move touches the graph, so scoring is read-only; if the move
+// is accepted and applied, Commit follows with the same move, before
+// the next Score. Objectives must be cheap: Score runs once per
+// proposal that passes the structural checks.
 type Objective interface {
 	Init(g *graph.CSR) error
-	Begin()
-	WillRemove(g *graph.CSR, u, v int)
-	WillAdd(g *graph.CSR, u, v int)
-	Delta() float64
-	Commit()
-	Rollback()
+	// Score returns the objective change the move would make.
+	Score(m Move) float64
+	// Commit folds an accepted, already applied move into the
+	// objective's state.
+	Commit(m Move)
+}
+
+// degreeBump is one ±1 change of a degree (or degree-pair) class, in
+// the order the move's edge operations make it.
+type degreeBump struct {
+	k int
+	s int64
+}
+
+// scoreBumps returns the change in Σ gap² that bumps make, applying them
+// in order so repeated classes see each other, then restores gap.
+func scoreBumps(gap []int64, bumps []degreeBump) float64 {
+	var delta int64
+	for _, b := range bumps {
+		delta += b.s * (2*gap[b.k] + b.s)
+		gap[b.k] += b.s
+	}
+	for _, b := range bumps {
+		gap[b.k] -= b.s
+	}
+	return float64(delta)
+}
+
+// sumSquares returns fixed + Σ v² over gap.
+func sumSquares(gap []int64, fixed float64) float64 {
+	sum := fixed
+	for _, v := range gap {
+		sum += float64(v) * float64(v)
+	}
+	return sum
 }
 
 // --- D1: degree-distribution distance (1K-targeting, 0K-preserving) ---
@@ -29,10 +57,11 @@ type Objective interface {
 // DegreeDistObjective tracks D1 = Σ_k (n_cur(k) − n_tgt(k))² under moves
 // that change node degrees (depth-0 rewiring).
 type DegreeDistObjective struct {
-	target  map[int]int
-	current map[int]int
-	pending map[int]int // degree class → count delta of the candidate
-	delta   float64
+	target map[int]int
+	g      *graph.CSR
+	gap    []int64 // degree k → n_cur(k) − n_tgt(k), for k < N
+	fixed  float64 // Σ n_tgt(k)² over degrees k ≥ N, which no node reaches
+	bumps  []degreeBump
 }
 
 // NewDegreeDistObjective targets the given degree distribution.
@@ -42,89 +71,70 @@ func NewDegreeDistObjective(target *dk.DegreeDist) *DegreeDistObjective {
 
 // Init snapshots g's degree distribution.
 func (o *DegreeDistObjective) Init(g *graph.CSR) error {
-	o.current = make(map[int]int)
+	o.g = g
+	o.gap = make([]int64, g.N())
+	o.fixed = 0
 	for u := 0; u < g.N(); u++ {
-		o.current[g.Degree(u)]++
+		o.gap[g.Degree(u)]++
 	}
-	o.pending = make(map[int]int)
+	for k, t := range o.target {
+		if k < len(o.gap) {
+			o.gap[k] -= int64(t)
+		} else {
+			o.fixed += float64(t) * float64(t)
+		}
+	}
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *DegreeDistObjective) Begin() {
-	clear(o.pending)
-	o.delta = 0
-}
-
-func (o *DegreeDistObjective) moveNode(from, to int) {
-	o.bump(from, -1)
-	o.bump(to, +1)
-}
-
-// bump applies a ±1 change to class k, updating the running D1 delta:
-// for a count change c → c+s against target t, the squared-error change
-// is s·(2(c−t)+s) with c the count including previously pending changes.
-func (o *DegreeDistObjective) bump(k, s int) {
-	c := float64(o.current[k] + o.pending[k])
-	t := float64(o.target[k])
-	o.delta += float64(s) * (2*(c-t) + float64(s))
-	o.pending[k] += s
-}
-
-// WillRemove lowers both endpoint degrees by one.
-func (o *DegreeDistObjective) WillRemove(g *graph.CSR, u, v int) {
-	du, dv := g.Degree(u), g.Degree(v)
-	o.moveNode(du, du-1)
-	o.moveNode(dv, dv-1)
-}
-
-// WillAdd raises both endpoint degrees by one.
-func (o *DegreeDistObjective) WillAdd(g *graph.CSR, u, v int) {
-	du, dv := g.Degree(u), g.Degree(v)
-	o.moveNode(du, du+1)
-	o.moveNode(dv, dv+1)
-}
-
-// Delta returns the candidate's D1 change.
-func (o *DegreeDistObjective) Delta() float64 { return o.delta }
-
-// Commit folds the pending changes into the tracked distribution.
-func (o *DegreeDistObjective) Commit() {
-	for k, s := range o.pending {
-		o.current[k] += s
+// Score returns the move's D1 change. Swaps (depth >= 1) keep every
+// degree, so only depth-0 moves score: removing (U,V) moves both
+// endpoints down one degree class, then adding (X,Y) moves both up one
+// from the degrees the removal left.
+func (o *DegreeDistObjective) Score(m Move) float64 {
+	o.bumps = o.bumps[:0]
+	if m.Depth > 0 {
+		return 0
 	}
-}
-
-// Rollback discards the pending changes.
-func (o *DegreeDistObjective) Rollback() {}
-
-// Current returns the tracked D1 value recomputed from state (test hook).
-func (o *DegreeDistObjective) Current() float64 {
-	var sum float64
-	seen := make(map[int]bool)
-	for k, c := range o.current {
-		d := float64(c - o.target[k])
-		sum += d * d
-		seen[k] = true
-	}
-	for k, t := range o.target {
-		if !seen[k] {
-			sum += float64(t) * float64(t)
+	removed := func(n int) int { // n's degree once (U,V) is gone
+		if n == m.U || n == m.V {
+			return o.g.Degree(n) - 1
 		}
+		return o.g.Degree(n)
 	}
-	return sum
+	du, dv := o.g.Degree(m.U), o.g.Degree(m.V)
+	dx, dy := removed(m.X), removed(m.Y)
+	o.bumps = append(o.bumps,
+		degreeBump{du, -1}, degreeBump{du - 1, +1},
+		degreeBump{dv, -1}, degreeBump{dv - 1, +1},
+		degreeBump{dx, -1}, degreeBump{dx + 1, +1},
+		degreeBump{dy, -1}, degreeBump{dy + 1, +1})
+	return scoreBumps(o.gap, o.bumps)
 }
+
+// Commit folds the scored move's class changes in.
+func (o *DegreeDistObjective) Commit(Move) {
+	for _, b := range o.bumps {
+		o.gap[b.k] += b.s
+	}
+}
+
+// Current returns the tracked D1 value.
+func (o *DegreeDistObjective) Current() float64 { return sumSquares(o.gap, o.fixed) }
 
 // --- D2: JDD distance (2K-targeting, 1K-preserving) ---
 
 // JDDObjective tracks the paper's D2 = Σ (m_cur(k1,k2) − m_tgt(k1,k2))²
-// under degree-preserving moves.
+// under degree-preserving moves, over a dense table of degree-class
+// pairs. A graph with m edges has at most 2√m distinct degrees, so the
+// table has at most 4m entries.
 type JDDObjective struct {
-	target  map[dk.DegPair]int
-	current map[dk.DegPair]int
-	pending map[dk.DegPair]int
-	deg     []int
-	delta   float64
+	target map[dk.DegPair]int
+	nc     int
+	cls    []int   // node → degree class, ascending in degree
+	gap    []int64 // class pair a*nc+b, a ≤ b → m_cur − m_tgt
+	fixed  float64 // Σ m_tgt² over pairs with a degree no node has
+	bumps  [4]degreeBump
 }
 
 // NewJDDObjective targets the given joint degree distribution.
@@ -132,78 +142,118 @@ func NewJDDObjective(target *dk.JDD) *JDDObjective {
 	return &JDDObjective{target: target.Count}
 }
 
-// Init snapshots g's JDD and degree sequence.
+// Init snapshots g's JDD and degree classes.
 func (o *JDDObjective) Init(g *graph.CSR) error {
-	p, err := dk.Extract(g, 2)
-	if err != nil {
-		return err
+	deg := g.DegreeSequence()
+	classOf := make(map[int]int)
+	for _, d := range deg {
+		classOf[d] = 0
 	}
-	o.current = p.Joint.Count
-	o.pending = make(map[dk.DegPair]int)
-	o.deg = g.DegreeSequence()
+	degs := make([]int, 0, len(classOf))
+	for d := range classOf {
+		degs = append(degs, d)
+	}
+	sortInts(degs)
+	for c, d := range degs {
+		classOf[d] = c
+	}
+	o.nc = len(degs)
+	o.cls = make([]int, len(deg))
+	for u, d := range deg {
+		o.cls[u] = classOf[d]
+	}
+	o.gap = make([]int64, o.nc*o.nc)
+	o.fixed = 0
+	for i := 0; i < g.M(); i++ {
+		e := g.EdgeAt(i)
+		o.gap[o.pair(e.U, e.V)]++
+	}
+	for p, t := range o.target {
+		a, okA := classOf[p.K1]
+		b, okB := classOf[p.K2]
+		if !okA || !okB {
+			o.fixed += float64(t) * float64(t)
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		o.gap[a*o.nc+b] -= int64(t)
+	}
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *JDDObjective) Begin() {
-	clear(o.pending)
-	o.delta = 0
+// pair returns the table index of edge (u,v)'s degree-class pair.
+func (o *JDDObjective) pair(u, v int) int {
+	a, b := o.cls[u], o.cls[v]
+	if a > b {
+		a, b = b, a
+	}
+	return a*o.nc + b
 }
 
-func (o *JDDObjective) bump(u, v, s int) {
-	p := dk.NewDegPair(o.deg[u], o.deg[v])
-	c := float64(o.current[p] + o.pending[p])
-	t := float64(o.target[p])
-	o.delta += float64(s) * (2*(c-t) + float64(s))
-	o.pending[p] += s
+// Score returns the move's D2 change.
+func (o *JDDObjective) Score(m Move) float64 {
+	o.bumps = [4]degreeBump{
+		{o.pair(m.U, m.V), -1}, {o.pair(m.X, m.Y), -1},
+		{o.pair(m.U, m.Y), +1}, {o.pair(m.X, m.V), +1},
+	}
+	return scoreBumps(o.gap, o.bumps[:])
 }
 
-// WillRemove decrements the edge's degree-pair class.
-func (o *JDDObjective) WillRemove(g *graph.CSR, u, v int) { o.bump(u, v, -1) }
-
-// WillAdd increments the edge's degree-pair class.
-func (o *JDDObjective) WillAdd(g *graph.CSR, u, v int) { o.bump(u, v, +1) }
-
-// Delta returns the candidate's D2 change.
-func (o *JDDObjective) Delta() float64 { return o.delta }
-
-// Commit folds the pending changes into the tracked JDD.
-func (o *JDDObjective) Commit() {
-	for p, s := range o.pending {
-		o.current[p] += s
+// Commit folds the scored move's pair changes in.
+func (o *JDDObjective) Commit(Move) {
+	for _, b := range o.bumps {
+		o.gap[b.k] += b.s
 	}
 }
 
-// Rollback discards the pending changes.
-func (o *JDDObjective) Rollback() {}
-
-// Current recomputes D2 from tracked state (test hook).
-func (o *JDDObjective) Current() float64 {
-	var sum float64
-	seen := make(map[dk.DegPair]bool)
-	for p, c := range o.current {
-		d := float64(c - o.target[p])
-		sum += d * d
-		seen[p] = true
-	}
-	for p, t := range o.target {
-		if !seen[p] {
-			sum += float64(t) * float64(t)
-		}
-	}
-	return sum
-}
+// Current returns the tracked D2 value.
+func (o *JDDObjective) Current() float64 { return sumSquares(o.gap, o.fixed) }
 
 // --- D3: wedge/triangle census distance (3K-targeting, 2K-preserving) ---
 
+// swapDelta fills td with the census change of the degree-preserving
+// swap (u,v),(x,y) → (u,y),(x,v), read-only. A 2K-preserving swap takes
+// the symmetric-difference walk of SwapDeltaJDD, in whichever of its two
+// orientations applies; any other swap takes the general SwapDelta.
+func swapDelta(t *subgraphs.Tracker, td *subgraphs.TrackerDelta, deg []int, u, v, x, y int) {
+	switch {
+	case deg[v] == deg[y]:
+		t.SwapDeltaJDD(td, u, v, x, y)
+	case deg[u] == deg[x]:
+		t.SwapDeltaJDD(td, v, u, y, x)
+	default:
+		t.SwapDelta(td, u, v, x, y)
+	}
+}
+
+// censusState is the Tracker machinery shared by the census-based
+// objectives: the class tables and bitsets, and one delta buffer that
+// Score fills and Commit reuses.
+type censusState struct {
+	t   *subgraphs.Tracker
+	td  *subgraphs.TrackerDelta
+	deg []int
+}
+
+func (c *censusState) init(g *graph.CSR) {
+	c.deg = g.DegreeSequence()
+	c.t = subgraphs.NewTracker(g, c.deg)
+	c.td = c.t.NewDelta()
+}
+
+// delta fills c.td with the census change of swap m.
+func (c *censusState) delta(m Move) { swapDelta(c.t, c.td, c.deg, m.U, m.V, m.X, m.Y) }
+
 // CensusObjective tracks the paper's D3 — squared count differences over
-// wedge and triangle classes — under degree-preserving moves, using the
-// incremental census deltas from internal/subgraphs.
+// wedge and triangle classes — under degree-preserving swaps, scoring
+// each swap's Tracker census delta against a class-indexed
+// current − target gap.
 type CensusObjective struct {
-	target  *subgraphs.Census
-	current *subgraphs.Census
-	pend    *subgraphs.Delta
-	deg     []int
+	target *subgraphs.Census
+	censusState
+	gap *subgraphs.CensusGap
 }
 
 // NewCensusObjective targets the given wedge/triangle census.
@@ -213,62 +263,33 @@ func NewCensusObjective(target *subgraphs.Census) *CensusObjective {
 
 // Init counts g's census.
 func (o *CensusObjective) Init(g *graph.CSR) error {
-	o.current = subgraphs.Count(g)
-	o.pend = subgraphs.NewDelta()
-	o.deg = g.DegreeSequence()
+	o.init(g)
+	o.gap = o.t.NewCensusGap(subgraphs.Count(g), o.target)
 	return nil
 }
 
-// Begin resets the candidate delta.
-func (o *CensusObjective) Begin() { o.pend.Reset() }
-
-// WillRemove accumulates the census change of deleting (u,v).
-func (o *CensusObjective) WillRemove(g *graph.CSR, u, v int) {
-	o.pend.RemoveEdge(g, o.deg, u, v)
+// Score returns the swap's D3 change.
+func (o *CensusObjective) Score(m Move) float64 {
+	o.delta(m)
+	return float64(o.gap.Score(o.td))
 }
 
-// WillAdd accumulates the census change of inserting (u,v).
-func (o *CensusObjective) WillAdd(g *graph.CSR, u, v int) {
-	o.pend.AddEdge(g, o.deg, u, v)
+// Commit folds the scored swap's census change into the gap.
+func (o *CensusObjective) Commit(m Move) {
+	o.gap.Commit(o.td)
+	o.t.ApplySwap(m.U, m.V, m.X, m.Y)
 }
 
-// Delta returns the candidate's D3 change: for each class with pending
-// change δ against current count c and target t, the squared-error change
-// is δ·(2(c−t)+δ).
-func (o *CensusObjective) Delta() float64 {
-	var sum float64
-	for k, d := range o.pend.Wedges {
-		c := float64(o.current.Wedges[k])
-		t := float64(o.target.Wedges[k])
-		sum += float64(d) * (2*(c-t) + float64(d))
-	}
-	for k, d := range o.pend.Triangles {
-		c := float64(o.current.Triangles[k])
-		t := float64(o.target.Triangles[k])
-		sum += float64(d) * (2*(c-t) + float64(d))
-	}
-	return sum
-}
-
-// Commit folds the pending delta into the tracked census.
-func (o *CensusObjective) Commit() { o.pend.ApplyTo(o.current) }
-
-// Rollback discards the pending delta.
-func (o *CensusObjective) Rollback() {}
-
-// Current recomputes D3 from tracked state (test hook).
-func (o *CensusObjective) Current() float64 {
-	return dk.D3(o.current, o.target)
-}
+// Current returns the tracked D3 value.
+func (o *CensusObjective) Current() float64 { return o.gap.Sum() }
 
 // --- Scalar exploration objectives ---
 
 // LikelihoodObjective scores moves by the likelihood S = Σ_E d_u·d_v,
-// the 1K-space exploration metric of Section 4.3. Degree-preserving moves
-// only.
+// the 1K-space exploration metric of Section 4.3, from the degrees
+// cached at Init. Degree-preserving moves only.
 type LikelihoodObjective struct {
-	deg   []int
-	delta float64
+	deg []int
 }
 
 // Init caches the degree sequence.
@@ -277,92 +298,75 @@ func (o *LikelihoodObjective) Init(g *graph.CSR) error {
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *LikelihoodObjective) Begin() { o.delta = 0 }
-
-// WillRemove subtracts the removed edge's degree product.
-func (o *LikelihoodObjective) WillRemove(g *graph.CSR, u, v int) {
-	o.delta -= float64(o.deg[u]) * float64(o.deg[v])
+// Score returns the move's S change: the added edges' degree products
+// minus the removed ones'.
+func (o *LikelihoodObjective) Score(m Move) float64 {
+	du, dv, dx, dy := o.deg[m.U], o.deg[m.V], o.deg[m.X], o.deg[m.Y]
+	if m.Depth == 0 {
+		return float64(dx*dy - du*dv)
+	}
+	return float64(du*dy + dx*dv - du*dv - dx*dy)
 }
-
-// WillAdd adds the inserted edge's degree product.
-func (o *LikelihoodObjective) WillAdd(g *graph.CSR, u, v int) {
-	o.delta += float64(o.deg[u]) * float64(o.deg[v])
-}
-
-// Delta returns the candidate's S change.
-func (o *LikelihoodObjective) Delta() float64 { return o.delta }
 
 // Commit is a no-op: S is fully determined by the graph.
-func (o *LikelihoodObjective) Commit() {}
-
-// Rollback is a no-op.
-func (o *LikelihoodObjective) Rollback() {}
+func (o *LikelihoodObjective) Commit(Move) {}
 
 // S2Objective scores moves by the second-order likelihood
-// S2 = Σ_{open wedges} d_end1·d_end2, via the census delta. Degree-
-// preserving moves only.
+// S2 = Σ_{open wedges} d_end1·d_end2, via the Tracker census delta.
+// Degree-preserving swaps only.
 type S2Objective struct {
-	pend *subgraphs.Delta
-	deg  []int
+	censusState
+	sum int64
 }
 
-// Init prepares the delta accumulator.
+// Init prepares the Tracker.
 func (o *S2Objective) Init(g *graph.CSR) error {
-	o.pend = subgraphs.NewDelta()
-	o.deg = g.DegreeSequence()
+	o.init(g)
 	return nil
 }
 
-// Begin resets the candidate delta.
-func (o *S2Objective) Begin() { o.pend.Reset() }
-
-// WillRemove accumulates the census change of deleting (u,v).
-func (o *S2Objective) WillRemove(g *graph.CSR, u, v int) {
-	o.pend.RemoveEdge(g, o.deg, u, v)
-}
-
-// WillAdd accumulates the census change of inserting (u,v).
-func (o *S2Objective) WillAdd(g *graph.CSR, u, v int) {
-	o.pend.AddEdge(g, o.deg, u, v)
-}
-
-// Delta returns the candidate's S2 change: Σ over wedge classes of
+// Score returns the swap's S2 change: Σ over wedge classes of
 // δ·K_lo·K_hi.
-func (o *S2Objective) Delta() float64 {
-	var sum float64
-	for k, d := range o.pend.Wedges {
-		sum += float64(d) * float64(k.KLo) * float64(k.KHi)
-	}
-	return sum
+func (o *S2Objective) Score(m Move) float64 {
+	o.delta(m)
+	o.sum = 0
+	o.td.EachWedge(o.addWedge)
+	return float64(o.sum)
 }
 
-// Commit is a no-op: S2 is fully determined by the graph.
-func (o *S2Objective) Commit() {}
+func (o *S2Objective) addWedge(k subgraphs.WedgeKey, v int64) {
+	o.sum += v * int64(k.KLo) * int64(k.KHi)
+}
 
-// Rollback is a no-op.
-func (o *S2Objective) Rollback() {}
+// Commit keeps the Tracker in step; S2 itself is fully determined by
+// the graph.
+func (o *S2Objective) Commit(m Move) { o.t.ApplySwap(m.U, m.V, m.X, m.Y) }
 
 // ClusteringObjective scores moves by the mean clustering C̄ (average of
 // c(v) = tri(v)/C(d_v,2) over nodes with degree ≥ 2). It maintains exact
-// per-node triangle counts; degree-preserving moves only, so the set of
+// per-node triangle counts; degree-preserving swaps only, so the set of
 // degree-≥2 nodes — and hence the normalization — is constant.
 type ClusteringObjective struct {
+	t       *subgraphs.Tracker
 	tri     []int64
-	pending map[int]int64
-	deg     []int
+	pend    []int64 // per-node triangle change of the scored swap
+	touched []int   // nodes with a pend entry, each once
+	marked  []bool
 	invPair []float64 // 2/(d·(d−1)) per node, 0 for degree < 2
 	n2      float64   // number of nodes with degree >= 2
+	visit   func(a, b, w, sign int)
 }
 
 // Init counts triangles per node.
 func (o *ClusteringObjective) Init(g *graph.CSR) error {
-	o.deg = g.DegreeSequence()
+	deg := g.DegreeSequence()
+	o.t = subgraphs.NewTracker(g, deg)
 	o.tri = make([]int64, g.N())
+	o.pend = make([]int64, g.N())
+	o.marked = make([]bool, g.N())
 	o.invPair = make([]float64, g.N())
-	o.pending = make(map[int]int64)
 	o.n2 = 0
-	for v, d := range o.deg {
+	for v, d := range deg {
 		if d >= 2 {
 			o.invPair[v] = 2 / (float64(d) * float64(d-1))
 			o.n2++
@@ -370,6 +374,11 @@ func (o *ClusteringObjective) Init(g *graph.CSR) error {
 	}
 	if o.n2 == 0 {
 		return fmt.Errorf("generate: clustering objective needs a node of degree >= 2")
+	}
+	o.visit = func(a, b, w, sign int) {
+		o.bump(a, sign)
+		o.bump(b, sign)
+		o.bump(w, sign)
 	}
 	// One triangle pass.
 	for u := 0; u < g.N(); u++ {
@@ -398,62 +407,42 @@ func (o *ClusteringObjective) Init(g *graph.CSR) error {
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *ClusteringObjective) Begin() { clear(o.pending) }
-
-func (o *ClusteringObjective) edgeChange(g *graph.CSR, u, v int, sign int64) {
-	small, large := u, v
-	if g.Degree(small) > g.Degree(large) {
-		small, large = large, small
+func (o *ClusteringObjective) bump(v, sign int) {
+	if !o.marked[v] {
+		o.marked[v] = true
+		o.touched = append(o.touched, v)
 	}
-	g.VisitNeighbors(small, func(w int) bool {
-		if w != large && g.HasEdge(w, large) {
-			o.pending[u] += sign
-			o.pending[v] += sign
-			o.pending[w] += sign
-		}
-		return true
-	})
+	o.pend[v] += int64(sign)
 }
 
-// WillRemove accumulates triangle losses through common neighbors.
-func (o *ClusteringObjective) WillRemove(g *graph.CSR, u, v int) {
-	o.edgeChange(g, u, v, -1)
-}
-
-// WillAdd accumulates triangle gains through common neighbors.
-func (o *ClusteringObjective) WillAdd(g *graph.CSR, u, v int) {
-	o.edgeChange(g, u, v, +1)
-}
-
-// Delta returns the candidate's C̄ change. The pending contributions are
+// Score returns the swap's C̄ change. The per-node contributions are
 // summed in sorted node order: float addition is not associative, and
-// map-order summation would make otherwise identical runs diverge at
+// any other order would make otherwise identical runs diverge at
 // near-zero deltas, breaking seed determinism.
-func (o *ClusteringObjective) Delta() float64 {
-	keys := make([]int, 0, len(o.pending))
-	for v := range o.pending {
-		keys = append(keys, v)
+func (o *ClusteringObjective) Score(m Move) float64 {
+	for _, v := range o.touched {
+		o.pend[v] = 0
+		o.marked[v] = false
 	}
-	sortInts(keys)
+	o.touched = o.touched[:0]
+	o.t.SwapTriangles(m.U, m.V, m.X, m.Y, o.visit)
+	sortInts(o.touched)
 	var sum float64
-	for _, v := range keys {
-		sum += float64(o.pending[v]) * o.invPair[v]
+	for _, v := range o.touched {
+		sum += float64(o.pend[v]) * o.invPair[v]
 	}
 	return sum / o.n2
 }
 
-// Commit folds the pending per-node triangle changes in.
-func (o *ClusteringObjective) Commit() {
-	for v, d := range o.pending {
-		o.tri[v] += d
+// Commit folds the scored swap's per-node triangle changes in.
+func (o *ClusteringObjective) Commit(m Move) {
+	for _, v := range o.touched {
+		o.tri[v] += o.pend[v]
 	}
+	o.t.ApplySwap(m.U, m.V, m.X, m.Y)
 }
 
-// Rollback discards pending changes.
-func (o *ClusteringObjective) Rollback() {}
-
-// Current returns the tracked C̄ value (test hook).
+// Current returns the tracked C̄ value.
 func (o *ClusteringObjective) Current() float64 {
 	var sum float64
 	for v, t := range o.tri {

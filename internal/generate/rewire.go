@@ -39,10 +39,11 @@ const (
 )
 
 // RejectionBreakdown counts rejected proposals by reason. The structural
-// reasons (self-loop, duplicate edge, JDD mismatch, census change) are
-// decided before the move touches the graph; objective and connectivity
-// rejections apply the move first and roll it back (counted in
-// RewireStats.Reverted as well).
+// reasons (self-loop, duplicate edge, JDD mismatch, census change) and
+// the objective are decided before the move touches the graph;
+// connectivity rejections apply the move first and roll it back.
+// Objective and connectivity rejections also count in
+// RewireStats.Reverted.
 type RejectionBreakdown struct {
 	SelfLoop      int
 	DuplicateEdge int
@@ -79,7 +80,7 @@ func (b *RejectionBreakdown) count(r rejectReason) {
 type RewireStats struct {
 	Attempts int // candidate proposals examined
 	Accepted int // moves applied (and kept)
-	Reverted int // moves applied and rolled back by connectivity/objective
+	Reverted int // moves declined by the objective or rolled back by connectivity
 	// Rejected breaks the Attempts − Accepted gap down by reason, so a
 	// collapsed acceptance rate is diagnosable (e.g. a dense graph
 	// drowning in duplicate-edge rejections vs. a depth-3 run whose
@@ -155,7 +156,8 @@ type Rewirer struct {
 	Stats RewireStats
 
 	// objSum accumulates committed objective deltas — the objective's
-	// change since the run began — for convergence samples.
+	// change since the run began — for convergence samples and
+	// TargetRewire's running distance.
 	objSum float64
 
 	deg     []int
@@ -281,39 +283,34 @@ func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
 }
 
-// apply performs the move's edge operations, routing each through the
-// objective.
+// apply performs the move's edge operations.
 func (r *Rewirer) apply(m Move) {
 	g := r.G
-	if r.Obj != nil {
-		r.Obj.Begin()
-	}
-	remove := func(a, b int) {
-		if r.Obj != nil {
-			r.Obj.WillRemove(g, a, b)
-		}
-		g.RemoveEdge(a, b)
-	}
-	add := func(a, b int) {
-		if r.Obj != nil {
-			r.Obj.WillAdd(g, a, b)
-		}
-		mustAdd(g, a, b)
-	}
 	if m.Depth == 0 {
-		remove(m.U, m.V)
-		add(m.X, m.Y)
+		g.RemoveEdge(m.U, m.V)
+		mustAdd(g, m.X, m.Y)
 		return
 	}
-	remove(m.U, m.V)
-	remove(m.X, m.Y)
-	add(m.U, m.Y)
-	add(m.X, m.V)
+	g.RemoveEdge(m.U, m.V)
+	g.RemoveEdge(m.X, m.Y)
+	mustAdd(g, m.U, m.Y)
+	mustAdd(g, m.X, m.V)
+}
+
+// decline leaves the edge list exactly as apply followed by revert
+// would, without touching the adjacency: EdgeAt draws after an
+// objective rejection, and so every seed's output, do not depend on
+// whether the rejected move was ever applied.
+func (r *Rewirer) decline(m Move) {
+	if m.Depth == 0 {
+		r.G.RequeueEdges(graph.Edge{U: m.U, V: m.V})
+		return
+	}
+	r.G.RequeueEdges(graph.Edge{U: m.U, V: m.V}, graph.Edge{U: m.X, V: m.Y})
 }
 
 // revert undoes a move applied by apply (inverse operations in reverse
-// order), bypassing objective callbacks; callers pair it with
-// Obj.Rollback.
+// order).
 func (r *Rewirer) revert(m Move) {
 	g := r.G
 	if m.Depth == 0 {
@@ -341,7 +338,6 @@ func (r *Rewirer) Step() (bool, error) {
 		r.Stats.Rejected.count(rej)
 		return false, nil
 	}
-	r.apply(m)
 	return r.finish(m)
 }
 
@@ -366,7 +362,6 @@ func (r *Rewirer) stepBatched() (bool, error) {
 			r.Stats.Rejected.count(c.reject)
 			return false, nil
 		}
-		r.apply(c.m)
 		accepted, err := r.finish(c.m)
 		if accepted {
 			for _, node := range [4]int{c.m.U, c.m.V, c.m.X, c.m.Y} {
@@ -380,35 +375,33 @@ func (r *Rewirer) stepBatched() (bool, error) {
 	}
 }
 
-// finish runs the post-apply acceptance pipeline — objective policy,
-// connectivity veto, commit — on an already-applied move.
+// finish runs the acceptance pipeline on a structurally valid move:
+// objective score and policy (before the move touches the graph), apply,
+// connectivity veto, commit.
 func (r *Rewirer) finish(m Move) (bool, error) {
 	var delta float64
 	if r.Obj != nil {
-		delta = r.Obj.Delta()
+		delta = r.Obj.Score(m)
 		accept := r.Accept
 		if accept == nil {
 			accept = PolicyAlways
 		}
 		if !accept(r.Rng, delta) {
-			r.revert(m)
-			r.Obj.Rollback()
+			r.decline(m)
 			r.Stats.Rejected.Objective++
 			r.Stats.Reverted++
 			return false, nil
 		}
 	}
+	r.apply(m)
 	if r.PreserveConnectivity && !graph.IsConnected(r.G.Static()) {
 		r.revert(m)
-		if r.Obj != nil {
-			r.Obj.Rollback()
-		}
 		r.Stats.Rejected.Disconnected++
 		r.Stats.Reverted++
 		return false, nil
 	}
 	if r.Obj != nil {
-		r.Obj.Commit()
+		r.Obj.Commit(m)
 		r.objSum += delta
 	}
 	if r.tracker != nil {
@@ -473,15 +466,9 @@ func (r *Rewirer) fillBatch() {
 				td = r.tracker.NewDelta()
 				r.scratch[worker] = td
 			}
-			// propose already enforced the depth-2 JDD condition, so one of
-			// the two 2K-preserving orientations applies; SwapDeltaJDD walks
-			// only the symmetric difference of the equal-degree endpoints'
-			// neighborhoods instead of all four ops' full merges.
-			if r.deg[m.V] == r.deg[m.Y] {
-				r.tracker.SwapDeltaJDD(td, m.U, m.V, m.X, m.Y)
-			} else {
-				r.tracker.SwapDeltaJDD(td, m.V, m.U, m.Y, m.X)
-			}
+			// propose already enforced the depth-2 JDD condition, so
+			// swapDelta takes SwapDeltaJDD's symmetric-difference walk.
+			swapDelta(r.tracker, td, r.deg, m.U, m.V, m.X, m.Y)
 			if !td.IsZero() {
 				rej = rejectCensusChanged
 			}

@@ -30,20 +30,55 @@ type TargetOptions struct {
 	Patience int
 }
 
+// StopReason says why a targeting run ended.
+type StopReason int
+
+// The ways a targeting run ends.
+const (
+	// StopMaxAttempts: the proposal budget ran out.
+	StopMaxAttempts StopReason = iota
+	// StopZero: the distance reached zero with StopAtZero set.
+	StopZero
+	// StopPatience: Patience consecutive proposals went unaccepted.
+	StopPatience
+)
+
+// String names the reason as the benchmark and trace spans do.
+func (s StopReason) String() string {
+	switch s {
+	case StopZero:
+		return "zero"
+	case StopPatience:
+		return "patience"
+	default:
+		return "max_attempts"
+	}
+}
+
 // TargetResult reports a targeting run.
 type TargetResult struct {
 	Stats         RewireStats
 	InitialD      float64
 	FinalD        float64
 	FinalGraph    *graph.CSR
-	TemperatureAt float64 // temperature when the run stopped
+	TemperatureAt float64    // temperature when the run stopped
+	Stop          StopReason // why the run stopped
+}
+
+// targetObjective is an Objective that can also report its distance to
+// the target, D_d.
+type targetObjective interface {
+	Objective
+	Current() float64
 }
 
 // TargetRewire rewires a copy of g toward the target profile's
 // dK-distribution at depth d, using d′K-preserving moves with d′ = d−1
 // (the paper's combinations: 1K-targeting 0K-preserving, 2K-targeting
 // 1K-preserving, 3K-targeting 2K-preserving). The distance driven to zero
-// is the corresponding D_d.
+// is the corresponding D_d. The run tracks D_d as InitialD plus the
+// committed objective deltas; FinalD is read from the objective once, at
+// the end.
 func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*TargetResult, error) {
 	if opt.Rng == nil {
 		return nil, fmt.Errorf("generate: TargetRewire requires Rng")
@@ -54,18 +89,14 @@ func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*
 	if target.D < d {
 		return nil, fmt.Errorf("generate: target profile has depth %d; need >= %d", target.D, d)
 	}
-	var obj Objective
-	var currentD func() float64
+	var obj targetObjective
 	switch d {
 	case 1:
-		o := NewDegreeDistObjective(target.Degrees)
-		obj, currentD = o, o.Current
+		obj = NewDegreeDistObjective(target.Degrees)
 	case 2:
-		o := NewJDDObjective(target.Joint)
-		obj, currentD = o, o.Current
+		obj = NewJDDObjective(target.Joint)
 	case 3:
-		o := NewCensusObjective(target.Census)
-		obj, currentD = o, o.Current
+		obj = NewCensusObjective(target.Census)
 	}
 	out := g.Clone()
 	r, err := NewRewirer(out, d-1, opt.Rng)
@@ -87,7 +118,7 @@ func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*
 	if patience == 0 {
 		patience = 20 * g.M()
 	}
-	res := &TargetResult{InitialD: currentD(), FinalGraph: out}
+	res := &TargetResult{InitialD: obj.Current(), FinalGraph: out, Stop: StopMaxAttempts}
 
 	sinceAccept := 0
 	annealEvery := g.M()
@@ -102,18 +133,20 @@ func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*
 		}
 		if ok {
 			sinceAccept = 0
-			if opt.StopAtZero && currentD() == 0 {
+			if opt.StopAtZero && res.InitialD+r.objSum == 0 {
+				res.Stop = StopZero
 				break
 			}
 		} else {
 			sinceAccept++
 			if sinceAccept >= patience {
+				res.Stop = StopPatience
 				break
 			}
 		}
 	}
 	res.Stats = r.Stats
-	res.FinalD = currentD()
+	res.FinalD = obj.Current()
 	res.TemperatureAt = temp
 	return res, nil
 }

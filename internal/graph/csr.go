@@ -369,15 +369,45 @@ func (c *CSR) RemoveEdge(u, v int) bool {
 	c.deleteAt(v, pv)
 	last := len(c.edges) - 1
 	if eidx != last {
-		moved := c.edges[last]
-		c.edges[eidx] = moved
-		p, _ := c.find(moved.U, moved.V)
-		c.epos[int(c.start[moved.U])+p] = int32(eidx)
-		p, _ = c.find(moved.V, moved.U)
-		c.epos[int(c.start[moved.V])+p] = int32(eidx)
+		c.setEdge(eidx, c.edges[last])
 	}
 	c.edges = c.edges[:last]
 	return true
+}
+
+// RequeueEdges leaves the edge list exactly as removing the given edges
+// one after another with RemoveEdge and then adding them back in reverse
+// order would, without touching the neighbor windows. A move that is
+// scored, rejected and never applied therefore leaves the same EdgeAt
+// order as one applied and reverted. Every edge must be present.
+func (c *CSR) RequeueEdges(es ...Edge) {
+	for _, e := range es {
+		a, b := e.U, e.V
+		if c.deg[b] < c.deg[a] {
+			a, b = b, a
+		}
+		p, _ := c.find(a, b)
+		eidx := int(c.epos[int(c.start[a])+p])
+		last := len(c.edges) - 1
+		if eidx != last {
+			c.setEdge(eidx, c.edges[last])
+		}
+		c.edges = c.edges[:last]
+	}
+	for i := len(es) - 1; i >= 0; i-- {
+		c.edges = append(c.edges, Edge{})
+		c.setEdge(len(c.edges)-1, es[i].Canon())
+	}
+}
+
+// setEdge stores e at index i of the edge list and points both of its
+// window slots at i.
+func (c *CSR) setEdge(i int, e Edge) {
+	c.edges[i] = e
+	p, _ := c.find(e.U, e.V)
+	c.epos[int(c.start[e.U])+p] = int32(i)
+	p, _ = c.find(e.V, e.U)
+	c.epos[int(c.start[e.V])+p] = int32(i)
 }
 
 // deleteAt removes position pos from u's window, shifting the suffix

@@ -1,12 +1,13 @@
-// Census tracking for the depth-3 rewiring hot path.
+// Census tracking for the rewiring hot paths: 3K-preserving rewiring,
+// 3K targeting and the census-based exploration objectives.
 //
-// The map-keyed Delta in census.go is exact but pays a map-hash on every
-// wedge/triangle class it touches and a HasEdge map probe per neighbor —
-// per-proposal costs that dominate 3K-preserving rewiring, where almost
-// every proposal is evaluated and rejected. Tracker is the dense
-// replacement: degrees are interned into a compact class table once, count
-// changes accumulate in degree-class-indexed arrays (maps appear only at
-// the Census boundary, in Drain), and common-neighbor classification runs
+// A map-keyed delta pays a map-hash on every wedge/triangle class it
+// touches and a HasEdge probe per neighbor — per-proposal costs that
+// dominate rewiring, where almost every proposal is evaluated and
+// rejected. Tracker is the dense engine: degrees are interned into a
+// compact class table once, count changes accumulate in
+// degree-class-indexed arrays (maps appear only at the Census boundary,
+// in Drain), and common-neighbor classification runs
 // directly on the CSR's sorted neighbor windows — a linear merge for
 // ordinary nodes, O(1) bitset probes for nodes above a degree threshold.
 // The CSR working representation IS the tracker's sorted adjacency; no
@@ -15,7 +16,10 @@
 // Because SwapDelta is read-only (edge toggles are virtualized instead of
 // applied), many candidate swaps can be evaluated concurrently against one
 // Tracker, each into its own TrackerDelta — the foundation of the batched
-// parallel proposal loop in internal/generate.
+// parallel proposal loop in internal/generate — and a rewiring objective
+// can score a move before the move touches the graph. CensusGap holds a
+// target census in the same class layout, so scoring a delta against it
+// is a walk over the delta's touched slots.
 package subgraphs
 
 import (
@@ -41,8 +45,7 @@ var denseLimit = 1 << 20
 // class table, the observed class-pair index, and per-hub bitsets. The
 // degree sequence must be constant across all tracked mutations (true
 // for double-edge swaps, the only moves evaluated at depth 3), because
-// census keys of intermediate states use the fixed degrees — the same
-// convention as Delta.
+// census keys of intermediate states use the fixed degrees.
 //
 // Adjacency reads go straight to the CSR's sorted windows, so the graph
 // itself is the mirror. The bitsets are the only derived adjacency
@@ -222,13 +225,17 @@ type TrackerDelta struct {
 	// Reset and IsZero cost O(touched), not O(size). An index may appear
 	// in the list more than once (a count that cancels to zero and is
 	// touched again re-registers); IsZero and Reset tolerate that, and
-	// Drain consumes entries destructively so duplicates cannot
-	// double-count. Classes whose pair is not in the observed-pair index
-	// overflow into lazily allocated packed-key maps, so generality is
-	// kept without paying nc³ memory.
+	// every reader that sums entries (Drain, EachWedge, CensusGap) first
+	// compacts the lists so duplicates cannot double-count. Classes whose
+	// pair is not in the observed-pair index overflow into lazily
+	// allocated packed-key maps, so generality is kept without paying nc³
+	// memory.
 	wedges, tris   []int64
 	wTouch, tTouch []int32
 	mWedges, mTris map[uint64]int64 // fallback when !t.dense, overflow when dense
+	// wVals/tVals hold the slot values parallel to wTouch/tTouch once
+	// compact has deduplicated the touched lists.
+	wVals, tVals []int64
 }
 
 // NewDelta returns an empty accumulator bound to t.
@@ -285,68 +292,100 @@ func (d *TrackerDelta) IsZero() bool {
 
 // Drain folds the accumulated changes into census c — the one place
 // class indices convert back to degree-keyed maps — and leaves the
-// accumulator empty (it consumes entries so that duplicate touched
-// indices cannot double-apply).
+// accumulator empty.
 func (d *TrackerDelta) Drain(c *Census) {
-	t := d.t
-	if t.dense {
-		nc := t.nc
-		for _, i := range d.wTouch {
-			v := d.wedges[i]
-			if v == 0 {
-				continue
-			}
-			d.wedges[i] = 0
-			hi := int(i) % nc
-			p := int(i) / nc
-			cc, lo := t.pairA[p], t.pairB[p]
-			k := WedgeKey{t.classDeg[lo], t.classDeg[cc], t.classDeg[hi]}
-			if nv := c.Wedges[k] + v; nv == 0 {
-				delete(c.Wedges, k)
-			} else {
-				c.Wedges[k] = nv
-			}
-		}
-		for _, i := range d.tTouch {
-			v := d.tris[i]
-			if v == 0 {
-				continue
-			}
-			d.tris[i] = 0
-			c3 := int(i) % nc
-			p := int(i) / nc
-			c1, c2 := t.pairA[p], t.pairB[p]
-			k := TriangleKey{t.classDeg[c1], t.classDeg[c2], t.classDeg[c3]}
-			if nv := c.Triangles[k] + v; nv == 0 {
-				delete(c.Triangles, k)
-			} else {
-				c.Triangles[k] = nv
-			}
-		}
-		d.wTouch = d.wTouch[:0]
-		d.tTouch = d.tTouch[:0]
+	d.compact()
+	for j, i := range d.wTouch {
+		addCount(c.Wedges, d.t.wedgeAt(i), d.wVals[j])
+		d.wedges[i] = 0
 	}
+	for j, i := range d.tTouch {
+		addCount(c.Triangles, d.t.triangleAt(i), d.tVals[j])
+		d.tris[i] = 0
+	}
+	d.wTouch, d.tTouch = d.wTouch[:0], d.tTouch[:0]
 	for key, v := range d.mWedges {
-		k := WedgeKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
-		if nv := c.Wedges[k] + v; nv == 0 {
-			delete(c.Wedges, k)
-		} else {
-			c.Wedges[k] = nv
-		}
+		addCount(c.Wedges, d.t.packedWedge(key), v)
 	}
 	for key, v := range d.mTris {
-		k := TriangleKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
-		if nv := c.Triangles[k] + v; nv == 0 {
-			delete(c.Triangles, k)
-		} else {
-			c.Triangles[k] = nv
+		addCount(c.Triangles, d.t.packedTriangle(key), v)
+	}
+	clear(d.mWedges)
+	clear(d.mTris)
+}
+
+// addCount adds v to m[k], deleting the entry when it reaches zero.
+func addCount[K comparable](m map[K]int64, k K, v int64) {
+	if nv := m[k] + v; nv == 0 {
+		delete(m, k)
+	} else {
+		m[k] = nv
+	}
+}
+
+// compact rewrites the dense touched lists so that every nonzero slot
+// appears exactly once and zero slots not at all, with the values in
+// wVals/tVals. The accumulated changes themselves are unchanged, and a
+// compacted delta compacts to itself.
+func (d *TrackerDelta) compact() {
+	d.wTouch, d.wVals = compactTouched(d.wedges, d.wTouch, d.wVals)
+	d.tTouch, d.tVals = compactTouched(d.tris, d.tTouch, d.tVals)
+}
+
+// compactTouched drops zero and repeated slots from touch: each kept
+// slot is zeroed in arr while the walk runs, so a repeat reads zero, and
+// restored afterwards from vals.
+func compactTouched(arr []int64, touch []int32, vals []int64) ([]int32, []int64) {
+	k := 0
+	vals = vals[:0]
+	for _, i := range touch {
+		if v := arr[i]; v != 0 {
+			touch[k] = i
+			k++
+			vals = append(vals, v)
+			arr[i] = 0
 		}
 	}
-	if d.mWedges != nil {
-		clear(d.mWedges)
+	touch = touch[:k]
+	for j, i := range touch {
+		arr[i] = vals[j]
 	}
-	if d.mTris != nil {
-		clear(d.mTris)
+	return touch, vals
+}
+
+// wedgeAt decodes a dense wedge slot (pair id of (center, low end) times
+// nc plus the high end's class) to its degree key.
+func (t *Tracker) wedgeAt(i int32) WedgeKey {
+	p, hi := int(i)/t.nc, int(i)%t.nc
+	return WedgeKey{t.classDeg[t.pairB[p]], t.classDeg[t.pairA[p]], t.classDeg[hi]}
+}
+
+// triangleAt decodes a dense triangle slot to its degree key.
+func (t *Tracker) triangleAt(i int32) TriangleKey {
+	p, c3 := int(i)/t.nc, int(i)%t.nc
+	return TriangleKey{t.classDeg[t.pairA[p]], t.classDeg[t.pairB[p]], t.classDeg[c3]}
+}
+
+// packedWedge decodes a packed (low end, center, high end) class key.
+func (t *Tracker) packedWedge(key uint64) WedgeKey {
+	return WedgeKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
+}
+
+// packedTriangle decodes a packed sorted corner class key.
+func (t *Tracker) packedTriangle(key uint64) TriangleKey {
+	return TriangleKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
+}
+
+// EachWedge calls f once for every wedge class whose count the
+// accumulated changes alter, with the class's degree key and the signed
+// change.
+func (d *TrackerDelta) EachWedge(f func(k WedgeKey, v int64)) {
+	d.compact()
+	for j, i := range d.wTouch {
+		f(d.t.wedgeAt(i), d.wVals[j])
+	}
+	for key, v := range d.mWedges {
+		f(d.t.packedWedge(key), v)
 	}
 }
 
@@ -526,13 +565,13 @@ func (t *Tracker) Has(a, b int) bool {
 	return t.has(a, b)
 }
 
-// edgeChange enumerates the wedges and triangles whose existence toggles
-// with edge (a,b) — the same classification as Delta.edgeChange, in
-// class space: triangles through common neighbors (trading places with
-// the wedge centered at the common neighbor), and wedges centered at a
-// and at b through exclusive neighbors. exA/exB (-1 = none) name one
-// node virtually not adjacent to a (resp. b), which is how SwapDelta
-// expresses intermediate states without mutating the graph.
+// edgeChange enumerates, in class space, the wedges and triangles whose
+// existence toggles with edge (a,b): triangles through common neighbors
+// (trading places with the wedge centered at the common neighbor), and
+// wedges centered at a and at b through exclusive neighbors. exA/exB
+// (-1 = none) name one node virtually not adjacent to a (resp. b), which
+// is how SwapDelta expresses intermediate states without mutating the
+// graph.
 func (t *Tracker) edgeChange(d *TrackerDelta, a, b int, sign int64, exA, exB int) {
 	if t.bits[a] == nil && t.bits[b] == nil {
 		t.mergeChange(d, a, b, sign, exA, exB)
@@ -609,4 +648,212 @@ func (t *Tracker) mergeChange(d *TrackerDelta, a, b int, sign int64, exA, exB in
 			d.addWedge(ca, cb, t.cls[w], sign)
 		}
 	}
+}
+
+// SwapTriangles reports, read-only, every triangle the double-edge swap
+// (u,v),(x,y) → (u,y),(x,v) destroys or creates: f(a, b, w, sign) with
+// (a,b) the toggled edge, w the common neighbor closing the triangle and
+// sign −1 for a lost triangle, +1 for a gained one. The four edge
+// toggles are virtualized as in SwapDelta, so summing the calls per node
+// gives each node's exact triangle change. Same preconditions as
+// SwapDelta.
+func (t *Tracker) SwapTriangles(u, v, x, y int, f func(a, b, w, sign int)) {
+	t.commonNeighbors(u, v, -1, -1, -1, f)
+	t.commonNeighbors(x, y, -1, -1, -1, f)
+	t.commonNeighbors(u, y, v, x, +1, f)
+	t.commonNeighbors(x, v, y, u, +1, f)
+}
+
+// commonNeighbors calls f(a, b, w, sign) for every common neighbor w of
+// a and b, with exA (exB) virtually not adjacent to a (b): a merge of
+// the two sorted windows, or a walk over the shorter window with
+// membership probes when either endpoint keeps a bitset.
+func (t *Tracker) commonNeighbors(a, b, exA, exB, sign int, f func(a, b, w, sign int)) {
+	A, B := t.adj(a), t.adj(b)
+	if t.bits[a] == nil && t.bits[b] == nil {
+		i, j := 0, 0
+		for i < len(A) && j < len(B) {
+			switch wa, wb := int(A[i]), int(B[j]); {
+			case wa < wb:
+				i++
+			case wb < wa:
+				j++
+			default:
+				i++
+				j++
+				if wa != exA && wa != exB {
+					f(a, b, wa, sign)
+				}
+			}
+		}
+		return
+	}
+	walk, other := A, b
+	if len(B) < len(A) {
+		walk, other = B, a
+	}
+	for _, w32 := range walk {
+		if w := int(w32); w != a && w != b && w != exA && w != exB && t.has(w, other) {
+			f(a, b, w, sign)
+		}
+	}
+}
+
+// CensusGap holds the class-wise count difference current − target
+// between the tracked graph's census and a target census, in the
+// Tracker's slot layout, so that scoring or committing a TrackerDelta
+// walks only the delta's touched slots. Classes the graph cannot reach —
+// some degree is not in the class table — are a constant, folded into
+// fixed. With the Tracker's fixed degree sequence the gap is exact under
+// any committed sequence of swaps.
+type CensusGap struct {
+	t              *Tracker
+	wedges, tris   []int64          // dense path, indexed like TrackerDelta
+	mWedges, mTris map[uint64]int64 // packed class keys: fallback, or unobserved pairs
+	fixed          float64          // Σ gap² over classes outside the class table
+}
+
+// NewCensusGap builds the gap between current, which must be the census
+// of the tracked graph, and target.
+func (t *Tracker) NewCensusGap(current, target *Census) *CensusGap {
+	g := &CensusGap{t: t, mWedges: make(map[uint64]int64), mTris: make(map[uint64]int64)}
+	if t.dense {
+		g.wedges = make([]int64, t.npairs*t.nc)
+		g.tris = make([]int64, t.npairs*t.nc)
+	}
+	outW := make(map[WedgeKey]int64)
+	outT := make(map[TriangleKey]int64)
+	for _, side := range []struct {
+		c    *Census
+		sign int64
+	}{{current, +1}, {target, -1}} {
+		for k, v := range side.c.Wedges {
+			if !g.addWedge(k, side.sign*v) {
+				outW[k] += side.sign * v
+			}
+		}
+		for k, v := range side.c.Triangles {
+			if !g.addTriangle(k, side.sign*v) {
+				outT[k] += side.sign * v
+			}
+		}
+	}
+	for _, v := range outW {
+		g.fixed += float64(v) * float64(v)
+	}
+	for _, v := range outT {
+		g.fixed += float64(v) * float64(v)
+	}
+	return g
+}
+
+// classOf returns the class of degree k, or false if no node has it.
+func (t *Tracker) classOf(k int) (int32, bool) {
+	lo, hi := 0, len(t.classDeg)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.classDeg[mid] < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(lo), lo < len(t.classDeg) && t.classDeg[lo] == k
+}
+
+// addWedge adds v to wedge class k's gap, in the slot TrackerDelta uses
+// for it; false if a degree of k is not in the class table.
+func (g *CensusGap) addWedge(k WedgeKey, v int64) bool {
+	t := g.t
+	lo, ok1 := t.classOf(k.KLo)
+	cc, ok2 := t.classOf(k.KCenter)
+	hi, ok3 := t.classOf(k.KHi)
+	if !ok1 || !ok2 || !ok3 {
+		return false
+	}
+	if t.dense {
+		if p := t.pid[int(cc)*t.nc+int(lo)]; p >= 0 {
+			g.wedges[int(p)*t.nc+int(hi)] += v
+			return true
+		}
+	}
+	addCount(g.mWedges, uint64(lo)<<42|uint64(cc)<<21|uint64(hi), v)
+	return true
+}
+
+// addTriangle is addWedge for triangle classes.
+func (g *CensusGap) addTriangle(k TriangleKey, v int64) bool {
+	t := g.t
+	a, ok1 := t.classOf(k.K1)
+	b, ok2 := t.classOf(k.K2)
+	c, ok3 := t.classOf(k.K3)
+	if !ok1 || !ok2 || !ok3 {
+		return false
+	}
+	if t.dense {
+		if p := t.pid[int(a)*t.nc+int(b)]; p >= 0 {
+			g.tris[int(p)*t.nc+int(c)] += v
+			return true
+		}
+	}
+	addCount(g.mTris, uint64(a)<<42|uint64(b)<<21|uint64(c), v)
+	return true
+}
+
+// Score returns the change in Σ gap² that committing d would make: for
+// each class with change δ against gap e, δ·(2e+δ). It changes neither
+// g nor the changes d holds.
+func (g *CensusGap) Score(d *TrackerDelta) int64 {
+	d.compact()
+	var s int64
+	for j, i := range d.wTouch {
+		v := d.wVals[j]
+		s += v * (2*g.wedges[i] + v)
+	}
+	for j, i := range d.tTouch {
+		v := d.tVals[j]
+		s += v * (2*g.tris[i] + v)
+	}
+	for key, v := range d.mWedges {
+		s += v * (2*g.mWedges[key] + v)
+	}
+	for key, v := range d.mTris {
+		s += v * (2*g.mTris[key] + v)
+	}
+	return s
+}
+
+// Commit folds d's changes into the gap, after the swap d describes was
+// applied to the graph (and to the Tracker with ApplySwap).
+func (g *CensusGap) Commit(d *TrackerDelta) {
+	d.compact()
+	for j, i := range d.wTouch {
+		g.wedges[i] += d.wVals[j]
+	}
+	for j, i := range d.tTouch {
+		g.tris[i] += d.tVals[j]
+	}
+	for key, v := range d.mWedges {
+		addCount(g.mWedges, key, v)
+	}
+	for key, v := range d.mTris {
+		addCount(g.mTris, key, v)
+	}
+}
+
+// Sum returns Σ gap² over every class: the paper's D3 between the
+// tracked graph and the target.
+func (g *CensusGap) Sum() float64 {
+	sum := g.fixed
+	for _, arr := range [][]int64{g.wedges, g.tris} {
+		for _, v := range arr {
+			sum += float64(v) * float64(v)
+		}
+	}
+	for _, m := range []map[uint64]int64{g.mWedges, g.mTris} {
+		for _, v := range m {
+			sum += float64(v) * float64(v)
+		}
+	}
+	return sum
 }

@@ -203,7 +203,7 @@ type RewireProgress struct {
 type RewireStats struct {
 	Attempts int // candidate proposals examined
 	Accepted int // moves applied and kept
-	Reverted int // moves applied, then rolled back (objective/connectivity)
+	Reverted int // moves declined by the objective or rolled back by connectivity
 	// Rejection reasons; structural ones never touch the graph.
 	RejectedSelfLoop      int
 	RejectedDuplicateEdge int
