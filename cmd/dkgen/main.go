@@ -47,7 +47,7 @@ func main() {
 	dot := flag.Bool("dot", false, "emit Graphviz DOT instead of an edge list (local only)")
 	hubThreshold := flag.Int("hub-threshold", 10, "DOT: highlight nodes with degree >= threshold (0 = off)")
 	connect := flag.Bool("connect", false, "reconnect the result with degree-preserving swaps (Viger–Latapy; local only)")
-	verbose := flag.Bool("v", false, "print per-replica rewiring stats with the rejection-reason breakdown to stderr (method=randomize, local only)")
+	verbose := flag.Bool("v", false, "print per-replica rewiring stats with the rejection-reason breakdown to stderr (method=randomize, local only); each rejection counts under the first check it fails: self-loop, jdd-mismatch, duplicate-edge, census-changed, objective, disconnected")
 	seed := flag.Int64("seed", 1, "random seed")
 	replicas := flag.Int("replicas", 1, "number of independent graphs to generate (ensemble fan-out)")
 	flag.IntVar(&common.Workers, "workers", 0, "worker goroutines for the replica fan-out (0 = all cores; results are identical for any value)")

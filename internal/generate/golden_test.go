@@ -107,8 +107,8 @@ func TestGenerationGolden(t *testing.T) {
 		want     string
 	}{
 		{generate.MetricLikelihood, false, "n=247 m=370 content=01c792a33aa95103 order=7af8e27369f89778 stats={Attempts:14800 Accepted:342 Reverted:13339 Rejected:{SelfLoop:697 DuplicateEdge:422 JDDMismatch:0 CensusChanged:0 Objective:13339 Disconnected:0}}"},
-		{generate.MetricS2, true, "n=247 m=370 content=011f0b788438aa6a order=9e97b0e10f126d5b stats={Attempts:14800 Accepted:223 Reverted:1523 Rejected:{SelfLoop:719 DuplicateEdge:746 JDDMismatch:11589 CensusChanged:0 Objective:1523 Disconnected:0}}"},
-		{generate.MetricClustering, true, "n=247 m=370 content=223b2e5fb8b92bb7 order=c77c969cd7aad5a6 stats={Attempts:14800 Accepted:12 Reverted:1741 Rejected:{SelfLoop:701 DuplicateEdge:724 JDDMismatch:11622 CensusChanged:0 Objective:1741 Disconnected:0}}"},
+		{generate.MetricS2, true, "n=247 m=370 content=011f0b788438aa6a order=9e97b0e10f126d5b stats={Attempts:14800 Accepted:223 Reverted:1523 Rejected:{SelfLoop:719 DuplicateEdge:85 JDDMismatch:12250 CensusChanged:0 Objective:1523 Disconnected:0}}"},
+		{generate.MetricClustering, true, "n=247 m=370 content=223b2e5fb8b92bb7 order=c77c969cd7aad5a6 stats={Attempts:14800 Accepted:12 Reverted:1741 Rejected:{SelfLoop:701 DuplicateEdge:74 JDDMismatch:12272 CensusChanged:0 Objective:1741 Disconnected:0}}"},
 	}
 	for _, tc := range explore {
 		res, err := generate.Explore(src, tc.metric, generate.ExploreOptions{
@@ -129,7 +129,7 @@ func TestGenerationGolden(t *testing.T) {
 	}
 	metropolis := map[int]string{
 		2: "n=247 m=370 content=53afc269d1bfd0d5 order=6365fe4667b9bfb7 D=2238→20 T=0.006189700196426911 stats={Attempts:11100 Accepted:2164 Reverted:7682 Rejected:{SelfLoop:535 DuplicateEdge:719 JDDMismatch:0 CensusChanged:0 Objective:7682 Disconnected:0}}",
-		3: "n=247 m=370 content=8bf455e1fefdfdc0 order=59e95a82ce36c893 D=1094→532 T=0.006189700196426911 stats={Attempts:11100 Accepted:869 Reverted:460 Rejected:{SelfLoop:530 DuplicateEdge:559 JDDMismatch:8682 CensusChanged:0 Objective:460 Disconnected:0}}",
+		3: "n=247 m=370 content=8bf455e1fefdfdc0 order=59e95a82ce36c893 D=1094→532 T=0.006189700196426911 stats={Attempts:11100 Accepted:869 Reverted:460 Rejected:{SelfLoop:530 DuplicateEdge:44 JDDMismatch:9197 CensusChanged:0 Objective:460 Disconnected:0}}",
 	}
 	for _, d := range []int{2, 3} {
 		from := start

@@ -38,10 +38,15 @@ const (
 	rejectDisconnected               // PreserveConnectivity vetoed the move
 )
 
-// RejectionBreakdown counts rejected proposals by reason. The structural
-// reasons (self-loop, duplicate edge, JDD mismatch, census change) and
-// the objective are decided before the move touches the graph;
-// connectivity rejections apply the move first and roll it back.
+// RejectionBreakdown counts rejected proposals by reason. Each rejected
+// proposal counts once, under the first check it fails, in the order
+// self-loop → JDD mismatch (depth ≥ 2) → duplicate edge → census change
+// (depth 3) → objective → disconnected. The JDD test precedes the
+// duplicate probe because it costs four degree loads where the probe
+// searches two adjacency windows, so a proposal that is both a
+// duplicate and a JDD mismatch counts as JDDMismatch. The structural
+// reasons and the objective are decided before the move touches the
+// graph; connectivity rejections apply the move first and roll it back.
 // Objective and connectivity rejections also count in
 // RewireStats.Reverted.
 type RejectionBreakdown struct {
@@ -235,7 +240,9 @@ func (r *Rewirer) AcceptedMoves() []Move { return r.moves }
 
 // propose draws one candidate move for the configured depth from rng and
 // checks its structural constraints up to depth 2 (the depth-3 census
-// check is separate — it is the expensive one and runs batched).
+// check is separate — it is the expensive one and runs batched). Every
+// draw happens before any check, and the checks run cheapest first, so
+// the order decides only which reason a rejection counts under.
 func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 	g := r.G
 	if r.Depth == 0 {
@@ -263,6 +270,15 @@ func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 	if u == x || u == y || v == x || v == y {
 		return Move{}, rejectSelfLoop
 	}
+	if r.Depth >= 2 {
+		// JDD preservation: the multiset {(du,dv),(dx,dy)} must equal
+		// {(du,dy),(dx,dv)}, which holds iff dv = dy or du = dx. Four
+		// degree loads, ahead of the duplicate probe's window searches:
+		// most proposals fail here.
+		if r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x] {
+			return Move{}, rejectJDDMismatch
+		}
+	}
 	if r.tracker != nil {
 		// Depth 3: probe the tracker mirror — O(1) bitset hits on hubs
 		// instead of hashing into their adjacency maps; proposals are drawn
@@ -272,13 +288,6 @@ func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 		}
 	} else if g.HasEdge(u, y) || g.HasEdge(x, v) {
 		return Move{}, rejectDuplicateEdge
-	}
-	if r.Depth >= 2 {
-		// JDD preservation: the multiset {(du,dv),(dx,dy)} must equal
-		// {(du,dy),(dx,dv)}, which holds iff dv = dy or du = dx.
-		if r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x] {
-			return Move{}, rejectJDDMismatch
-		}
 	}
 	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
 }

@@ -1,0 +1,44 @@
+package generate
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/dk"
+	"repro/internal/graph"
+	"repro/internal/stats"
+)
+
+// BenchmarkRewireD2PowerLaw times depth-2 dK-randomizing rewiring on a
+// γ=2 power-law graph of about 50k nodes, large enough that the edge
+// list, the adjacency windows and the degree table do not fit in cache:
+// each proposal's edge draws and checks are cache misses, as in
+// rewiring at the paper's scale. One op is a Randomize run with
+// SwapFactor 1, which exhausts its 10·M proposal budget; the reported
+// metric is ns per attempted proposal.
+func BenchmarkRewireD2PowerLaw(b *testing.B) {
+	const n = 50000
+	rng := newRng(2)
+	pl, err := stats.NewPowerLaw(2.0, 1, int(3*math.Sqrt(n)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := pl.DegreeSequence(rng, n)
+	for !dk.Graphical(seq) {
+		seq = pl.DegreeSequence(rng, n)
+	}
+	g, err := Matching1K(dk.NewDegreeDist(seq), Options{Rng: rng})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, _ = graph.GiantComponent(g)
+	attempts := 0
+	for seed := int64(0); b.Loop(); seed++ {
+		_, st, err := Randomize(g, 2, RandomizeOptions{Rng: newRng(seed), SwapFactor: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		attempts += st.Attempts
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+}

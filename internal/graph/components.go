@@ -90,10 +90,10 @@ func Subgraph(c *CSR, nodes []int) (*CSR, []int) {
 			oldToNew[u] = -1
 		}
 	}
-	kept := make([]Edge, 0, len(c.edges))
+	kept := make([]edge32, 0, len(c.edges))
 	for _, e := range c.edges {
 		if mark[e.U] && mark[e.V] {
-			kept = append(kept, Edge{oldToNew[e.U], oldToNew[e.V]}.Canon())
+			kept = append(kept, pack(Edge{oldToNew[e.U], oldToNew[e.V]}.Canon()))
 		}
 	}
 	return newCSRPreservingOrder(len(newToOld), kept), newToOld

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -32,7 +33,7 @@ func checkMirror(t *testing.T, c *CSR, g *Graph) {
 			if !g.HasEdge(u, int(v)) {
 				t.Fatalf("node %d: CSR has neighbor %d, Graph does not", u, v)
 			}
-			e := c.edges[ew[i]]
+			e := c.EdgeAt(int(ew[i]))
 			if (Edge{u, int(v)}.Canon()) != e {
 				t.Fatalf("node %d: epos points at %v, want (%d,%d)", u, e, u, v)
 			}
@@ -279,5 +280,32 @@ func TestRequeueEdgesMatchesApplyRevert(t *testing.T) {
 	}
 	if swaps < 100 || singles < 100 {
 		t.Fatalf("too few valid moves: %d swaps, %d single-edge moves", swaps, singles)
+	}
+}
+
+// TestCSRNodeCountBound checks that the constructors refuse node counts
+// outside the int32 id width before allocating anything, and that
+// AddNode's guard (checkNodeCount on the grown count) admits exactly
+// math.MaxInt32 nodes.
+func TestCSRNodeCountBound(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, n := range []int{-1, math.MaxInt32 + 1, math.MaxInt} {
+		mustPanic("NewCSR", func() { NewCSR(n) })
+		mustPanic("csrFromCanonicalEdges", func() { csrFromCanonicalEdges(n, nil) })
+		mustPanic("newCSRPreservingOrder", func() { newCSRPreservingOrder(n, nil) })
+		mustPanic("checkNodeCount", func() { checkNodeCount(n) })
+	}
+	checkNodeCount(math.MaxInt32)
+	c := NewCSR(2)
+	if id := c.AddNode(); id != 2 || c.N() != 3 {
+		t.Fatalf("AddNode = %d, N = %d; want 2, 3", id, c.N())
 	}
 }

@@ -183,7 +183,7 @@ type RewireProgress struct {
 	WindowAttempts int     // proposals examined since the previous sample
 	WindowAccepted int     // moves accepted since the previous sample
 	AcceptanceRate float64 // WindowAccepted / WindowAttempts
-	// Window rejection deltas by reason.
+	// Window rejection deltas by reason, counted as in RewireStats.
 	RejectedSelfLoop      int
 	RejectedDuplicateEdge int
 	RejectedJDDMismatch   int
@@ -204,7 +204,11 @@ type RewireStats struct {
 	Attempts int // candidate proposals examined
 	Accepted int // moves applied and kept
 	Reverted int // moves declined by the objective or rolled back by connectivity
-	// Rejection reasons; structural ones never touch the graph.
+	// Rejection reasons; structural ones never touch the graph. A
+	// rejected proposal counts once, under the first check it fails, in
+	// the order self-loop → JDD mismatch → duplicate edge → census
+	// change → objective → disconnected, so a proposal that is both a
+	// duplicate and a JDD mismatch counts as RejectedJDDMismatch.
 	RejectedSelfLoop      int
 	RejectedDuplicateEdge int
 	RejectedJDDMismatch   int
