@@ -297,7 +297,11 @@ func TestCSRNodeCountBound(t *testing.T) {
 		}()
 		f()
 	}
-	for _, n := range []int{-1, math.MaxInt32 + 1, math.MaxInt} {
+	counts := []int{-1}
+	if over := int64(math.MaxInt32) + 1; over <= math.MaxInt {
+		counts = append(counts, int(over), math.MaxInt)
+	}
+	for _, n := range counts {
 		mustPanic("NewCSR", func() { NewCSR(n) })
 		mustPanic("csrFromCanonicalEdges", func() { csrFromCanonicalEdges(n, nil) })
 		mustPanic("newCSRPreservingOrder", func() { newCSRPreservingOrder(n, nil) })
