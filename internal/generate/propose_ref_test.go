@@ -73,9 +73,7 @@ type drawHook struct {
 
 func (s *drawHook) Int63() int64 {
 	v := s.Source.Int63()
-	if s.onDraw != nil {
-		s.onDraw(v)
-	}
+	s.onDraw(v)
 	return v
 }
 
