@@ -47,27 +47,16 @@ func D2(a, b *JDD) float64 {
 }
 
 // D3 is the paper's 3K distance: the sum of squared differences between
-// current and target wedge counts plus the same for triangle counts.
+// current and target wedge counts plus the same for triangle counts, in
+// one merge walk over each pair of canonical class arrays.
 func D3(a, b *subgraphs.Census) float64 {
 	var sum float64
-	for k, wa := range a.Wedges {
-		d := float64(wa - b.Wedges[k])
+	sq := func(x, y int64) {
+		d := float64(x - y)
 		sum += d * d
 	}
-	for k, wb := range b.Wedges {
-		if _, seen := a.Wedges[k]; !seen {
-			sum += float64(wb) * float64(wb)
-		}
-	}
-	for k, ta := range a.Triangles {
-		d := float64(ta - b.Triangles[k])
-		sum += d * d
-	}
-	for k, tb := range b.Triangles {
-		if _, seen := a.Triangles[k]; !seen {
-			sum += float64(tb) * float64(tb)
-		}
-	}
+	subgraphs.Join(a.Wedges, b.Wedges, func(_ subgraphs.WedgeKey, x, y int64) { sq(x, y) })
+	subgraphs.Join(a.Triangles, b.Triangles, func(_ subgraphs.TriangleKey, x, y int64) { sq(x, y) })
 	return sum
 }
 

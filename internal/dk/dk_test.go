@@ -66,10 +66,10 @@ func TestExtractPaperExample(t *testing.T) {
 		}
 	}
 	// 3K: two (1,3,2) wedges and one (2,2,3) triangle.
-	if got := p.Census.Wedges[subgraphs.WedgeKey{KLo: 1, KCenter: 3, KHi: 2}]; got != 2 {
+	if got := p.Census.Wedge(subgraphs.WedgeKey{KLo: 1, KCenter: 3, KHi: 2}); got != 2 {
 		t.Errorf("wedges(1,3,2) = %d, want 2", got)
 	}
-	if got := p.Census.Triangles[subgraphs.TriangleKey{K1: 2, K2: 2, K3: 3}]; got != 1 {
+	if got := p.Census.Triangle(subgraphs.TriangleKey{K1: 2, K2: 2, K3: 3}); got != 1 {
 		t.Errorf("triangles(2,2,3) = %d, want 1", got)
 	}
 	if err := p.Validate(); err != nil {

@@ -2,6 +2,7 @@ package generate
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
@@ -92,8 +93,40 @@ func (d *refCensusDelta) edgeChange(g *graph.CSR, deg []int, u, v int, sign int6
 	})
 }
 
+// refCounts is a census in the map-keyed form the references keep.
+type refCounts struct {
+	Wedges    map[subgraphs.WedgeKey]int64
+	Triangles map[subgraphs.TriangleKey]int64
+}
+
+// refCountsOf converts a census to map form.
+func refCountsOf(c *subgraphs.Census) *refCounts {
+	m := &refCounts{Wedges: make(map[subgraphs.WedgeKey]int64), Triangles: make(map[subgraphs.TriangleKey]int64)}
+	for _, w := range c.Wedges {
+		m.Wedges[w.Key] = w.Count
+	}
+	for _, t := range c.Triangles {
+		m.Triangles[t.Key] = t.Count
+	}
+	return m
+}
+
+// census converts m back to a canonical Census.
+func (m *refCounts) census() *subgraphs.Census {
+	c := subgraphs.NewCensus()
+	for k, v := range m.Wedges {
+		c.Wedges = append(c.Wedges, subgraphs.WedgeCount{Key: k, Count: v})
+	}
+	for k, v := range m.Triangles {
+		c.Triangles = append(c.Triangles, subgraphs.TriangleCount{Key: k, Count: v})
+	}
+	slices.SortFunc(c.Wedges, func(a, b subgraphs.WedgeCount) int { return a.Key.Compare(b.Key) })
+	slices.SortFunc(c.Triangles, func(a, b subgraphs.TriangleCount) int { return a.Key.Compare(b.Key) })
+	return c
+}
+
 // applyTo folds the delta into census c in place.
-func (d *refCensusDelta) applyTo(c *subgraphs.Census) {
+func (d *refCensusDelta) applyTo(c *refCounts) {
 	for k, v := range d.Wedges {
 		if nv := c.Wedges[k] + v; nv == 0 {
 			delete(c.Wedges, k)
@@ -286,20 +319,20 @@ func (o *refJDD) Current() float64 {
 // wedge and triangle classes — under degree-preserving moves, using the
 // incremental census deltas from internal/subgraphs.
 type refCensus struct {
-	target  *subgraphs.Census
-	current *subgraphs.Census
+	target  *refCounts
+	current *refCounts
 	pend    *refCensusDelta
 	deg     []int
 }
 
 // newRefCensus targets the given wedge/triangle census.
 func newRefCensus(target *subgraphs.Census) *refCensus {
-	return &refCensus{target: target}
+	return &refCensus{target: refCountsOf(target)}
 }
 
 // Init counts g's census.
 func (o *refCensus) Init(g *graph.CSR) error {
-	o.current = subgraphs.Count(g)
+	o.current = refCountsOf(subgraphs.Count(g))
 	o.pend = newRefCensusDelta()
 	o.deg = g.DegreeSequence()
 	return nil
@@ -344,7 +377,7 @@ func (o *refCensus) Rollback() {}
 
 // Current recomputes D3 from tracked state (test hook).
 func (o *refCensus) Current() float64 {
-	return dk.D3(o.current, o.target)
+	return dk.D3(o.current.census(), o.target.census())
 }
 
 // --- Scalar exploration objectives ---

@@ -3,7 +3,6 @@ package subgraphs
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // The binary form of a census is the 3K section of a stored dK-profile
@@ -27,51 +26,19 @@ func (c *Census) MarshalBinary() ([]byte, error) {
 // AppendBinary appends the canonical binary encoding of c to dst and
 // returns the extended slice.
 func (c *Census) AppendBinary(dst []byte) []byte {
-	wedges := make([]WedgeKey, 0, len(c.Wedges))
-	for k, v := range c.Wedges {
-		if v != 0 {
-			wedges = append(wedges, k)
-		}
+	dst = binary.AppendUvarint(dst, uint64(len(c.Wedges)))
+	for _, w := range c.Wedges {
+		dst = binary.AppendUvarint(dst, uint64(w.Key.KCenter))
+		dst = binary.AppendUvarint(dst, uint64(w.Key.KLo))
+		dst = binary.AppendUvarint(dst, uint64(w.Key.KHi))
+		dst = binary.AppendUvarint(dst, uint64(w.Count))
 	}
-	sort.Slice(wedges, func(i, j int) bool {
-		a, b := wedges[i], wedges[j]
-		if a.KCenter != b.KCenter {
-			return a.KCenter < b.KCenter
-		}
-		if a.KLo != b.KLo {
-			return a.KLo < b.KLo
-		}
-		return a.KHi < b.KHi
-	})
-	dst = binary.AppendUvarint(dst, uint64(len(wedges)))
-	for _, k := range wedges {
-		dst = binary.AppendUvarint(dst, uint64(k.KCenter))
-		dst = binary.AppendUvarint(dst, uint64(k.KLo))
-		dst = binary.AppendUvarint(dst, uint64(k.KHi))
-		dst = binary.AppendUvarint(dst, uint64(c.Wedges[k]))
-	}
-	tris := make([]TriangleKey, 0, len(c.Triangles))
-	for k, v := range c.Triangles {
-		if v != 0 {
-			tris = append(tris, k)
-		}
-	}
-	sort.Slice(tris, func(i, j int) bool {
-		a, b := tris[i], tris[j]
-		if a.K1 != b.K1 {
-			return a.K1 < b.K1
-		}
-		if a.K2 != b.K2 {
-			return a.K2 < b.K2
-		}
-		return a.K3 < b.K3
-	})
-	dst = binary.AppendUvarint(dst, uint64(len(tris)))
-	for _, k := range tris {
-		dst = binary.AppendUvarint(dst, uint64(k.K1))
-		dst = binary.AppendUvarint(dst, uint64(k.K2))
-		dst = binary.AppendUvarint(dst, uint64(k.K3))
-		dst = binary.AppendUvarint(dst, uint64(c.Triangles[k]))
+	dst = binary.AppendUvarint(dst, uint64(len(c.Triangles)))
+	for _, t := range c.Triangles {
+		dst = binary.AppendUvarint(dst, uint64(t.Key.K1))
+		dst = binary.AppendUvarint(dst, uint64(t.Key.K2))
+		dst = binary.AppendUvarint(dst, uint64(t.Key.K3))
+		dst = binary.AppendUvarint(dst, uint64(t.Count))
 	}
 	return dst
 }
@@ -82,42 +49,28 @@ func (c *Census) AppendBinary(dst []byte) []byte {
 func (c *Census) UnmarshalBinary(data []byte) error {
 	d := binDecoder{buf: data}
 	nw := d.count("wedge classes")
-	c.Wedges = make(map[WedgeKey]int64, min(nw, 1<<16))
+	wedges := make([]WedgeCount, 0, min(nw, 1<<16))
 	for i := 0; i < nw && d.err == nil; i++ {
 		kc := d.count("wedge center degree")
 		lo := d.count("wedge end degree")
 		hi := d.count("wedge end degree")
 		n := d.count64("wedge count")
-		if d.err != nil {
-			break
+		if d.err == nil && n <= 0 {
+			return fmt.Errorf("subgraphs: wedge class %+v count %d", NewWedgeKey(lo, kc, hi), n)
 		}
-		key := NewWedgeKey(lo, kc, hi)
-		if _, dup := c.Wedges[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate wedge class %+v", key)
-		}
-		if n <= 0 {
-			return fmt.Errorf("subgraphs: wedge class %+v count %d", key, n)
-		}
-		c.Wedges[key] = n
+		wedges = append(wedges, WedgeCount{NewWedgeKey(lo, kc, hi), n})
 	}
 	nt := d.count("triangle classes")
-	c.Triangles = make(map[TriangleKey]int64, min(nt, 1<<16))
+	tris := make([]TriangleCount, 0, min(nt, 1<<16))
 	for i := 0; i < nt && d.err == nil; i++ {
 		k1 := d.count("triangle degree")
 		k2 := d.count("triangle degree")
 		k3 := d.count("triangle degree")
 		n := d.count64("triangle count")
-		if d.err != nil {
-			break
+		if d.err == nil && n <= 0 {
+			return fmt.Errorf("subgraphs: triangle class %+v count %d", NewTriangleKey(k1, k2, k3), n)
 		}
-		key := NewTriangleKey(k1, k2, k3)
-		if _, dup := c.Triangles[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate triangle class %+v", key)
-		}
-		if n <= 0 {
-			return fmt.Errorf("subgraphs: triangle class %+v count %d", key, n)
-		}
-		c.Triangles[key] = n
+		tris = append(tris, TriangleCount{NewTriangleKey(k1, k2, k3), n})
 	}
 	if d.err != nil {
 		return d.err
@@ -125,7 +78,7 @@ func (c *Census) UnmarshalBinary(data []byte) error {
 	if len(d.buf) != 0 {
 		return fmt.Errorf("subgraphs: %d trailing bytes after census", len(d.buf))
 	}
-	return nil
+	return c.setCanonical(wedges, tris)
 }
 
 // binDecoder reads uvarints from a byte slice with sticky error handling.

@@ -13,6 +13,10 @@
 package subgraphs
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -51,88 +55,184 @@ func NewTriangleKey(a, b, c int) TriangleKey {
 	return TriangleKey{a, b, c}
 }
 
+// Compare orders wedge keys by (KCenter, KLo, KHi), the census's
+// canonical wedge order.
+func (k WedgeKey) Compare(o WedgeKey) int {
+	if c := cmp.Compare(k.KCenter, o.KCenter); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.KLo, o.KLo); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.KHi, o.KHi)
+}
+
+// Compare orders triangle keys by (K1, K2, K3), the census's canonical
+// triangle order.
+func (k TriangleKey) Compare(o TriangleKey) int {
+	if c := cmp.Compare(k.K1, o.K1); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.K2, o.K2); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.K3, o.K3)
+}
+
+// ClassKey is a census class key: a WedgeKey or a TriangleKey.
+type ClassKey[K any] interface {
+	WedgeKey | TriangleKey
+	Compare(K) int
+}
+
+// ClassCount is one census class and its count.
+type ClassCount[K ClassKey[K]] struct {
+	Key   K
+	Count int64
+}
+
+// WedgeCount and TriangleCount are the entries of a Census.
+type (
+	WedgeCount    = ClassCount[WedgeKey]
+	TriangleCount = ClassCount[TriangleKey]
+)
+
 // Census holds degree-keyed counts of wedges and triangles — the paper's
-// 3K-distribution in count form.
+// 3K-distribution in count form. Both arrays are in canonical key order
+// (wedges by (KCenter, KLo, KHi), triangles by (K1, K2, K3)), with unique
+// keys and nonzero counts; every constructor and decoder keeps that
+// invariant, and code that builds a Census by hand must too.
 type Census struct {
-	Wedges    map[WedgeKey]int64
-	Triangles map[TriangleKey]int64
+	Wedges    []WedgeCount
+	Triangles []TriangleCount
 }
 
 // NewCensus returns an empty census.
 func NewCensus() *Census {
-	return &Census{
-		Wedges:    make(map[WedgeKey]int64),
-		Triangles: make(map[TriangleKey]int64),
+	return &Census{}
+}
+
+// Wedge returns the count of wedge class k (zero if absent).
+func (c *Census) Wedge(k WedgeKey) int64 { return lookup(c.Wedges, k) }
+
+// Triangle returns the count of triangle class k (zero if absent).
+func (c *Census) Triangle(k TriangleKey) int64 { return lookup(c.Triangles, k) }
+
+// lookup binary-searches a canonical class array.
+func lookup[K ClassKey[K]](s []ClassCount[K], k K) int64 {
+	i, ok := slices.BinarySearchFunc(s, k, func(e ClassCount[K], k K) int { return e.Key.Compare(k) })
+	if !ok {
+		return 0
 	}
+	return s[i].Count
 }
 
 // TotalWedges returns the total number of wedges across all classes.
-func (c *Census) TotalWedges() int64 {
-	var t int64
-	for _, v := range c.Wedges {
-		t += v
-	}
-	return t
-}
+func (c *Census) TotalWedges() int64 { return total(c.Wedges) }
 
 // TotalTriangles returns the total number of triangles across all classes.
-func (c *Census) TotalTriangles() int64 {
+func (c *Census) TotalTriangles() int64 { return total(c.Triangles) }
+
+func total[K ClassKey[K]](s []ClassCount[K]) int64 {
 	var t int64
-	for _, v := range c.Triangles {
-		t += v
+	for _, e := range s {
+		t += e.Count
 	}
 	return t
 }
 
 // Clone returns a deep copy.
 func (c *Census) Clone() *Census {
-	out := &Census{
-		Wedges:    make(map[WedgeKey]int64, len(c.Wedges)),
-		Triangles: make(map[TriangleKey]int64, len(c.Triangles)),
-	}
-	for k, v := range c.Wedges {
-		out.Wedges[k] = v
-	}
-	for k, v := range c.Triangles {
-		out.Triangles[k] = v
-	}
-	return out
+	return &Census{Wedges: slices.Clone(c.Wedges), Triangles: slices.Clone(c.Triangles)}
 }
 
-// Equal reports whether two censuses have identical nonzero counts.
+// Equal reports whether two censuses have identical counts.
 func (c *Census) Equal(o *Census) bool {
-	if !equalCounts(c.Wedges, o.Wedges) {
-		return false
-	}
-	return equalCounts(c.Triangles, o.Triangles)
+	return slices.Equal(c.Wedges, o.Wedges) && slices.Equal(c.Triangles, o.Triangles)
 }
 
-func equalCounts[K comparable](a, b map[K]int64) bool {
-	for k, v := range a {
-		if v != 0 && b[k] != v {
-			return false
+// Join walks the union of two canonical class arrays in key order,
+// calling f with each key and its counts in a and in b (zero where
+// absent).
+func Join[K ClassKey[K]](a, b []ClassCount[K], f func(k K, x, y int64)) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var c int
+		switch {
+		case i == len(a):
+			c = 1
+		case j == len(b):
+			c = -1
+		default:
+			c = a[i].Key.Compare(b[j].Key)
+		}
+		switch {
+		case c < 0:
+			f(a[i].Key, a[i].Count, 0)
+			i++
+		case c > 0:
+			f(b[j].Key, 0, b[j].Count)
+			j++
+		default:
+			f(a[i].Key, a[i].Count, b[j].Count)
+			i++
+			j++
 		}
 	}
-	for k, v := range b {
-		if v != 0 && a[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
-// Count computes the exact wedge/triangle census of s.
+// setCanonical sets c to the decoded wire records wedges and tris:
+// sorted into key order, duplicate keys rejected, zero counts dropped.
+func (c *Census) setCanonical(wedges []WedgeCount, tris []TriangleCount) error {
+	wedges, err := canonicalize(wedges, "wedge")
+	if err != nil {
+		return err
+	}
+	tris, err = canonicalize(tris, "triangle")
+	if err != nil {
+		return err
+	}
+	c.Wedges, c.Triangles = wedges, tris
+	return nil
+}
+
+func canonicalize[K ClassKey[K]](s []ClassCount[K], what string) ([]ClassCount[K], error) {
+	sortClasses(s)
+	for i := 1; i < len(s); i++ {
+		if s[i].Key == s[i-1].Key {
+			return nil, fmt.Errorf("subgraphs: duplicate %s class %+v", what, s[i].Key)
+		}
+	}
+	return slices.DeleteFunc(s, func(e ClassCount[K]) bool { return e.Count == 0 }), nil
+}
+
+// sortClasses sorts s into canonical key order.
+func sortClasses[K ClassKey[K]](s []ClassCount[K]) {
+	slices.SortFunc(s, func(a, b ClassCount[K]) int { return a.Key.Compare(b.Key) })
+}
+
+// Count computes the exact wedge/triangle census of s, emitting both
+// arrays directly in canonical order with no hashing and no sort.
 //
-// It runs on the same machinery as the rewiring Tracker: node degrees are
-// interned into a compact class table, counts accumulate in class-indexed
-// dense arrays (packed-key maps above denseLimit), triangles come from a
-// linear merge of sorted CSR neighbor windows per canonical edge — with
-// O(1) bitset probes once an endpoint reaches DefaultBitsetThreshold —
-// and wedges from per-center neighbor-class histograms, with each
-// triangle's three adjacent end-pairs subtracted to keep the induced
-// (open two-path) convention. Compared to the per-center pair enumeration
-// it replaces, this eliminates the deg² HasEdge binary searches that made
-// hub-heavy power-law graphs fall off a cliff at d=3 extraction.
+// Node degrees are interned into a class table ascending in degree, so
+// class order is key order. Centers are visited class by class, in
+// ascending order, and each class cc accumulates into two nc² planes:
+//   - wedges (lo, hi) around centers of class cc, from each center's
+//     neighbor-class histogram — cross classes multiply, same classes
+//     choose 2 — minus the closed neighbor pairs, which keeps the
+//     induced (open two-path) convention;
+//   - triangles (K2, K3) whose smallest (class, id) corner has class cc.
+//
+// Closed pairs around a center u come from its edges: for each neighbor
+// v, the common neighbors w > v are found by walking the shorter side —
+// v's window beyond v against a stamp of N(u), or, when v is a hub
+// (degree >= DefaultBitsetThreshold) with the longer window, u's window
+// beyond v against v's bitset — so no edge costs more than its shorter
+// endpoint window. When a class is done its planes' nonzero slots are
+// flushed in index order, which is (KCenter, KLo, KHi) order for wedges
+// and (K1, K2, K3) order for triangles. The planes take O(nc²) = O(m)
+// memory; the flushed slots are logged in fixed-size chunks so the
+// output arrays are allocated at their exact length.
 func Count(s graph.Adjacency) *Census {
 	n := s.N()
 	deg := make([]int, n)
@@ -143,8 +243,6 @@ func Count(s graph.Adjacency) *Census {
 			maxDeg = deg[u]
 		}
 	}
-	// Degree class table, ascending in degree so class order is degree
-	// order (the wedge-end canonicalization relies on it).
 	classOf := make([]int32, maxDeg+1)
 	for i := range classOf {
 		classOf[i] = -1
@@ -161,10 +259,22 @@ func Count(s graph.Adjacency) *Census {
 	}
 	nc := len(classDeg)
 	cls := make([]int32, n)
+	// Counting sort of the nodes by class: class c's centers are
+	// order[end[c-1]:end[c]].
+	end := make([]int, nc)
 	for u := 0; u < n; u++ {
 		cls[u] = classOf[deg[u]]
+		end[cls[u]]++
 	}
-	// Bitsets for hub membership probes, as in the Tracker mirror.
+	for c := 1; c < nc; c++ {
+		end[c] += end[c-1]
+	}
+	order := make([]int32, n)
+	for u := n - 1; u >= 0; u-- {
+		end[cls[u]]--
+		order[end[cls[u]]] = int32(u)
+	}
+	// Bitsets for hub membership probes, as in the Tracker.
 	words := (n + 63) / 64
 	bits := make([][]uint64, n)
 	for u := 0; u < n; u++ {
@@ -177,190 +287,140 @@ func Count(s graph.Adjacency) *Census {
 		}
 	}
 
-	// Dense accumulators carry touched-index lists so the final emission
-	// costs O(touched), not an O(nc³) scan over multi-megabyte arrays. An
-	// index may register more than once (a count cancelling to zero and
-	// coming back); emission consumes entries destructively, so duplicates
-	// cannot double-count — the TrackerDelta.Drain convention.
-	dense := nc*nc*nc <= denseLimit
-	var wArr, tArr []int64
-	var wTouch, tTouch []int32
-	var mW, mT map[uint64]int64
-	if dense {
-		wArr = make([]int64, nc*nc*nc)
-		tArr = make([]int64, nc*nc*nc)
-	} else {
-		mW = make(map[uint64]int64)
-		mT = make(map[uint64]int64)
-	}
-	addW := func(e1, cc, e2 int32, v int64) {
-		lo, hi := e1, e2
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if dense {
-			idx := (int32(nc)*cc+lo)*int32(nc) + hi
-			if wArr[idx] == 0 {
-				wTouch = append(wTouch, idx)
-			}
-			wArr[idx] += v
-		} else {
-			mW[uint64(lo)<<42|uint64(cc)<<21|uint64(hi)] += v
-		}
-	}
-	addT := func(a, b, c int32, v int64) {
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		if dense {
-			idx := (int32(nc)*a+b)*int32(nc) + c
-			if tArr[idx] == 0 {
-				tTouch = append(tTouch, idx)
-			}
-			tArr[idx] += v
-		} else {
-			mT[uint64(a)<<42|uint64(b)<<21|uint64(c)] += v
-		}
-	}
-
-	// Triangles: every canonical edge (u,v), u < v, contributes its common
-	// neighbors w > v, so each triangle {u<v<w} is found exactly once (from
-	// the edge between its two smallest nodes). Each found triangle also
-	// debits the three wedge classes its adjacent end-pairs would otherwise
-	// inflate in the histogram pass below.
-	triangle := func(u, v int, w int32) {
-		cu, cv, cw := cls[u], cls[v], cls[w]
-		addT(cu, cv, cw, 1)
-		addW(cv, cu, cw, -1) // centered at u
-		addW(cu, cv, cw, -1) // centered at v
-		addW(cu, cw, cv, -1) // centered at w
-	}
-	for u := 0; u < n; u++ {
-		adjU := s.Neighbors(u)
-		for i, v32 := range adjU {
-			v := int(v32)
-			if v <= u {
-				continue
-			}
-			// Common neighbors w > v of u and v. adjU[i+1:] is already the
-			// window > v on u's side (sorted, and v sits at index i).
-			wu := adjU[i+1:]
-			adjV := s.Neighbors(v)
-			wv := adjV[searchPast(adjV, v32):]
-			switch {
-			case bits[u] != nil && (bits[v] == nil || len(wv) <= len(wu)):
-				for _, w := range wv {
-					if bsHas(bits[u], w) {
-						triangle(u, v, w)
-					}
-				}
-			case bits[v] != nil:
-				for _, w := range wu {
-					if bsHas(bits[v], w) {
-						triangle(u, v, w)
-					}
-				}
-			default:
-				for len(wu) > 0 && len(wv) > 0 {
-					switch {
-					case wu[0] < wv[0]:
-						wu = wu[1:]
-					case wv[0] < wu[0]:
-						wv = wv[1:]
-					default:
-						triangle(u, v, wu[0])
-						wu, wv = wu[1:], wv[1:]
-					}
-				}
-			}
-		}
-	}
-
-	// Wedges: per center, a neighbor-class histogram turns every unordered
-	// neighbor pair into a class-pair count in O(deg + touched²) instead of
-	// deg² adjacency probes; the triangle pass already subtracted the
-	// adjacent pairs.
+	wPlane := make([]int64, nc*nc)
+	tPlane := make([]int64, nc*nc)
+	var wLog, tLog slotLog
 	cnt := make([]int64, nc)
 	touched := make([]int32, 0, 64)
-	for center := 0; center < n; center++ {
-		nbrs := s.Neighbors(center)
-		if len(nbrs) < 2 {
-			continue
+	stamp := make([]int32, n) // stamp[w] == u+1: w is a neighbor of center u
+	for cc, first := 0, 0; cc < nc; cc++ {
+		last := n
+		if cc+1 < nc {
+			last = end[cc+1]
 		}
-		for _, v := range nbrs {
-			c := cls[v]
-			if cnt[c] == 0 {
-				touched = append(touched, c)
+		for _, u32 := range order[first:last] {
+			u := int(u32)
+			nbrs := s.Neighbors(u)
+			if len(nbrs) < 2 {
+				continue
 			}
-			cnt[c]++
-		}
-		cc := cls[center]
-		for i, a := range touched {
-			ha := cnt[a]
-			if ha > 1 {
-				addW(a, cc, a, ha*(ha-1)/2)
+			mark := u32 + 1
+			for _, v := range nbrs {
+				c := cls[v]
+				if cnt[c] == 0 {
+					touched = append(touched, c)
+				}
+				cnt[c]++
+				stamp[v] = mark
 			}
-			for _, b := range touched[i+1:] {
-				addW(a, cc, b, ha*cnt[b])
+			slices.Sort(touched)
+			for i, a := range touched {
+				ha, row := cnt[a], wPlane[int(a)*nc:int(a+1)*nc]
+				row[a] += ha * (ha - 1) / 2
+				for _, b := range touched[i+1:] {
+					row[b] += ha * cnt[b]
+				}
+			}
+			for _, a := range touched {
+				cnt[a] = 0
+			}
+			touched = touched[:0]
+
+			// Closed pairs {v, w}, v < w, around u: each is a wedge
+			// the histogram counted but the induced convention does not,
+			// and a triangle, kept only at its smallest corner.
+			for i, v32 := range nbrs[:len(nbrs)-1] {
+				v, cv := int(v32), cls[v32]
+				vFirst := cv < int32(cc) || cv == int32(cc) && v < u
+				closed := func(w int32) {
+					cw := cls[w]
+					lo, hi := min(cv, cw), max(cv, cw)
+					wPlane[int(lo)*nc+int(hi)]--
+					if !vFirst && (cw > int32(cc) || cw == int32(cc) && int(w) > u) {
+						tPlane[int(lo)*nc+int(hi)]++
+					}
+				}
+				wu := nbrs[i+1:]
+				adjV := s.Neighbors(v)
+				wv := adjV[searchPast(adjV, v32):]
+				if bv := bits[v]; bv != nil && len(wu) < len(wv) {
+					for _, w := range wu {
+						if bsHas(bv, w) {
+							closed(w)
+						}
+					}
+				} else {
+					for _, w := range wv {
+						if stamp[w] == mark {
+							closed(w)
+						}
+					}
+				}
 			}
 		}
-		for _, a := range touched {
-			cnt[a] = 0
-		}
-		touched = touched[:0]
+		wLog.flush(wPlane, nc, 0)
+		tLog.flush(tPlane, nc, cc)
+		first = last
 	}
 
-	// Decode class indices back to degree-keyed maps — the same boundary
-	// conversion as TrackerDelta.Drain.
 	c := &Census{
-		Wedges:    make(map[WedgeKey]int64, len(wTouch)+len(mW)),
-		Triangles: make(map[TriangleKey]int64, len(tTouch)+len(mT)),
+		Wedges:    make([]WedgeCount, wLog.n),
+		Triangles: make([]TriangleCount, tLog.n),
 	}
-	if dense {
-		for _, i := range wTouch {
-			v := wArr[i]
-			if v == 0 {
-				continue
-			}
-			wArr[i] = 0
-			idx := int(i)
-			hi := idx % nc
-			lo := idx / nc % nc
-			cc := idx / (nc * nc)
-			c.Wedges[WedgeKey{classDeg[lo], classDeg[cc], classDeg[hi]}] = v
-		}
-		for _, i := range tTouch {
-			v := tArr[i]
-			if v == 0 {
-				continue
-			}
-			tArr[i] = 0
-			idx := int(i)
-			c3 := idx % nc
-			c2 := idx / nc % nc
-			c1 := idx / (nc * nc)
-			c.Triangles[TriangleKey{classDeg[c1], classDeg[c2], classDeg[c3]}] = v
-		}
-		return c
-	}
-	for key, v := range mW {
-		if v != 0 {
-			c.Wedges[WedgeKey{classDeg[key>>42], classDeg[key>>21&packMask], classDeg[key&packMask]}] = v
+	for cc, i := 0, 0; cc < nc; cc++ {
+		for ; i < wLog.ends[cc]; i++ {
+			e := wLog.at(i)
+			c.Wedges[i] = WedgeCount{WedgeKey{classDeg[e.a], classDeg[cc], classDeg[e.b]}, e.n}
 		}
 	}
-	for key, v := range mT {
-		if v != 0 {
-			c.Triangles[TriangleKey{classDeg[key>>42], classDeg[key>>21&packMask], classDeg[key&packMask]}] = v
+	for cc, i := 0, 0; cc < nc; cc++ {
+		for ; i < tLog.ends[cc]; i++ {
+			e := tLog.at(i)
+			c.Triangles[i] = TriangleCount{TriangleKey{classDeg[cc], classDeg[e.a], classDeg[e.b]}, e.n}
 		}
 	}
 	return c
 }
+
+// slot is one nonzero plane entry: classes a <= b and the count.
+type slot struct {
+	a, b int32
+	n    int64
+}
+
+// logChunk is the slotLog chunk length.
+const logChunk = 1 << 14
+
+// slotLog collects the nonzero plane slots flushed per center class in
+// fixed-size chunks, so Count can size its output exactly once counting
+// ends, without reallocating a growing buffer.
+type slotLog struct {
+	chunks [][]slot
+	n      int
+	ends   []int // ends[cc]: slots logged through center class cc
+}
+
+// flush logs and zeroes the nonzero slots (a, b), from <= a <= b, of
+// the nc×nc plane in index order, and closes the current center class.
+func (l *slotLog) flush(plane []int64, nc, from int) {
+	for a := from; a < nc; a++ {
+		row := plane[a*nc : (a+1)*nc]
+		for b := a; b < nc; b++ {
+			if v := row[b]; v != 0 {
+				if l.n%logChunk == 0 {
+					l.chunks = append(l.chunks, make([]slot, logChunk))
+				}
+				l.chunks[l.n/logChunk][l.n%logChunk] = slot{int32(a), int32(b), v}
+				l.n++
+				row[b] = 0
+			}
+		}
+	}
+	l.ends = append(l.ends, l.n)
+}
+
+// at returns the i-th logged slot.
+func (l *slotLog) at(i int) slot { return l.chunks[i/logChunk][i%logChunk] }
 
 // bsHas probes membership of w in a node bitset.
 func bsHas(bs []uint64, w int32) bool {

@@ -19,9 +19,50 @@ func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	return g
 }
 
-// bruteCensus enumerates all node triples.
-func bruteCensus(g *graph.Graph) *Census {
+// mapCensus is the map-keyed census form the test references count
+// into and the map Delta applies to.
+type mapCensus struct {
+	Wedges    map[WedgeKey]int64
+	Triangles map[TriangleKey]int64
+}
+
+func newMapCensus() *mapCensus {
+	return &mapCensus{Wedges: make(map[WedgeKey]int64), Triangles: make(map[TriangleKey]int64)}
+}
+
+// mapOf converts a census to map form.
+func mapOf(c *Census) *mapCensus {
+	m := newMapCensus()
+	for _, w := range c.Wedges {
+		m.Wedges[w.Key] = w.Count
+	}
+	for _, t := range c.Triangles {
+		m.Triangles[t.Key] = t.Count
+	}
+	return m
+}
+
+// census converts m to a canonical Census, dropping zero counts.
+func (m *mapCensus) census() *Census {
 	c := NewCensus()
+	for k, v := range m.Wedges {
+		if v != 0 {
+			c.Wedges = append(c.Wedges, WedgeCount{k, v})
+		}
+	}
+	for k, v := range m.Triangles {
+		if v != 0 {
+			c.Triangles = append(c.Triangles, TriangleCount{k, v})
+		}
+	}
+	sortClasses(c.Wedges)
+	sortClasses(c.Triangles)
+	return c
+}
+
+// bruteCensus enumerates all node triples.
+func bruteCensus(g *graph.Graph) *mapCensus {
+	c := newMapCensus()
 	n := g.N()
 	deg := g.DegreeSequence()
 	for i := 0; i < n; i++ {
@@ -71,7 +112,7 @@ func TestCountTriangleGraph(t *testing.T) {
 	if c.TotalWedges() != 0 {
 		t.Errorf("K3 wedges = %d, want 0", c.TotalWedges())
 	}
-	if c.Triangles[TriangleKey{2, 2, 2}] != 1 || c.TotalTriangles() != 1 {
+	if c.Triangle(TriangleKey{2, 2, 2}) != 1 || c.TotalTriangles() != 1 {
 		t.Errorf("K3 triangles = %v", c.Triangles)
 	}
 }
@@ -79,7 +120,7 @@ func TestCountTriangleGraph(t *testing.T) {
 func TestCountPath3(t *testing.T) {
 	g := build(t, 3, [][2]int{{0, 1}, {1, 2}})
 	c := Count(g.Static())
-	if c.Wedges[WedgeKey{1, 2, 1}] != 1 || c.TotalWedges() != 1 {
+	if c.Wedge(WedgeKey{1, 2, 1}) != 1 || c.TotalWedges() != 1 {
 		t.Errorf("P3 wedges = %v", c.Wedges)
 	}
 	if c.TotalTriangles() != 0 {
@@ -90,7 +131,7 @@ func TestCountPath3(t *testing.T) {
 func TestCountStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
 	c := Count(g.Static())
-	if c.Wedges[WedgeKey{1, 3, 1}] != 3 || c.TotalWedges() != 3 {
+	if c.Wedge(WedgeKey{1, 3, 1}) != 3 || c.TotalWedges() != 3 {
 		t.Errorf("K1,3 wedges = %v", c.Wedges)
 	}
 }
@@ -102,11 +143,11 @@ func TestCountPaperExample(t *testing.T) {
 	// Triangle 0,1,2 plus pendant 3 attached to 2.
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	c := Count(g.Static())
-	if got := c.Wedges[WedgeKey{1, 3, 2}]; got != 2 {
-		t.Errorf("wedge class (1,3,2) = %d, want 2 (map: %v)", got, c.Wedges)
+	if got := c.Wedge(WedgeKey{1, 3, 2}); got != 2 {
+		t.Errorf("wedge class (1,3,2) = %d, want 2 (census: %v)", got, c.Wedges)
 	}
-	if got := c.Triangles[TriangleKey{2, 2, 3}]; got != 1 {
-		t.Errorf("triangle class (2,2,3) = %d, want 1 (map: %v)", got, c.Triangles)
+	if got := c.Triangle(TriangleKey{2, 2, 3}); got != 1 {
+		t.Errorf("triangle class (2,2,3) = %d, want 1 (census: %v)", got, c.Triangles)
 	}
 	if c.TotalWedges() != 2 || c.TotalTriangles() != 1 {
 		t.Errorf("totals: wedges=%d triangles=%d, want 2,1", c.TotalWedges(), c.TotalTriangles())
@@ -133,7 +174,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 		n := 3 + rng.Intn(18)
 		m := rng.Intn(n*(n-1)/2 + 1)
 		g := randomGraph(rng, n, m)
-		return Count(g.Static()).Equal(bruteCensus(g))
+		return Count(g.Static()).Equal(bruteCensus(g).census())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -144,8 +185,8 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 // enumeration with a HasEdge probe per pair. It is kept as the
 // differential oracle for the class-histogram counter on graphs large
 // enough that brute-force triple enumeration is unaffordable.
-func countReference(s *graph.Static) *Census {
-	c := NewCensus()
+func countReference(s *graph.Static) *mapCensus {
+	c := newMapCensus()
 	n := s.N()
 	deg := make([]int, n)
 	for u := 0; u < n; u++ {
@@ -207,24 +248,154 @@ func TestCountMatchesReferenceHubGraph(t *testing.T) {
 	if s.MaxDegree() < DefaultBitsetThreshold {
 		t.Fatalf("max degree %d below bitset threshold %d; test graph too tame", s.MaxDegree(), DefaultBitsetThreshold)
 	}
-	got, want := Count(s), countReference(s)
+	got, want := Count(s), countReference(s).census()
 	if !got.Equal(want) {
 		t.Errorf("fast census disagrees with reference: got %d wedges/%d triangles, want %d/%d",
 			got.TotalWedges(), got.TotalTriangles(), want.TotalWedges(), want.TotalTriangles())
 	}
 }
 
-// TestCountMatchesReferenceMapFallback forces the packed-key map path
-// (denseLimit exceeded) and differentially checks it too.
+// TestCountMatchesReferenceMapFallback once forced Count's packed-key map
+// fallback (denseLimit exceeded). Count now has a single accumulation
+// path that denseLimit does not affect; the test keeps pinning that.
 func TestCountMatchesReferenceMapFallback(t *testing.T) {
 	old := denseLimit
 	denseLimit = 1
 	defer func() { denseLimit = old }()
 	rng := rand.New(rand.NewSource(7))
 	s := hubGraph(rng, 200, 700).Static()
-	if !Count(s).Equal(countReference(s)) {
+	if !Count(s).Equal(countReference(s).census()) {
 		t.Error("map-fallback census disagrees with reference")
 	}
+}
+
+// manyClassGraph is a random tree on n nodes whose first hubs nodes are
+// topped up to degrees 4, 5, …: more than hubs distinct degrees.
+func manyClassGraph(rng *rand.Rand, n, hubs int) *graph.Graph {
+	g := graph.New(n)
+	for i := 1; i < n; i++ {
+		if err := g.AddEdge(i, rng.Intn(i)); err != nil {
+			panic(err)
+		}
+	}
+	for k := 0; k < hubs; k++ {
+		for g.Degree(k) < 4+k {
+			if v := rng.Intn(n); v != k && !g.HasEdge(k, v) {
+				if err := g.AddEdge(k, v); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// TestCountMatchesReferenceManyClasses covers at least 102 degree
+// classes: nc³ above 2²⁰, the regime that ran on packed-key maps before
+// Count moved to per-class planes.
+func TestCountMatchesReferenceManyClasses(t *testing.T) {
+	s := manyClassGraph(rand.New(rand.NewSource(5)), 1000, 150).Static()
+	classes := map[int]bool{}
+	for u := 0; u < s.N(); u++ {
+		classes[s.Degree(u)] = true
+	}
+	if len(classes) < 102 {
+		t.Fatalf("%d degree classes, want >= 102", len(classes))
+	}
+	if !Count(s).Equal(countReference(s).census()) {
+		t.Error("many-class census disagrees with reference")
+	}
+}
+
+// megaHubGraph joins node 0 to 90 % of the other nodes. Most of those
+// are paired off into triangles with the hub (degree 2); the last tenth
+// hang off random nodes, and a few random chords join the unpaired ones.
+func megaHubGraph(rng *rand.Rand, n int) *graph.Graph {
+	g := graph.New(n)
+	add := func(u, v int) {
+		if u != v && !g.HasEdge(u, v) {
+			if err := g.AddEdge(u, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for v := 1; v < n*9/10; v++ {
+		add(0, v)
+	}
+	for v := 1; v+1 < n*3/5; v += 2 {
+		add(v, v+1)
+	}
+	for v := n * 9 / 10; v < n; v++ {
+		add(v, 1+rng.Intn(n-1))
+	}
+	for i := 0; i < n/10; i++ {
+		add(n*3/5+rng.Intn(n*2/5), n*3/5+rng.Intn(n*2/5))
+	}
+	return g
+}
+
+// TestCountMatchesReferenceMegaHub pins Count on a graph where one node
+// is adjacent to most others and most of its neighbors have degree 2:
+// every closed pair around a degree-2 center sits next to the hub, whose
+// window it must not walk.
+func TestCountMatchesReferenceMegaHub(t *testing.T) {
+	s := megaHubGraph(rand.New(rand.NewSource(11)), 2000).Static()
+	deg2 := 0
+	for u := 0; u < s.N(); u++ {
+		if s.Degree(u) == 2 {
+			deg2++
+		}
+	}
+	if s.Degree(0) < s.N()*4/5 || deg2 < s.N()/2 {
+		t.Fatalf("hub degree %d, %d degree-2 nodes; test graph too tame", s.Degree(0), deg2)
+	}
+	if !Count(s).Equal(countReference(s).census()) {
+		t.Error("mega-hub census disagrees with reference")
+	}
+}
+
+// FuzzCountMatchesReference turns fuzz bytes into a small graph — node
+// 0 joined to the first data[1] mod n nodes, which reaches the bitset
+// threshold, plus one edge per later byte pair — and checks Count
+// against the pair-enumeration reference and the P3→P2 identity
+// Σ_v C(deg v, 2) = wedges + 3·triangles.
+func FuzzCountMatchesReference(f *testing.F) {
+	f.Add([]byte{7, 0, 1, 2, 2, 3, 3, 1, 4, 5})
+	f.Add([]byte{97, 80, 1, 2, 3, 4, 5, 6, 7, 8, 1, 9, 1, 10, 1, 11})
+	f.Add([]byte{125, 127, 1, 2, 2, 3, 70, 71, 100, 101, 100, 102, 101, 102})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 3 + int(data[0])%126
+		g := graph.New(n)
+		add := func(u, v int) {
+			if u != v && !g.HasEdge(u, v) {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for v := 1; v <= int(data[1])%n; v++ {
+			add(0, v)
+		}
+		for i := 2; i+1 < len(data); i += 2 {
+			add(int(data[i])%n, int(data[i+1])%n)
+		}
+		s := g.Static()
+		c := Count(s)
+		if !c.Equal(countReference(s).census()) {
+			t.Fatalf("census disagrees with reference on n=%d, m=%d", n, s.M())
+		}
+		var pairs int64
+		for u := 0; u < n; u++ {
+			d := int64(s.Degree(u))
+			pairs += d * (d - 1) / 2
+		}
+		if w, tr := c.TotalWedges(), c.TotalTriangles(); pairs != w+3*tr {
+			t.Fatalf("Σ C(deg, 2) = %d, wedges + 3·triangles = %d + 3·%d", pairs, w, tr)
+		}
+	})
 }
 
 // TestDeltaMatchesRecountProperty verifies the incremental delta machinery
@@ -237,7 +408,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 		m := 4 + rng.Intn(n*(n-1)/2-3)
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-		before := Count(g.Static())
+		before := mapOf(Count(g.Static()))
 
 		// Try to find a valid degree-preserving swap.
 		for attempt := 0; attempt < 200; attempt++ {
@@ -266,7 +437,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 
 			after := Count(g.Static())
 			d.ApplyTo(before)
-			return before.Equal(after)
+			return before.census().Equal(after)
 		}
 		return true // no valid swap found; vacuously fine
 	}
@@ -316,7 +487,7 @@ func TestCensusClone(t *testing.T) {
 	if !c.Equal(cl) {
 		t.Fatal("clone not equal")
 	}
-	cl.Wedges[WedgeKey{9, 9, 9}] = 5
+	cl.Wedges[0].Count += 5
 	if c.Equal(cl) {
 		t.Error("mutating clone affected original comparison")
 	}

@@ -123,7 +123,7 @@ func (d *Delta) edgeChange(g AdjGraph, deg []int, u, v int, sign int64) {
 }
 
 // ApplyTo folds the delta into census c in place.
-func (d *Delta) ApplyTo(c *Census) {
+func (d *Delta) ApplyTo(c *mapCensus) {
 	for k, v := range d.Wedges {
 		if nv := c.Wedges[k] + v; nv == 0 {
 			delete(c.Wedges, k)

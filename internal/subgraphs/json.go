@@ -3,7 +3,6 @@ package subgraphs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // The JSON form of a census lists wedge and triangle classes as explicit
@@ -36,69 +35,40 @@ type censusJSON struct {
 
 // MarshalJSON encodes the census as sorted wedge and triangle class
 // arrays. The output is deterministic: classes appear in increasing key
-// order and zero-count classes are omitted.
+// order, as the census holds them.
 func (c *Census) MarshalJSON() ([]byte, error) {
-	out := censusJSON{Wedges: []wedgeJSON{}, Triangles: []triangleJSON{}}
-	for k, v := range c.Wedges {
-		if v != 0 {
-			out.Wedges = append(out.Wedges, wedgeJSON{k.KLo, k.KCenter, k.KHi, v})
-		}
+	out := censusJSON{Wedges: make([]wedgeJSON, len(c.Wedges)), Triangles: make([]triangleJSON, len(c.Triangles))}
+	for i, w := range c.Wedges {
+		out.Wedges[i] = wedgeJSON{w.Key.KLo, w.Key.KCenter, w.Key.KHi, w.Count}
 	}
-	sort.Slice(out.Wedges, func(i, j int) bool {
-		a, b := out.Wedges[i], out.Wedges[j]
-		if a.KCenter != b.KCenter {
-			return a.KCenter < b.KCenter
-		}
-		if a.KLo != b.KLo {
-			return a.KLo < b.KLo
-		}
-		return a.KHi < b.KHi
-	})
-	for k, v := range c.Triangles {
-		if v != 0 {
-			out.Triangles = append(out.Triangles, triangleJSON{k.K1, k.K2, k.K3, v})
-		}
+	for i, t := range c.Triangles {
+		out.Triangles[i] = triangleJSON{t.Key.K1, t.Key.K2, t.Key.K3, t.Count}
 	}
-	sort.Slice(out.Triangles, func(i, j int) bool {
-		a, b := out.Triangles[i], out.Triangles[j]
-		if a.K1 != b.K1 {
-			return a.K1 < b.K1
-		}
-		if a.K2 != b.K2 {
-			return a.K2 < b.K2
-		}
-		return a.K3 < b.K3
-	})
 	return json.Marshal(out)
 }
 
 // UnmarshalJSON decodes the sorted-array census encoding produced by
-// MarshalJSON. Keys are re-canonicalized on the way in, so hand-written
-// JSON with unsorted degree triples is accepted.
+// MarshalJSON. Keys are re-canonicalized and classes sorted on the way
+// in, so hand-written JSON in any order is accepted; zero-count classes
+// are dropped, and negative counts and duplicate classes are rejected.
 func (c *Census) UnmarshalJSON(b []byte) error {
 	var in censusJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
 	}
-	c.Wedges = make(map[WedgeKey]int64, len(in.Wedges))
-	c.Triangles = make(map[TriangleKey]int64, len(in.Triangles))
-	for _, w := range in.Wedges {
-		key := NewWedgeKey(w.KLo, w.KCenter, w.KHi)
-		if _, dup := c.Wedges[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate wedge class %+v in JSON", key)
-		}
-		if w.Count != 0 {
-			c.Wedges[key] = w.Count
+	wedges := make([]WedgeCount, len(in.Wedges))
+	for i, w := range in.Wedges {
+		wedges[i] = WedgeCount{NewWedgeKey(w.KLo, w.KCenter, w.KHi), w.Count}
+		if w.Count < 0 {
+			return fmt.Errorf("subgraphs: wedge class %+v count %d in JSON", wedges[i].Key, w.Count)
 		}
 	}
-	for _, tr := range in.Triangles {
-		key := NewTriangleKey(tr.K1, tr.K2, tr.K3)
-		if _, dup := c.Triangles[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate triangle class %+v in JSON", key)
-		}
-		if tr.Count != 0 {
-			c.Triangles[key] = tr.Count
+	tris := make([]TriangleCount, len(in.Triangles))
+	for i, t := range in.Triangles {
+		tris[i] = TriangleCount{NewTriangleKey(t.K1, t.K2, t.K3), t.Count}
+		if t.Count < 0 {
+			return fmt.Errorf("subgraphs: triangle class %+v count %d in JSON", tris[i].Key, t.Count)
 		}
 	}
-	return nil
+	return c.setCanonical(wedges, tris)
 }

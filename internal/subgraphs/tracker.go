@@ -6,8 +6,8 @@
 // dominate rewiring, where almost every proposal is evaluated and
 // rejected. Tracker is the dense engine: degrees are interned into a
 // compact class table once, count changes accumulate in
-// degree-class-indexed arrays (maps appear only at the Census boundary,
-// in Drain), and common-neighbor classification runs
+// degree-class-indexed arrays (degree keys appear only at the Census
+// boundary, in Drain), and common-neighbor classification runs
 // directly on the CSR's sorted neighbor windows — a linear merge for
 // ordinary nodes, O(1) bitset probes for nodes above a degree threshold.
 // The CSR working representation IS the tracker's sorted adjacency; no
@@ -291,27 +291,44 @@ func (d *TrackerDelta) IsZero() bool {
 }
 
 // Drain folds the accumulated changes into census c — the one place
-// class indices convert back to degree-keyed maps — and leaves the
-// accumulator empty.
+// class indices convert back to degree keys — and leaves the accumulator
+// empty.
 func (d *TrackerDelta) Drain(c *Census) {
 	d.compact()
+	ws := make([]WedgeCount, 0, len(d.wTouch)+len(d.mWedges))
 	for j, i := range d.wTouch {
-		addCount(c.Wedges, d.t.wedgeAt(i), d.wVals[j])
+		ws = append(ws, WedgeCount{d.t.wedgeAt(i), d.wVals[j]})
 		d.wedges[i] = 0
 	}
+	for key, v := range d.mWedges {
+		ws = append(ws, WedgeCount{d.t.packedWedge(key), v})
+	}
+	ts := make([]TriangleCount, 0, len(d.tTouch)+len(d.mTris))
 	for j, i := range d.tTouch {
-		addCount(c.Triangles, d.t.triangleAt(i), d.tVals[j])
+		ts = append(ts, TriangleCount{d.t.triangleAt(i), d.tVals[j]})
 		d.tris[i] = 0
 	}
-	d.wTouch, d.tTouch = d.wTouch[:0], d.tTouch[:0]
-	for key, v := range d.mWedges {
-		addCount(c.Wedges, d.t.packedWedge(key), v)
-	}
 	for key, v := range d.mTris {
-		addCount(c.Triangles, d.t.packedTriangle(key), v)
+		ts = append(ts, TriangleCount{d.t.packedTriangle(key), v})
 	}
+	d.wTouch, d.tTouch = d.wTouch[:0], d.tTouch[:0]
 	clear(d.mWedges)
 	clear(d.mTris)
+	c.Wedges = addClasses(c.Wedges, ws)
+	c.Triangles = addClasses(c.Triangles, ts)
+}
+
+// addClasses returns the canonical class array a plus the changes d
+// (unique keys, any order), without the classes that reach zero.
+func addClasses[K ClassKey[K]](a, d []ClassCount[K]) []ClassCount[K] {
+	sortClasses(d)
+	out := make([]ClassCount[K], 0, len(a)+len(d))
+	Join(a, d, func(k K, x, y int64) {
+		if x+y != 0 {
+			out = append(out, ClassCount[K]{k, x + y})
+		}
+	})
+	return out
 }
 
 // addCount adds v to m[k], deleting the entry when it reaches zero.
@@ -721,29 +738,16 @@ func (t *Tracker) NewCensusGap(current, target *Census) *CensusGap {
 		g.wedges = make([]int64, t.npairs*t.nc)
 		g.tris = make([]int64, t.npairs*t.nc)
 	}
-	outW := make(map[WedgeKey]int64)
-	outT := make(map[TriangleKey]int64)
-	for _, side := range []struct {
-		c    *Census
-		sign int64
-	}{{current, +1}, {target, -1}} {
-		for k, v := range side.c.Wedges {
-			if !g.addWedge(k, side.sign*v) {
-				outW[k] += side.sign * v
-			}
+	Join(current.Wedges, target.Wedges, func(k WedgeKey, cur, tgt int64) {
+		if v := cur - tgt; !g.addWedge(k, v) {
+			g.fixed += float64(v) * float64(v)
 		}
-		for k, v := range side.c.Triangles {
-			if !g.addTriangle(k, side.sign*v) {
-				outT[k] += side.sign * v
-			}
+	})
+	Join(current.Triangles, target.Triangles, func(k TriangleKey, cur, tgt int64) {
+		if v := cur - tgt; !g.addTriangle(k, v) {
+			g.fixed += float64(v) * float64(v)
 		}
-	}
-	for _, v := range outW {
-		g.fixed += float64(v) * float64(v)
-	}
-	for _, v := range outT {
-		g.fixed += float64(v) * float64(v)
-	}
+	})
 	return g
 }
 

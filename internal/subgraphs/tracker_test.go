@@ -48,9 +48,9 @@ func mapDeltaOfSwap(g *graph.Graph, deg []int, u, v, x, y int) *Census {
 	if err := work.AddEdge(x, v); err != nil {
 		panic(err)
 	}
-	c := NewCensus()
+	c := newMapCensus()
 	d.ApplyTo(c)
-	return c
+	return c.census()
 }
 
 func drain(t *Tracker, td *TrackerDelta) *Census {
