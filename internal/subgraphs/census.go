@@ -196,6 +196,7 @@ func (c *Census) setCanonical(wedges []WedgeCount, tris []TriangleCount) error {
 	return nil
 }
 
+// canonicalize sorts s, rejects duplicate keys and drops zero counts.
 func canonicalize[K ClassKey[K]](s []ClassCount[K], what string) ([]ClassCount[K], error) {
 	sortClasses(s)
 	for i := 1; i < len(s); i++ {
@@ -260,19 +261,20 @@ func Count(s graph.Adjacency) *Census {
 	nc := len(classDeg)
 	cls := make([]int32, n)
 	// Counting sort of the nodes by class: class c's centers are
-	// order[end[c-1]:end[c]].
-	end := make([]int, nc)
+	// order[start[c]:start[c+1]], with start[nc] = n.
+	start := make([]int, nc+1)
 	for u := 0; u < n; u++ {
 		cls[u] = classOf[deg[u]]
-		end[cls[u]]++
+		start[cls[u]+1]++
 	}
-	for c := 1; c < nc; c++ {
-		end[c] += end[c-1]
+	for c := 1; c <= nc; c++ {
+		start[c] += start[c-1]
 	}
 	order := make([]int32, n)
-	for u := n - 1; u >= 0; u-- {
-		end[cls[u]]--
-		order[end[cls[u]]] = int32(u)
+	next := slices.Clone(start)
+	for u := 0; u < n; u++ {
+		order[next[cls[u]]] = int32(u)
+		next[cls[u]]++
 	}
 	// Bitsets for hub membership probes, as in the Tracker.
 	words := (n + 63) / 64
@@ -293,12 +295,8 @@ func Count(s graph.Adjacency) *Census {
 	cnt := make([]int64, nc)
 	touched := make([]int32, 0, 64)
 	stamp := make([]int32, n) // stamp[w] == u+1: w is a neighbor of center u
-	for cc, first := 0, 0; cc < nc; cc++ {
-		last := n
-		if cc+1 < nc {
-			last = end[cc+1]
-		}
-		for _, u32 := range order[first:last] {
+	for cc := 0; cc < nc; cc++ {
+		for _, u32 := range order[start[cc]:start[cc+1]] {
 			u := int(u32)
 			nbrs := s.Neighbors(u)
 			if len(nbrs) < 2 {
@@ -331,12 +329,12 @@ func Count(s graph.Adjacency) *Census {
 			// and a triangle, kept only at its smallest corner.
 			for i, v32 := range nbrs[:len(nbrs)-1] {
 				v, cv := int(v32), cls[v32]
-				vFirst := cv < int32(cc) || cv == int32(cc) && v < u
+				vBeforeU := cv < int32(cc) || cv == int32(cc) && v < u
 				closed := func(w int32) {
 					cw := cls[w]
 					lo, hi := min(cv, cw), max(cv, cw)
 					wPlane[int(lo)*nc+int(hi)]--
-					if !vFirst && (cw > int32(cc) || cw == int32(cc) && int(w) > u) {
+					if !vBeforeU && (cw > int32(cc) || cw == int32(cc) && int(w) > u) {
 						tPlane[int(lo)*nc+int(hi)]++
 					}
 				}
@@ -360,7 +358,6 @@ func Count(s graph.Adjacency) *Census {
 		}
 		wLog.flush(wPlane, nc, 0)
 		tLog.flush(tPlane, nc, cc)
-		first = last
 	}
 
 	c := &Census{

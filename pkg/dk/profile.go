@@ -14,7 +14,10 @@ import (
 )
 
 // Profile is the dK-profile type appearing in extract results; it
-// marshals to the stable sorted-key JSON of the wire format.
+// marshals to the stable sorted-key JSON of the wire format. Its 3K
+// census holds Census.Wedges and Census.Triangles as arrays sorted by
+// class key (look a class up with Census.Wedge or Census.Triangle), in
+// the same order and the same JSON form as the wire.
 type Profile = dkapi.Profile
 
 // GenerateFromProfile constructs a replica ensemble directly from an

@@ -280,10 +280,15 @@ const (
 
 // Census is re-exported so SDK users can name the 3K wedge/triangle
 // census type appearing in pipeline step results without importing the
-// internal tree.
+// internal tree. Its Wedges and Triangles are arrays of {Key, Count}
+// sorted by class key — wedges by (KCenter, KLo, KHi), triangles by
+// (K1, K2, K3) — with unique keys and nonzero counts; Census.Wedge and
+// Census.Triangle look a class up. The JSON form is the sorted record
+// arrays it has always been.
 type Census = subgraphs.Census
 
-// Profile, Summary are likewise re-exported for SDK users.
+// Profile, Summary are likewise re-exported for SDK users. A Profile's
+// Census is the sorted-array Census above.
 type Profile = dk.Profile
 
 // Summary is the scalar metric suite of a graph's giant component.
