@@ -234,18 +234,6 @@ func repairDefect(g *graph.CSR, rng randIntn, labels []int, u, v, maxAttempts in
 	return false
 }
 
-func sortPairs(ps []dk.DegPair) {
-	for i := 1; i < len(ps); i++ {
-		x := ps[i]
-		j := i - 1
-		for j >= 0 && (ps[j].K1 > x.K1 || (ps[j].K1 == x.K1 && ps[j].K2 > x.K2)) {
-			ps[j+1] = ps[j]
-			j--
-		}
-		ps[j+1] = x
-	}
-}
-
 func mustAdd(g *graph.CSR, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic("generate: internal invariant violated: " + err.Error())

@@ -2,6 +2,7 @@ package generate
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
@@ -153,7 +154,7 @@ func (o *JDDObjective) Init(g *graph.CSR) error {
 	for d := range classOf {
 		degs = append(degs, d)
 	}
-	sortInts(degs)
+	slices.Sort(degs)
 	for c, d := range degs {
 		classOf[d] = c
 	}
@@ -426,7 +427,7 @@ func (o *ClusteringObjective) Score(m Move) float64 {
 	}
 	o.touched = o.touched[:0]
 	o.t.SwapTriangles(m.U, m.V, m.X, m.Y, o.visit)
-	sortInts(o.touched)
+	slices.Sort(o.touched)
 	var sum float64
 	for _, v := range o.touched {
 		sum += float64(o.pend[v]) * o.invPair[v]

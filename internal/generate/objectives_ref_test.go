@@ -554,7 +554,7 @@ func (o *refClustering) Delta() float64 {
 	for v := range o.pending {
 		keys = append(keys, v)
 	}
-	sortInts(keys)
+	slices.Sort(keys)
 	var sum float64
 	for _, v := range keys {
 		sum += float64(o.pending[v]) * o.invPair[v]

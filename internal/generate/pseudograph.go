@@ -3,6 +3,7 @@ package generate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
@@ -115,12 +116,7 @@ func build2KEndpoints(jdd *dk.JDD, rng *rand.Rand) (endpoints [][2]int, labels [
 	}
 	ends := make(map[int][]halfEdge)
 	m := 0
-	pairs := make([]dk.DegPair, 0, len(jdd.Count))
-	for pair := range jdd.Count {
-		pairs = append(pairs, pair)
-	}
-	sortPairs(pairs)
-	for _, pair := range pairs {
+	for _, pair := range jdd.Pairs() {
 		for c := 0; c < jdd.Count[pair]; c++ {
 			ends[pair.K1] = append(ends[pair.K1], halfEdge{m, 0})
 			ends[pair.K2] = append(ends[pair.K2], halfEdge{m, 1})
@@ -133,7 +129,7 @@ func build2KEndpoints(jdd *dk.JDD, rng *rand.Rand) (endpoints [][2]int, labels [
 		degrees = append(degrees, k)
 	}
 	// Deterministic class order (map iteration would change node ids).
-	sortInts(degrees)
+	slices.Sort(degrees)
 	for _, k := range degrees {
 		pool := ends[k]
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
@@ -163,17 +159,5 @@ func finishPseudograph(mg *graph.Multigraph, adjusted int, labels []int) *Pseudo
 		Badness:       bad,
 		AdjustedNodes: adjusted,
 		Labels:        labels,
-	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
 	}
 }
