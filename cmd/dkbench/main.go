@@ -322,7 +322,7 @@ func runSize(name string, n int, seed int64) (*sizeReport, error) {
 	}
 
 	// Objective-driven rewiring: dK-targeting from a (d−1)K matching,
-	// the core.Generate targeting path, and clustering exploration, the
+	// the generate.FromProfile targeting path, and clustering exploration, the
 	// Skitter generator's steering step. Each runs a fixed proposal
 	// budget, so the timing is per-proposal cost times 20·M.
 	budget := 20 * src.M()

@@ -70,10 +70,10 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/service"
 	"repro/internal/store"
+	"repro/pkg/dkapi"
 )
 
 func main() {
@@ -180,7 +180,7 @@ func main() {
 		_ = httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("dkserved %s listening on %s (workers=%d)", core.Version, *addr, parallel.Workers())
+	log.Printf("dkserved %s listening on %s (workers=%d)", dkapi.Version, *addr, parallel.Workers())
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("dkserved: %v", err)
 	}

@@ -13,9 +13,9 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dk"
+	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profile, err := core.Extract(measured, 2)
+	profile, err := dk.Extract(measured, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,5 +79,5 @@ func generateFromJDD(jdd *dk.JDD, rng *rand.Rand) (*graph.CSR, error) {
 		Degrees:   dd,
 		Joint:     jdd,
 	}
-	return core.Generate(p, 2, core.MethodPseudograph, core.Options{Rng: rng})
+	return generate.FromProfile(p, 2, generate.MethodPseudograph, rng)
 }

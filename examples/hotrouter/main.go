@@ -14,8 +14,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
@@ -31,7 +31,7 @@ func main() {
 	report("original", hot)
 	for d := 0; d <= 3; d++ {
 		rng := rand.New(rand.NewSource(int64(d) + 10))
-		random, err := core.Randomize(hot, d, core.Options{Rng: rng})
+		random, _, err := generate.Randomize(hot, d, generate.RandomizeOptions{Rng: rng})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,8 +10,9 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/dk"
+	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
@@ -35,7 +36,7 @@ func main() {
 	// maximally random. Watch r appear at d≥2 and clustering at d=3.
 	for d := 0; d <= 3; d++ {
 		rng := rand.New(rand.NewSource(int64(d) + 1))
-		random, err := core.Randomize(g, d, core.Options{Rng: rng})
+		random, _, err := generate.Randomize(g, d, generate.RandomizeOptions{Rng: rng})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,21 +51,19 @@ func main() {
 
 	// Or: extract the profile and build a fresh graph from the
 	// distribution alone (no original needed), the 2K pseudograph way.
-	profile, err := core.Extract(g, 2)
+	profile, err := dk.Extract(g, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fresh, err := core.Generate(profile, 2, core.MethodPseudograph, core.Options{
-		Rng: rand.New(rand.NewSource(99)),
-	})
+	fresh, err := generate.FromProfile(profile, 2, generate.MethodPseudograph, rand.New(rand.NewSource(99)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, err := core.Extract(fresh, 2)
+	q, err := dk.Extract(fresh, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	d2, err := core.Distance(profile, q, 2)
+	d2, err := dk.Distance(profile, q, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/generate"
 	"repro/internal/graph"
 )
 
@@ -40,7 +40,7 @@ func main() {
 	}
 	for d := 0; d <= 3; d++ {
 		rng := rand.New(rand.NewSource(int64(d) + 40))
-		random, err := core.Randomize(hot, d, core.Options{Rng: rng})
+		random, _, err := generate.Randomize(hot, d, generate.RandomizeOptions{Rng: rng})
 		if err != nil {
 			log.Fatal(err)
 		}

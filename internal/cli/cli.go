@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/pkg/dk"
 	"repro/pkg/dkapi"
@@ -55,7 +54,7 @@ func (c Common) Client() (*dkclient.Client, error) {
 // (the caller returns immediately when it was).
 func Version(tool string, flagSet bool) bool {
 	if flagSet {
-		fmt.Println(core.VersionLine(tool))
+		fmt.Println(tool + " " + dkapi.Version)
 	}
 	return flagSet
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/dk"
 	"repro/internal/generate"
 	"repro/internal/graph"
@@ -19,21 +18,17 @@ var twoKMethods = []string{"stochastic", "pseudograph", "matching", "2K-randomiz
 // generate2K builds one 2K graph of the reference by the named method.
 func generate2K(ref *graph.CSR, p *dk.Profile, method string, rng *rand.Rand) (*graph.CSR, error) {
 	switch method {
-	case "stochastic":
-		return generate.Stochastic2K(p.Joint, generate.Options{Rng: rng})
-	case "pseudograph":
-		res, err := generate.Pseudograph2K(p.Joint, generate.Options{Rng: rng})
+	case "stochastic", "pseudograph", "matching":
+		m, _, err := generate.ParseMethod(method, 2)
 		if err != nil {
 			return nil, err
 		}
-		return res.GCC, nil
-	case "matching":
-		return generate.Matching2K(p.Joint, generate.Options{Rng: rng})
+		return generate.FromProfile(p, 2, m, rng)
 	case "2K-randomizing":
 		out, _, err := generate.Randomize(ref, 2, generate.RandomizeOptions{Rng: rng})
 		return out, err
 	case "2K-targeting":
-		return core.Generate(p, 2, core.MethodTargeting, core.Options{Rng: rng})
+		return generate.FromProfile(p, 2, generate.MethodTargeting, rng)
 	default:
 		return nil, fmt.Errorf("experiments: unknown 2K method %q", method)
 	}
@@ -47,7 +42,7 @@ func generate3K(ref *graph.CSR, p *dk.Profile, method string, rng *rand.Rand) (*
 		out, _, err := generate.Randomize(ref, 3, generate.RandomizeOptions{Rng: rng})
 		return out, err
 	case "3K-targeting":
-		return core.Generate(p, 3, core.MethodTargeting, core.Options{Rng: rng})
+		return generate.FromProfile(p, 3, generate.MethodTargeting, rng)
 	default:
 		return nil, fmt.Errorf("experiments: unknown 3K method %q", method)
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dk"
 	"repro/internal/generate"
@@ -42,7 +41,7 @@ func checkGolden(t *testing.T, name, got, want string) {
 
 // TestGenerationGolden pins, for fixed seeds, the exact output of every
 // path that runs objective-driven rewiring: targeting through
-// core.Generate at d=1, 2 and 3 (one input takes the 2K matching →
+// FromProfile at d=1, 2 and 3 (one input takes the 2K matching →
 // pseudograph fallback), Explore for each metric, TargetRewire with
 // Metropolis acceptance and annealing, and the Skitter and HOT dataset
 // generators (Skitter runs Explore internally). Any change to an RNG
@@ -74,7 +73,7 @@ func TestGenerationGolden(t *testing.T) {
 		{3, "n=247 m=370 content=043d13b6b3c4badf order=fcb6c029b53c1a53"},
 	}
 	for _, tc := range targeting {
-		g, err := core.Generate(p, tc.d, core.MethodTargeting, core.Options{Rng: goldenRng(int64(tc.d))})
+		g, err := generate.FromProfile(p, tc.d, generate.MethodTargeting, goldenRng(int64(tc.d)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +93,7 @@ func TestGenerationGolden(t *testing.T) {
 	if _, err := generate.Matching2K(pfb.Joint, generate.Options{Rng: goldenRng(1)}); err == nil {
 		t.Fatal("fallback input no longer makes 2K matching fail")
 	}
-	g, err := core.Generate(pfb, 3, core.MethodTargeting, core.Options{Rng: goldenRng(1)})
+	g, err := generate.FromProfile(pfb, 3, generate.MethodTargeting, goldenRng(1))
 	if err != nil {
 		t.Fatal(err)
 	}

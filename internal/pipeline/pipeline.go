@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dk"
 	"repro/internal/generate"
 	"repro/internal/graph"
@@ -352,26 +351,6 @@ func (ex *executor) runExtract(st dkapi.PipelineStep) (*dkapi.StepResult, error)
 	return res, nil
 }
 
-// ParseMethod maps the wire method name to a construction method;
-// "randomize" (dK-preserving rewiring of the source graph) is flagged
-// separately because it needs the graph, not just the profile.
-func ParseMethod(name string) (m core.Method, randomize bool, err error) {
-	switch name {
-	case "", "randomize":
-		return 0, true, nil
-	case "stochastic":
-		return core.MethodStochastic, false, nil
-	case "pseudograph":
-		return core.MethodPseudograph, false, nil
-	case "matching":
-		return core.MethodMatching, false, nil
-	case "targeting":
-		return core.MethodTargeting, false, nil
-	default:
-		return 0, false, fmt.Errorf("unknown method %q (want randomize|stochastic|pseudograph|matching|targeting)", name)
-	}
-}
-
 // methodName normalizes the wire method (empty = randomize); randomize
 // steps force it outright.
 func methodName(st dkapi.PipelineStep) string {
@@ -388,7 +367,7 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 	}
 	d := depth(st)
 	name := methodName(st)
-	method, randomize, err := ParseMethod(name)
+	method, randomize, err := generate.ParseMethod(name, d)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +407,7 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 			g, _, err := generate.Randomize(src, d, opt)
 			return g, err
 		}
-		return core.Generate(profile, d, method, core.Options{Rng: rng})
+		return generate.FromProfile(profile, d, method, rng)
 	})
 	construct()
 	if err != nil {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"repro/internal/generate"
 	"repro/internal/scenario"
 	"repro/pkg/dkapi"
 )
@@ -92,17 +93,11 @@ func Validate(req dkapi.PipelineRequest, limits Limits) error {
 					where, totalReplicas, limits.MaxTotalReplicas)
 			}
 			meta.replicas = replicas
-			name := methodName(st)
 			if st.Op == dkapi.OpRandomize && st.Method != "" && st.Method != "randomize" {
 				return fmt.Errorf("%s: op randomize does not take a method (got %q)", where, st.Method)
 			}
-			_, randomize, err := ParseMethod(name)
-			if err != nil {
+			if _, _, err := generate.ParseMethod(methodName(st), depth(st)); err != nil {
 				return fmt.Errorf("%s: %w", where, err)
-			}
-			d := depth(st)
-			if !randomize && d == 3 && name != "targeting" {
-				return fmt.Errorf("%s: d=3 generation from a distribution supports only method=targeting or method=randomize", where)
 			}
 		case dkapi.OpCompare:
 			if st.Source != nil {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
@@ -168,7 +169,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "depth d=%d outside 0..3", d)
 		return
 	}
-	_, randomize, err := pipeline.ParseMethod(req.Method)
+	// Reject invalid (depth, method) combinations before paying for
+	// resolution or extraction — a doomed d=3 request must not trigger
+	// a full census of a large graph first.
+	_, randomize, err := generate.ParseMethod(req.Method, d)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
@@ -184,14 +188,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if replicas < 1 || replicas > s.opts.MaxReplicas {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			"replicas=%d outside 1..%d", replicas, s.opts.MaxReplicas)
-		return
-	}
-	// Reject invalid (depth, method) combinations before paying for
-	// resolution or extraction — a doomed d=3 request must not trigger
-	// a full census of a large graph first.
-	if !randomize && d == 3 && methodName != "targeting" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"d=3 generation from a distribution supports only method=targeting or method=randomize")
 		return
 	}
 	entry, err := s.resolveRef(req.Source)
@@ -445,7 +441,7 @@ func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 // data directory is configured — artifact-store contents and traffic.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
-		Version:       version,
+		Version:       dkapi.Version,
 		GoVersion:     runtime.Version(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Workers:       parallel.Workers(),

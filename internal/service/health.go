@@ -11,7 +11,7 @@ import (
 // consulted, so a wedged store can never make an orchestrator kill a
 // pod that is merely degraded.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, dkapi.HealthResponse{Status: "ok", Version: version})
+	writeJSON(w, http.StatusOK, dkapi.HealthResponse{Status: "ok", Version: dkapi.Version})
 }
 
 // handleReadyz implements GET /v1/readyz: readiness to take traffic.

@@ -78,7 +78,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := &promWriter{}
 
 	p.family("dk_build_info", "Build metadata (value is always 1).", "gauge")
-	p.sample("dk_build_info", 1, "go_version", runtime.Version(), "version", version)
+	p.sample("dk_build_info", 1, "go_version", runtime.Version(), "version", dkapi.Version)
 	p.family("dk_uptime_seconds", "Seconds since the server started.", "gauge")
 	p.sample("dk_uptime_seconds", time.Since(s.started).Seconds())
 	p.family("dk_workers", "Process-wide parallel worker budget.", "gauge")

@@ -219,7 +219,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("dk_jobs_queued missing class %q", class)
 		}
 	}
-	if _, ok := exp.samples[fmt.Sprintf("dk_build_info{go_version=%q,version=%q}", runtime.Version(), version)]; !ok {
+	if _, ok := exp.samples[fmt.Sprintf("dk_build_info{go_version=%q,version=%q}", runtime.Version(), dkapi.Version)]; !ok {
 		t.Error("dk_build_info missing the go_version/version labels")
 	}
 	if stats.GoVersion != runtime.Version() {

@@ -37,8 +37,8 @@ import (
 
 	"encoding/json"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
@@ -297,7 +297,7 @@ func (s *Server) recoverJobs(states []store.JobState) {
 			if req.D != nil {
 				d = *req.D
 			}
-			_, _, err := pipeline.ParseMethod(req.Method)
+			_, _, err := generate.ParseMethod(req.Method, d)
 			if err != nil || d < 0 || d > 3 || req.Replicas < 1 {
 				fail("recovery: invalid spec (d=%d replicas=%d method=%q)", d, req.Replicas, req.Method)
 				continue
@@ -440,6 +440,3 @@ func (s *Server) datasetGraph(name string, seed int64, n int) (*graph.CSR, error
 	})
 	return e.g, e.err
 }
-
-// version is re-exported for the stats handler.
-const version = core.Version

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/pipeline"
 	"repro/pkg/dkapi"
 )
 
@@ -34,7 +32,7 @@ func GenerateFromProfile(p *Profile, opts GenerateOptions) ([]*Graph, error) {
 	if d < 0 || d > 3 {
 		return nil, fmt.Errorf("depth d=%d outside 0..3", d)
 	}
-	method, randomize, err := pipeline.ParseMethod(opts.Method)
+	method, randomize, err := generate.ParseMethod(opts.Method, d)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +44,7 @@ func GenerateFromProfile(p *Profile, opts GenerateOptions) ([]*Graph, error) {
 		replicas = 1
 	}
 	graphs, err := generate.Replicas(replicas, opts.Seed, func(i int, rng *rand.Rand) (*graph.CSR, error) {
-		return core.Generate(p, d, method, core.Options{Rng: rng})
+		return generate.FromProfile(p, d, method, rng)
 	})
 	if err != nil {
 		return nil, err
@@ -92,12 +90,9 @@ func (s *Session) GenerateStream(ctx context.Context, src *Graph, opts GenerateO
 	if d < 0 || d > 3 {
 		return fmt.Errorf("depth d=%d outside 0..3", d)
 	}
-	method, randomize, err := pipeline.ParseMethod(opts.Method)
+	method, randomize, err := generate.ParseMethod(opts.Method, d)
 	if err != nil {
 		return err
-	}
-	if !randomize && d == 3 && opts.Method != "targeting" {
-		return fmt.Errorf("d=3 generation from a distribution supports only method=targeting or method=randomize")
 	}
 	replicas := opts.Replicas
 	if replicas == 0 {
@@ -162,7 +157,7 @@ func (s *Session) GenerateStream(ctx context.Context, src *Graph, opts GenerateO
 				})
 			}
 		} else {
-			out, err = core.Generate(profile, d, method, core.Options{Rng: rng})
+			out, err = generate.FromProfile(profile, d, method, rng)
 		}
 		if err != nil {
 			return err

@@ -17,6 +17,12 @@ import (
 	"repro/internal/trace"
 )
 
+// Version is the single authoritative release string of the dK toolkit.
+// Every binary reports it through its -version flag and the HTTP service
+// carries it in the stats and health responses, so one constant answers
+// "which build is this?" across the whole surface.
+const Version = "0.2.0"
+
 // GraphRef identifies a graph in a request body, by exactly one of:
 //
 //   - Hash: the content address of a previously uploaded graph;

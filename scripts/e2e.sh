@@ -63,6 +63,14 @@ sed 's/"cached": [a-z]*/"cached": X/' extract-remote.json > b.json
 diff -u a.json b.json
 echo "e2e: extract agrees across modes"
 
+# Standalone compare too, with a dataset reference on one side and a
+# generated edge-list file (uploaded, or sent by hash when the server
+# already knows it) on the other.
+./dkctl compare -d 3 -spectral dataset:hot:7 local/gen.0.txt > compare-local.json
+./dkctl -server "${BASE}" compare -d 3 -spectral dataset:hot:7 local/gen.0.txt > compare-remote.json
+diff -u compare-local.json compare-remote.json
+echo "e2e: compare agrees across modes"
+
 # Scenario subsystem: an extract → generate → netsim pipeline over the
 # measured graph plus an 8-replica dK-random ensemble must produce
 # measured-vs-ensemble curves for all three scenario kinds that are
