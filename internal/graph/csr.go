@@ -405,6 +405,61 @@ func (c *CSR) RemoveEdge(u, v int) bool {
 	return true
 }
 
+// SwapEnds replaces the edges (u,v) and (x,y) with (u,y) and (x,v) in
+// place: the degree-preserving double-edge swap of rewiring. Both edge
+// indices keep their slots, so the edge that was (u,v) is now (u,y) and
+// the one that was (x,y) is now (x,v). Each of the four windows moves one
+// neighbor by a single rotation; nothing relocates and no other edge
+// index changes. It returns an error, leaving c unchanged, unless the
+// four nodes are distinct and in range, both old edges exist and neither
+// new edge does.
+func (c *CSR) SwapEnds(u, v, x, y int) error {
+	n := len(c.deg)
+	for _, w := range [4]int{u, v, x, y} {
+		if w < 0 || w >= n {
+			return fmt.Errorf("graph: swap node %d out of range [0,%d)", w, n)
+		}
+	}
+	if u == v || u == x || u == y || v == x || v == y || x == y {
+		return fmt.Errorf("graph: swap (%d,%d),(%d,%d) repeats a node", u, v, x, y)
+	}
+	pu, okU := c.find(u, v)
+	px, okX := c.find(x, y)
+	if !okU || !okX {
+		return fmt.Errorf("graph: swap (%d,%d),(%d,%d) of a missing edge", u, v, x, y)
+	}
+	if c.HasEdge(u, y) || c.HasEdge(x, v) {
+		return fmt.Errorf("graph: swap (%d,%d),(%d,%d) would duplicate an edge", u, v, x, y)
+	}
+	pv, _ := c.find(v, u)
+	py, _ := c.find(y, x)
+	e1 := c.epos[int(c.start[u])+pu]
+	e2 := c.epos[int(c.start[x])+px]
+	c.rotate(u, pu, int32(y), e1)
+	c.rotate(v, pv, int32(x), e2)
+	c.rotate(x, px, int32(v), e2)
+	c.rotate(y, py, int32(u), e1)
+	c.edges[e1] = pack(Edge{u, y}.Canon())
+	c.edges[e2] = pack(Edge{x, v}.Canon())
+	return nil
+}
+
+// rotate replaces the neighbor at position p of u's window with w, of
+// edge index e, which u's window must not hold yet. The entries between
+// p and w's sorted position shift by one toward p, so the window stays
+// sorted; the scan walks only the entries that move.
+func (c *CSR) rotate(u, p int, w, e int32) {
+	s, d := int(c.start[u]), int(c.deg[u])
+	nb, ep := c.neigh[s:s+d], c.epos[s:s+d]
+	for ; p+1 < d && nb[p+1] < w; p++ {
+		nb[p], ep[p] = nb[p+1], ep[p+1]
+	}
+	for ; p > 0 && nb[p-1] > w; p-- {
+		nb[p], ep[p] = nb[p-1], ep[p-1]
+	}
+	nb[p], ep[p] = w, e
+}
+
 // RequeueEdges leaves the edge list exactly as removing the given edges
 // one after another with RemoveEdge and then adding them back in reverse
 // order would, without touching the neighbor windows. A move that is
