@@ -69,21 +69,38 @@ func TestCSRMatchesMapReference(t *testing.T) {
 			// on the map reference with the same edge operations, and require
 			// the two mutable representations to stay in lockstep — including
 			// the swap-remove edge-index permutation that the uniform edge
-			// draw (EdgeAt ∘ Intn) depends on.
-			for _, depth := range []int{1, 2, 3} {
+			// draw (EdgeAt ∘ Intn) depends on. Objective-free depth 2 swaps
+			// in place instead, each edge keeping its slot, so its stream is
+			// checked against that slot model; a zero-score objective keeps
+			// a second depth-2 run on the remove-and-add path.
+			for _, run := range []struct {
+				depth int
+				obj   Objective
+			}{{1, nil}, {2, nil}, {2, zeroObjective{}}, {3, nil}} {
+				depth := run.depth
 				work := c.Clone()
 				r, err := NewRewirer(work, depth, newRng(seed*31))
 				if err != nil {
 					t.Fatalf("%s/d%d: %v", fam.name, depth, err)
 				}
 				r.RecordMoves = true
+				r.Obj = run.obj
 				for att := 0; att < 40000 && r.Stats.Accepted < 100; att++ {
 					if _, err := r.Step(); err != nil {
 						t.Fatal(err)
 					}
 				}
 				mirror := ref.Clone()
+				slots := c.Edges()
 				for _, m := range r.AcceptedMoves() {
+					for i, e := range slots {
+						switch e {
+						case graph.Edge{U: m.U, V: m.V}.Canon():
+							slots[i] = graph.Edge{U: m.U, V: m.Y}.Canon()
+						case graph.Edge{U: m.X, V: m.Y}.Canon():
+							slots[i] = graph.Edge{U: m.X, V: m.V}.Canon()
+						}
+					}
 					mirror.RemoveEdge(m.U, m.V)
 					mirror.RemoveEdge(m.X, m.Y)
 					if err := mirror.AddEdge(m.U, m.Y); err != nil {
@@ -96,10 +113,14 @@ func TestCSRMatchesMapReference(t *testing.T) {
 				if work.M() != mirror.M() {
 					t.Fatalf("%s/d%d: edge counts diverged", fam.name, depth)
 				}
+				want := mirror.EdgeAt
+				if depth == 2 && run.obj == nil {
+					want = func(i int) graph.Edge { return slots[i] }
+				}
 				for i := 0; i < work.M(); i++ {
-					if work.EdgeAt(i) != mirror.EdgeAt(i) {
+					if work.EdgeAt(i) != want(i) {
 						t.Fatalf("%s/d%d: edge stream diverged at index %d: %v vs %v",
-							fam.name, depth, i, work.EdgeAt(i), mirror.EdgeAt(i))
+							fam.name, depth, i, work.EdgeAt(i), want(i))
 					}
 				}
 				if graph.ContentHash(work, nil) != graph.ContentHash(mirror, nil) {

@@ -461,14 +461,16 @@ func TestRandomizeActuallyRandomizes(t *testing.T) {
 }
 
 func TestRandomizePreserveConnectivity(t *testing.T) {
-	rng := newRng(10)
-	g := connectedRandom(rng, 40, 20)
-	out, _, err := Randomize(g, 1, RandomizeOptions{Rng: rng, SwapFactor: 5, PreserveConnectivity: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graph.IsConnected(out.Static()) {
-		t.Error("connectivity not preserved")
+	for _, depth := range []int{1, 2} {
+		rng := newRng(10)
+		g := connectedRandom(rng, 40, 20)
+		out, _, err := Randomize(g, depth, RandomizeOptions{Rng: rng, SwapFactor: 5, PreserveConnectivity: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graph.IsConnected(out.Static()) {
+			t.Errorf("d=%d: connectivity not preserved", depth)
+		}
 	}
 }
 

@@ -151,7 +151,8 @@ func TestGenerationGolden(t *testing.T) {
 // TestRandomizeGolden pins, for fixed seeds, the exact output of
 // objective-free dK-randomizing rewiring at every depth on the Skitter
 // N=300 input: the replica (content and edge-list order) and its
-// RewireStats.
+// RewireStats. Depth 2 must reach its full target of SwapFactor·M
+// accepted swaps.
 func TestRandomizeGolden(t *testing.T) {
 	src, err := datasets.Skitter(datasets.SkitterConfig{N: 300, Seed: 3})
 	if err != nil {
@@ -160,7 +161,7 @@ func TestRandomizeGolden(t *testing.T) {
 	want := []string{
 		0: "n=247 m=370 content=6cffa496b9d1240a order=65005af712de6252 stats={Attempts:3769 Accepted:3700 Reverted:0 Rejected:{SelfLoop:16 DuplicateEdge:53 JDDMismatch:0 CensusChanged:0 Objective:0 Disconnected:0}}",
 		1: "n=247 m=370 content=ffb44093cf3b6864 order=ce5d29a1dedfb22e stats={Attempts:4631 Accepted:3700 Reverted:0 Rejected:{SelfLoop:247 DuplicateEdge:684 JDDMismatch:0 CensusChanged:0 Objective:0 Disconnected:0}}",
-		2: "n=247 m=370 content=77c2956cf0558f83 order=43a2ba5a7f07ecbf stats={Attempts:32584 Accepted:3700 Reverted:0 Rejected:{SelfLoop:1564 DuplicateEdge:158 JDDMismatch:27162 CensusChanged:0 Objective:0 Disconnected:0}}",
+		2: "n=247 m=370 content=89c97adc3e50dc95 order=b0f9fd2822321ad1 stats={Attempts:6483 Accepted:3700 Reverted:0 Rejected:{SelfLoop:2543 DuplicateEdge:240 JDDMismatch:0 CensusChanged:0 Objective:0 Disconnected:0}}",
 		3: "n=247 m=370 content=dac2294783adaead order=13dcec2aca055ac2 stats={Attempts:148000 Accepted:2956 Reverted:0 Rejected:{SelfLoop:7528 DuplicateEdge:693 JDDMismatch:130224 CensusChanged:6599 Objective:0 Disconnected:0}}",
 	}
 	for d, w := range want {
@@ -170,5 +171,8 @@ func TestRandomizeGolden(t *testing.T) {
 		}
 		got := fmt.Sprintf("%s stats=%+v", replicaDigest(g), st)
 		checkGolden(t, fmt.Sprintf("randomize d=%d", d), got, w)
+		if d == 2 && st.Accepted != 10*src.M() {
+			t.Errorf("randomize d=2 accepted %d swaps; want SwapFactor·M = %d", st.Accepted, 10*src.M())
+		}
 	}
 }

@@ -108,7 +108,9 @@ func TestProposeCheckOrderMatchesReference(t *testing.T) {
 // checkSequentialOrder compares propose with proposeRef proposal by
 // proposal on two rewirers fed the same stream, then checks that Step
 // reproduces the reference run's accepted moves, edge order and stats.
-// It returns the number of reasons that moved to JDD mismatch.
+// It returns the number of reasons that moved to JDD mismatch. At depth
+// 2 the rewirers carry a zero-score objective: objective-free depth 2
+// draws from the end index and never calls propose.
 func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int, seed int64, attempts int) int {
 	t.Helper()
 	newR := func() *Rewirer {
@@ -117,6 +119,9 @@ func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int,
 			t.Fatalf("%s/d%d: %v", name, depth, err)
 		}
 		r.RecordMoves = true
+		if depth == 2 {
+			r.Obj = zeroObjective{}
+		}
 		return r
 	}
 	got, ref := newR(), newR()

@@ -19,7 +19,9 @@ import (
 // For depth 2 the proposal additionally requires deg(V) = deg(Y) or
 // deg(U) = deg(X) (Figure 4 of the paper), which preserves the JDD; for
 // depth 3 the engine also verifies that the wedge/triangle census is
-// unchanged.
+// unchanged. Objective-free depth-2 rewiring draws Y from the ends whose
+// far node has degree deg(V), so its moves satisfy deg(V) = deg(Y) by
+// construction and none fails the JDD test.
 type Move struct {
 	U, V, X, Y int
 	Depth      int
@@ -48,7 +50,8 @@ const (
 // reasons and the objective are decided before the move touches the
 // graph; connectivity rejections apply the move first and roll it back.
 // Objective and connectivity rejections also count in
-// RewireStats.Reverted.
+// RewireStats.Reverted. Objective-free depth-2 rewiring proposes only
+// JDD-preserving swaps, so it never counts a JDDMismatch.
 type RejectionBreakdown struct {
 	SelfLoop      int
 	DuplicateEdge int
@@ -130,7 +133,9 @@ type Rewirer struct {
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
 	// Obj scores candidate moves; nil accepts unconditionally (subject to
-	// the structural constraints of Depth).
+	// the structural constraints of Depth). Set it before the first Step:
+	// at depth 2 it selects the proposer, and the objective-free one keeps
+	// an index of the edges that only its own moves update.
 	Obj Objective
 	// Accept decides from the objective delta; nil accepts everything.
 	Accept Policy
@@ -178,6 +183,55 @@ type Rewirer struct {
 	dirty     []bool
 	dirtyList []int
 	moves     []Move
+	ends      *endIndex // objective-free depth-2 proposer, built by the first Step
+}
+
+// endIndex is the proposal state of objective-free depth-2 rewiring. An
+// oriented edge end a = edge<<1|side runs from its near node at[a] to its
+// far node at[a^1]. byFar lists every end grouped by the degree of its
+// far node: class k is byFar[class[k]:class[k+1]]. A 2K swap exchanges
+// the far nodes of two ends in one class, which moves no end to another
+// class, so only the two far entries of at change.
+type endIndex struct {
+	at    []int32
+	byFar []uint32
+	class []int32
+}
+
+// newEndIndex builds the end index of g by counting sort, in O(n + m).
+func newEndIndex(g *graph.CSR, deg []int) *endIndex {
+	m := g.M()
+	ix := &endIndex{
+		at:    make([]int32, 2*m),
+		byFar: make([]uint32, 2*m),
+		class: make([]int32, g.MaxDegree()+2),
+	}
+	for i := 0; i < m; i++ {
+		e := g.EdgeAt(i)
+		ix.at[2*i], ix.at[2*i+1] = int32(e.U), int32(e.V)
+		ix.class[deg[e.U]+1]++
+		ix.class[deg[e.V]+1]++
+	}
+	for k := 1; k < len(ix.class); k++ {
+		ix.class[k] += ix.class[k-1]
+	}
+	fill := append([]int32(nil), ix.class...)
+	for a := range ix.at {
+		k := deg[ix.at[a^1]]
+		ix.byFar[fill[k]] = uint32(a)
+		fill[k]++
+	}
+	return ix
+}
+
+// swap exchanges the far nodes of ends a and b, applying the 2K swap
+// (u,v),(x,y) → (u,y),(x,v) to g in place. It is its own inverse.
+func (ix *endIndex) swap(g *graph.CSR, a, b int) {
+	v, y := ix.at[a^1], ix.at[b^1]
+	if err := g.SwapEnds(int(ix.at[a]), int(v), int(ix.at[b]), int(y)); err != nil {
+		panic("generate: internal invariant violated: " + err.Error())
+	}
+	ix.at[a^1], ix.at[b^1] = y, v
 }
 
 // candidate is one speculatively drawn and structurally evaluated
@@ -336,10 +390,14 @@ func (r *Rewirer) revert(m Move) {
 // Step proposes and evaluates one candidate move, updating r.Stats. It
 // reports whether a move was accepted; attempts that fail structural
 // constraints return (false, nil). At depth 3 proposals come from the
-// batched parallel pipeline; other depths draw directly from r.Rng.
+// batched parallel pipeline; objective-free depth 2 draws from the end
+// index; other runs draw directly from r.Rng through propose.
 func (r *Rewirer) Step() (bool, error) {
-	if r.Depth == 3 {
+	switch {
+	case r.Depth == 3:
 		return r.stepBatched()
+	case r.Depth == 2 && r.Obj == nil:
+		return r.stepEnds()
 	}
 	r.Stats.Attempts++
 	m, rej := r.propose(r.Rng)
@@ -348,6 +406,46 @@ func (r *Rewirer) Step() (bool, error) {
 		return false, nil
 	}
 	return r.finish(m)
+}
+
+// stepEnds runs one objective-free depth-2 proposal. It draws an end
+// u→v uniformly from all 2M ends, then an end x→y uniformly from the
+// ends whose far node has degree deg(v), so the swap (u,v),(x,y) →
+// (u,y),(x,v) preserves the JDD by construction. The reverse swap is
+// drawn from the same unchanged class with the same probability, so the
+// chain keeps the uniform stationary distribution of propose's moves.
+func (r *Rewirer) stepEnds() (bool, error) {
+	ix := r.ends
+	if ix == nil {
+		ix = newEndIndex(r.G, r.deg)
+		r.ends = ix
+	}
+	r.Stats.Attempts++
+	a := r.Rng.Intn(len(ix.at))
+	u, v := int(ix.at[a]), int(ix.at[a^1])
+	lo, hi := ix.class[r.deg[v]], ix.class[r.deg[v]+1]
+	b := int(ix.byFar[int(lo)+r.Rng.Intn(int(hi-lo))])
+	x, y := int(ix.at[b]), int(ix.at[b^1])
+	if u == x || u == y || v == x || v == y {
+		r.Stats.Rejected.SelfLoop++
+		return false, nil
+	}
+	if r.G.HasEdge(u, y) || r.G.HasEdge(x, v) {
+		r.Stats.Rejected.DuplicateEdge++
+		return false, nil
+	}
+	ix.swap(r.G, a, b)
+	if r.PreserveConnectivity && !graph.IsConnected(r.G.Static()) {
+		ix.swap(r.G, a, b)
+		r.Stats.Rejected.Disconnected++
+		r.Stats.Reverted++
+		return false, nil
+	}
+	if r.RecordMoves {
+		r.moves = append(r.moves, Move{U: u, V: v, X: x, Y: y, Depth: 2})
+	}
+	r.Stats.Accepted++
+	return true, nil
 }
 
 // stepBatched consumes one pre-evaluated depth-3 candidate, refilling the

@@ -79,12 +79,15 @@ func TestRewireStatsBreakdown(t *testing.T) {
 
 	t.Run("jdd-mismatch", func(t *testing.T) {
 		// Heterogeneous degrees make most depth-2 proposals fail the
-		// dv = dy or du = dx condition.
+		// dv = dy or du = dx condition. Only objective-driven depth-2 runs
+		// propose through that test; objective-free ones draw JDD-preserving
+		// swaps from the end index and must never count a mismatch.
 		g := connectedRandom(newRng(8), 30, 25)
-		r, err := NewRewirer(g, 2, newRng(9))
+		r, err := NewRewirer(g.Clone(), 2, newRng(9))
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.Obj = zeroObjective{}
 		st, err := r.Run(0, 2000, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -92,6 +95,20 @@ func TestRewireStatsBreakdown(t *testing.T) {
 		checkInvariant(t, "jdd", st)
 		if st.Rejected.JDDMismatch == 0 {
 			t.Fatalf("depth-2 run on heterogeneous graph saw no JDD rejections: %+v", st.Rejected)
+		}
+
+		free, err := NewRewirer(g, 2, newRng(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err = free.Run(0, 2000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInvariant(t, "jdd objective-free", st)
+		if st.Rejected.JDDMismatch != 0 || st.Accepted == 0 {
+			t.Fatalf("objective-free depth-2 run: accepted %d, rejected %+v; want accepted moves and no JDD rejections",
+				st.Accepted, st.Rejected)
 		}
 	})
 
@@ -142,27 +159,30 @@ func TestRewireStatsBreakdown(t *testing.T) {
 	t.Run("disconnected", func(t *testing.T) {
 		// C12: some swaps split the cycle into two smaller cycles; with
 		// connectivity preservation those must be counted and reverted.
-		g := graph.NewCSR(12)
-		for i := 0; i < 12; i++ {
-			if err := g.AddEdge(i, (i+1)%12); err != nil {
+		// Depth 2 reverts through the in-place swap.
+		for _, depth := range []int{1, 2} {
+			g := graph.NewCSR(12)
+			for i := 0; i < 12; i++ {
+				if err := g.AddEdge(i, (i+1)%12); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r, err := NewRewirer(g, depth, newRng(30))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		r, err := NewRewirer(g, 1, newRng(30))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.PreserveConnectivity = true
-		st, err := r.Run(0, 600, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariant(t, "cycle", st)
-		if st.Rejected.Disconnected == 0 {
-			t.Fatalf("cycle run saw no connectivity rejections: %+v", st.Rejected)
-		}
-		if !graph.IsConnected(g.Static()) {
-			t.Fatal("PreserveConnectivity left a disconnected graph")
+			r.PreserveConnectivity = true
+			st, err := r.Run(0, 600, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInvariant(t, "cycle", st)
+			if st.Rejected.Disconnected == 0 {
+				t.Fatalf("d=%d cycle run saw no connectivity rejections: %+v", depth, st.Rejected)
+			}
+			if !graph.IsConnected(g.Static()) {
+				t.Fatalf("d=%d: PreserveConnectivity left a disconnected graph", depth)
+			}
 		}
 	})
 }

@@ -209,6 +209,8 @@ type RewireStats struct {
 	// the order self-loop → JDD mismatch → duplicate edge → census
 	// change → objective → disconnected, so a proposal that is both a
 	// duplicate and a JDD mismatch counts as RejectedJDDMismatch.
+	// Depth-2 randomizing draws only JDD-preserving swaps and never
+	// counts a JDD mismatch.
 	RejectedSelfLoop      int
 	RejectedDuplicateEdge int
 	RejectedJDDMismatch   int
