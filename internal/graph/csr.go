@@ -27,6 +27,7 @@ import (
 // either representation. Its entries are packed int32 pairs, widened
 // to Edge by EdgeAt and Edges: rewiring reads two random entries per
 // proposal, and at half the footprint more of the list stays in cache.
+// SwapEnds, which Graph lacks, rewrites two entries in place.
 //
 // When an insert finds its window full, the window relocates to the
 // tail of neigh with fresh slack (per-node free-slot relocation); the
