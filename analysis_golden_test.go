@@ -81,8 +81,8 @@ func TestAnalysisGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, r := gcc.Static(), rep.Static()
-	graphs := [...]*graph.Static{s, r}
+	s, r := gcc, rep
+	graphs := [...]*graph.CSR{s, r}
 	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 	got := map[string]string{}
 	add := func(name string, fill func(d *digest)) {

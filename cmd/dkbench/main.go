@@ -357,19 +357,18 @@ func runSize(name string, n int, seed int64) (*sizeReport, error) {
 
 	// Scenario simulations — the per-trial hot loops of the netsim
 	// pipeline step (internal/scenario fans these out per graph × trial).
-	srcStatic := src.Static()
 	fracs := make([]float64, 20)
 	for i := range fracs {
 		fracs[i] = float64(i) / 20
 	}
 	if err := record("netsim_robustness", 3, func(rng *rand.Rand) error {
-		_, err := netsim.Robustness(srcStatic, fracs, false, rng)
+		_, err := netsim.Robustness(src, fracs, false, rng)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	if err := record("netsim_epidemic", 3, func(rng *rand.Rand) error {
-		_, err := netsim.WormSpread(srcStatic, 0.5, 64, rng)
+		_, err := netsim.WormSpread(src, 0.5, 64, rng)
 		return err
 	}); err != nil {
 		return nil, err
@@ -377,9 +376,8 @@ func runSize(name string, n int, seed int64) (*sizeReport, error) {
 
 	// The scalar metric sweep of the paper's tables, on the GCC.
 	gcc, _ := graph.GiantComponent(src)
-	s := gcc.Static()
 	if err := record("metrics", 1, func(rng *rand.Rand) error {
-		_, err := metrics.Summarize(s, metrics.SummaryOptions{Spectral: true, Rng: rng})
+		_, err := metrics.Summarize(gcc, metrics.SummaryOptions{Spectral: true, Rng: rng})
 		return err
 	}); err != nil {
 		return nil, err
@@ -441,9 +439,8 @@ func runHuge(n int, seed int64) (*sizeReport, error) {
 		return nil, err
 	}
 	gcc, _ := graph.GiantComponent(src)
-	s := gcc.Static()
 	if err := record("metrics_sampled", func(rng *rand.Rand) error {
-		_, err := metrics.Summarize(s, metrics.SummaryOptions{SkipS2: true, Rng: rng})
+		_, err := metrics.Summarize(gcc, metrics.SummaryOptions{SkipS2: true, Rng: rng})
 		return err
 	}); err != nil {
 		return nil, err

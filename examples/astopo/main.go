@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	origSum, err := metrics.Summarize(measured.Static(), metrics.SummaryOptions{})
+	origSum, err := metrics.Summarize(measured, metrics.SummaryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 				log.Fatal(err)
 			}
 			gcc, _ := graph.GiantComponent(res)
-			sum, err := metrics.Summarize(gcc.Static(), metrics.SummaryOptions{})
+			sum, err := metrics.Summarize(gcc, metrics.SummaryOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

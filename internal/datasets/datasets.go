@@ -104,13 +104,13 @@ func Skitter(cfg SkitterConfig) (*graph.CSR, error) {
 	// Steer assortativity down (disassortative hubs-to-leaves mixing) by
 	// minimizing the likelihood S in bounded chunks.
 	if err := exploreUntil(g, generate.MetricLikelihood, false, rng, func() bool {
-		return metrics.Assortativity(g.Static()) <= cfg.TargetR
+		return metrics.Assortativity(g) <= cfg.TargetR
 	}); err != nil {
 		return nil, err
 	}
 	// Raise clustering to the target with 2K-preserving rewiring.
 	if err := exploreUntil(g, generate.MetricClustering, true, rng, func() bool {
-		return metrics.MeanClustering(g.Static()) >= cfg.TargetC
+		return metrics.MeanClustering(g) >= cfg.TargetC
 	}); err != nil {
 		return nil, err
 	}

@@ -216,10 +216,9 @@ type Profile struct {
 	Census  *subgraphs.Census // P3 (D >= 3)
 }
 
-// Extract computes the dK-distributions of s up to depth d (0..3).
-// It accepts any sorted-window adjacency (*graph.CSR or *graph.Static),
-// so extraction runs directly on the working representation.
-func Extract(s graph.Adjacency, d int) (*Profile, error) {
+// Extract computes the dK-distributions of s up to depth d (0..3),
+// reading its sorted neighbor windows in place.
+func Extract(s *graph.CSR, d int) (*Profile, error) {
 	if d < 0 || d > 3 {
 		return nil, fmt.Errorf("dk: depth %d outside supported range 0..3", d)
 	}

@@ -30,7 +30,7 @@ func (l *Lab) Size4() (*Table, error) {
 	header := []string{"graph", "path4", "claw", "cycle4", "paw", "diamond", "K4"}
 	rows := make([][]string, 0, len(vars))
 	for _, v := range vars {
-		c := subgraphs.CountSize4(v.g.Static())
+		c := subgraphs.CountSize4(v.g)
 		rows = append(rows, []string{
 			v.name, fi(c.Path4), fi(c.Claw), fi(c.Cycle4), fi(c.Paw), fi(c.Diamond), fi(c.K4),
 		})
@@ -60,17 +60,16 @@ func (l *Lab) AppSim() (*Table, error) {
 	vars = append(vars, namedGraph{"original", gccOf(sk)})
 	rows := make([][]string, 0, len(vars))
 	for _, v := range vars {
-		s := v.g.Static()
-		atk, err := netsim.Robustness(s, []float64{0.05}, true, nil)
+		atk, err := netsim.Robustness(v.g, []float64{0.05}, true, nil)
 		if err != nil {
 			return nil, fmt.Errorf("appsim %s: %w", v.name, err)
 		}
 		rng := rand.New(rand.NewSource(77))
-		worm, err := netsim.WormSpread(s, 0.5, 200, rng)
+		worm, err := netsim.WormSpread(v.g, 0.5, 200, rng)
 		if err != nil {
 			return nil, fmt.Errorf("appsim %s: %w", v.name, err)
 		}
-		route, err := netsim.GreedyDegreeRouting(s, 300, 0, rng)
+		route, err := netsim.GreedyDegreeRouting(v.g, 300, 0, rng)
 		if err != nil {
 			return nil, fmt.Errorf("appsim %s: %w", v.name, err)
 		}

@@ -125,7 +125,7 @@ func (l *Lab) HOTProfile() (*dk.Profile, error) { return l.hotProfile() }
 // summarizeGCC computes the scalar metrics of g's giant component.
 func summarizeGCC(g *graph.CSR, spectral bool, rng *rand.Rand) (metrics.Summary, error) {
 	gcc, _ := graph.GiantComponent(g)
-	return metrics.Summarize(gcc.Static(), metrics.SummaryOptions{
+	return metrics.Summarize(gcc, metrics.SummaryOptions{
 		Spectral: spectral,
 		Rng:      rng,
 	})

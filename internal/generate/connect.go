@@ -76,13 +76,12 @@ type connectState struct {
 
 // newConnectState runs the single O(n + m) pass: a traversal forest
 // over g, classifying each edge as tree edge or chord and grouping them
-// by component. The traversal walks the sorted CSR snapshot, not the
-// adjacency maps — map iteration order would leak into the tree/chord
-// split and make the same seed produce different connected graphs.
+// by component. The traversal walks g's sorted neighbor windows in
+// place, so the tree/chord split is a pure function of the edge set, not
+// of the edge-list order.
 func newConnectState(g *graph.CSR) *connectState {
 	st := &connectState{}
-	s := g.Static()
-	n := s.N()
+	n := g.N()
 	visited := make([]bool, n)
 	parent := make([]int32, n)
 	var withChords, trees []*connectComp
@@ -91,7 +90,7 @@ func newConnectState(g *graph.CSR) *connectState {
 		if visited[root] {
 			continue
 		}
-		if s.Degree(root) == 0 {
+		if g.Degree(root) == 0 {
 			st.isolated++
 			visited[root] = true
 			continue
@@ -103,7 +102,7 @@ func newConnectState(g *graph.CSR) *connectState {
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, v := range s.Neighbors(int(u)) {
+			for _, v := range g.Neighbors(int(u)) {
 				switch {
 				case !visited[v]:
 					visited[v] = true

@@ -435,7 +435,7 @@ func (r *Rewirer) stepEnds() (bool, error) {
 		return false, nil
 	}
 	ix.swap(r.G, a, b)
-	if r.PreserveConnectivity && !graph.IsConnected(r.G.Static()) {
+	if r.PreserveConnectivity && !graph.IsConnected(r.G) {
 		ix.swap(r.G, a, b)
 		r.Stats.Rejected.Disconnected++
 		r.Stats.Reverted++
@@ -501,7 +501,7 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 		}
 	}
 	r.apply(m)
-	if r.PreserveConnectivity && !graph.IsConnected(r.G.Static()) {
+	if r.PreserveConnectivity && !graph.IsConnected(r.G) {
 		r.revert(m)
 		r.Stats.Rejected.Disconnected++
 		r.Stats.Reverted++

@@ -88,7 +88,7 @@ func TestRewireDifferentialCensus(t *testing.T) {
 					deg := replay.DegreeSequence()
 					tracker := subgraphs.NewTracker(replay, deg)
 					td := tracker.NewDelta()
-					trackerCensus := subgraphs.Count(replay.Static())
+					trackerCensus := subgraphs.Count(replay)
 					mapCensus := refCountsOf(trackerCensus)
 					baseline := trackerCensus.Clone()
 					mapDelta := newRefCensusDelta()
@@ -118,7 +118,7 @@ func TestRewireDifferentialCensus(t *testing.T) {
 								fam.name, depth, seed, workers, i)
 						}
 						if (i+1)%recountEach == 0 || i == r.Stats.Accepted-1 {
-							if fresh := subgraphs.Count(replay.Static()); !trackerCensus.Equal(fresh) {
+							if fresh := subgraphs.Count(replay); !trackerCensus.Equal(fresh) {
 								t.Fatalf("%s/d%d seed=%d w=%d: incremental census != recount after move %d",
 									fam.name, depth, seed, workers, i)
 							}

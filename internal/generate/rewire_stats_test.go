@@ -180,7 +180,7 @@ func TestRewireStatsBreakdown(t *testing.T) {
 			if st.Rejected.Disconnected == 0 {
 				t.Fatalf("d=%d cycle run saw no connectivity rejections: %+v", depth, st.Rejected)
 			}
-			if !graph.IsConnected(g.Static()) {
+			if !graph.IsConnected(g) {
 				t.Fatalf("d=%d: PreserveConnectivity left a disconnected graph", depth)
 			}
 		}

@@ -5,7 +5,7 @@ package graph
 // buffer is supplied by the caller so all-pairs sweeps can run without
 // per-source allocation; it must have capacity >= s.N() (its contents are
 // overwritten). It returns the number of reached nodes, src included.
-func BFS(s *Static, src int, dist []int32, queue []int32) int {
+func BFS(s *CSR, src int, dist []int32, queue []int32) int {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -29,7 +29,7 @@ func BFS(s *Static, src int, dist []int32, queue []int32) int {
 }
 
 // Eccentricity returns the largest finite hop distance from src.
-func Eccentricity(s *Static, src int) int {
+func Eccentricity(s *CSR, src int) int {
 	dist := make([]int32, s.N())
 	queue := make([]int32, 0, s.N())
 	BFS(s, src, dist, queue)

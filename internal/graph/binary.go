@@ -8,7 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Binary graph format ("DKGB"): the on-disk edge-list encoding of the
@@ -78,7 +78,7 @@ func WriteBinary(w io.Writer, g *Graph, labels []int) error {
 				fwd = append(fwd, v)
 			}
 		}
-		sortInts(fwd)
+		slices.Sort(fwd)
 		cw.writeUvarint(uint64(len(fwd)))
 		prev := u
 		for _, v := range fwd {
@@ -520,17 +520,3 @@ func (c *crcReader) varint() (int64, error) {
 }
 
 var errVarintOverflow = errors.New("varint overflows 64 bits")
-
-// sortInts sorts a neighbor list: insertion sort for the short lists that
-// dominate (mean degree is small), falling back to sort.Ints for hubs.
-func sortInts(a []int) {
-	if len(a) > 32 {
-		sort.Ints(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

@@ -211,7 +211,7 @@ func TestBinaryDecodedGraphUsable(t *testing.T) {
 	if !got.Equal(g) {
 		t.Fatal("mutated-back graph differs")
 	}
-	if got.Static().M() != g.M() {
-		t.Fatal("Static() snapshot inconsistent")
+	if got.CSR().M() != g.M() {
+		t.Fatal("CSR() conversion inconsistent")
 	}
 }

@@ -4,7 +4,7 @@ package graph
 // their component — via Tarjan's low-link algorithm with an explicit
 // stack (no recursion, so deep chain graphs are safe). Edges are returned
 // in canonical orientation.
-func Bridges(s *Static) []Edge {
+func Bridges(s *CSR) []Edge {
 	n := s.N()
 	disc := make([]int32, n) // discovery time, 0 = unvisited
 	low := make([]int32, n)
@@ -64,7 +64,7 @@ func Bridges(s *Static) []Edge {
 }
 
 // BridgeSet returns the bridges as a set keyed by canonical edge.
-func BridgeSet(s *Static) map[Edge]bool {
+func BridgeSet(s *CSR) map[Edge]bool {
 	bs := Bridges(s)
 	out := make(map[Edge]bool, len(bs))
 	for _, e := range bs {

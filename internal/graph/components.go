@@ -3,7 +3,7 @@ package graph
 // Components labels the connected components of s. It returns a node→
 // component-id slice (ids are dense, assigned in discovery order) and the
 // size of each component.
-func Components(s *Static) (comp []int32, sizes []int) {
+func Components(s *CSR) (comp []int32, sizes []int) {
 	n := s.N()
 	comp = make([]int32, n)
 	for i := range comp {
@@ -38,7 +38,7 @@ func Components(s *Static) (comp []int32, sizes []int) {
 
 // IsConnected reports whether s is connected (the empty graph counts as
 // connected).
-func IsConnected(s *Static) bool {
+func IsConnected(s *CSR) bool {
 	if s.N() == 0 {
 		return true
 	}
@@ -51,7 +51,7 @@ func IsConnected(s *Static) bool {
 // original ids. Ties are broken by the smallest original root node, which
 // makes the result deterministic.
 func GiantComponent(c *CSR) (*CSR, []int) {
-	comp, sizes := Components(c.Static())
+	comp, sizes := Components(c)
 	if len(sizes) == 0 {
 		return NewCSR(0), nil
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -213,7 +214,7 @@ func newCSRPreservingOrder(n int, edges []edge32) *CSR {
 	}
 	copy(c.deg, c.wcap)
 	for u := 0; u < n; u++ {
-		sortInt32(c.window(u))
+		slices.Sort(c.window(u))
 	}
 	// With windows sorted, locate each edge's two slots by binary search
 	// to lay down the edge-index overlay: O(m log d).
@@ -667,26 +668,14 @@ func (c *CSR) Equal(h *CSR) bool {
 	return true
 }
 
-// Static builds an immutable CSR snapshot. The snapshot never aliases
-// c's arena, so mutating c afterwards does not affect it.
-func (c *CSR) Static() *Static {
-	n := c.N()
-	s := &Static{
-		offsets: make([]int32, n+1),
-		neigh:   make([]int32, 2*len(c.edges)),
-		m:       len(c.edges),
-	}
-	for u := 0; u < n; u++ {
-		s.offsets[u+1] = s.offsets[u] + c.deg[u]
-	}
-	for u := 0; u < n; u++ {
-		copy(s.neigh[s.offsets[u]:s.offsets[u+1]], c.window(u))
-	}
-	return s
-}
+// Static is CSR under its former snapshot name.
+//
+// Deprecated: a read-only alias kept only for the dkperf benchmark module
+// until its next change; use CSR.
+type Static = CSR
 
-// CSR converts the snapshot into a mutable CSR whose edge list is in
-// canonical sorted order (the only order a Static can produce).
-func (s *Static) CSR() *CSR {
-	return csrFromCanonicalEdges(s.N(), s.Edges())
-}
+// Static returns c itself, as a read-only view.
+//
+// Deprecated: kept only for the dkperf benchmark module until its next
+// change; pass c directly.
+func (c *CSR) Static() *CSR { return c }

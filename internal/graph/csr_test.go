@@ -89,15 +89,15 @@ func TestCSRMirrorsGraph(t *testing.T) {
 	if h := ContentHash(c, nil); h != ContentHash(g, nil) {
 		t.Fatalf("ContentHash differs across representations")
 	}
-	sc, sg := c.Static(), g.Static()
+	gc := g.CSR()
 	for u := 0; u < n; u++ {
-		a, b := sc.Neighbors(u), sg.Neighbors(u)
+		a, b := c.Neighbors(u), gc.Neighbors(u)
 		if len(a) != len(b) {
-			t.Fatalf("Static degree(%d) mismatch", u)
+			t.Fatalf("degree(%d) mismatch", u)
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("Static window %d mismatch: %v vs %v", u, a, b)
+				t.Fatalf("window %d mismatch: %v vs %v", u, a, b)
 			}
 		}
 	}

@@ -1,21 +1,22 @@
 // Package graph implements the undirected simple-graph substrate used by
 // every other package in this repository — the two workloads of the
 // paper's pipeline: edge rewiring (the §4.1.4 construction engines) and
-// traversal-heavy metric sweeps (the §2 metric suite, §5 evaluation).
+// traversal-heavy analysis (dK extraction, the §2 metric suite, the §5
+// simulations).
 //
 // Two representations are provided:
 //
-//   - Graph: a mutable structure optimized for the edge-rewiring workloads
-//     at the heart of the dK-series construction algorithms. It supports
-//     O(1) expected-time edge existence tests, O(1) uniform random edge
-//     selection, and O(1) expected-time edge insertion and removal.
+//   - CSR: the working representation. Its sorted neighbor windows serve
+//     both workloads: rewiring mutates them in place, and extraction,
+//     metrics, spectra and simulations read them directly, with no
+//     snapshot copy.
 //
-//   - Static: an immutable compressed-sparse-row (CSR) snapshot optimized
-//     for the traversal-heavy metric computations (all-pairs BFS,
-//     betweenness, clustering, spectral analysis).
+//   - Graph: a map-adjacency structure, the parse target of ReadEdgeList
+//     and ReadBinary and the differential reference the CSR is tested
+//     against.
 //
 // Nodes are identified by dense integers 0..N()-1. Self-loops and parallel
-// edges are rejected; the Multigraph type in pseudograph.go handles the
+// edges are rejected; the Multigraph type in multigraph.go handles the
 // intermediate non-simple stages of configuration-model construction.
 package graph
 

@@ -10,7 +10,7 @@ import (
 
 // testGraph builds a connected pseudo-random graph: a ring (guaranteeing
 // connectivity) plus random chords. Deterministic for a given seed.
-func testGraph(t *testing.T, n, chords int, seed int64) *graph.Static {
+func testGraph(t *testing.T, n, chords int, seed int64) *graph.CSR {
 	t.Helper()
 	g := graph.NewCSR(n)
 	for i := 0; i < n; i++ {
@@ -29,7 +29,7 @@ func testGraph(t *testing.T, n, chords int, seed int64) *graph.Static {
 		}
 		added++
 	}
-	return g.Static()
+	return g
 }
 
 // withWorkers runs fn under a temporary process-wide worker count.

@@ -15,7 +15,7 @@ import (
 // sources accumulates into its own map and the maps are merged in chunk
 // order, so every edge's value is summed in a worker-count-independent
 // order and the result is bit-identical at any parallelism level.
-func EdgeBetweenness(s *graph.Static) map[graph.Edge]float64 {
+func EdgeBetweenness(s *graph.CSR) map[graph.Edge]float64 {
 	n := s.N()
 	out := make(map[graph.Edge]float64, s.M())
 	scratch := make([]*brandesScratch, parallel.Workers())
@@ -64,7 +64,7 @@ func EdgeBetweenness(s *graph.Static) map[graph.Edge]float64 {
 // information as S2). Returns 0 when fewer than two pairs exist or the
 // degree variance vanishes. The per-source BFS sweep is parallelized with
 // chunk-ordered partial sums, so it is deterministic at any worker count.
-func DegreeCorrelationAtDistance(s *graph.Static, d int) float64 {
+func DegreeCorrelationAtDistance(s *graph.CSR, d int) float64 {
 	if d < 1 {
 		return 0
 	}

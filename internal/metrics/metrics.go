@@ -5,7 +5,8 @@
 // betweenness (Brandes' algorithm). The normalized-Laplacian spectrum
 // (λ1, λ_{n−1}) lives in the companion package internal/spectral.
 //
-// All functions take the immutable CSR snapshot graph.Static; metric
+// All functions take a *graph.CSR and read its sorted neighbor windows in
+// place, so the graph must not be mutated during a call. Metric
 // comparisons in the paper are made on giant connected components, which
 // callers extract first via graph.GiantComponent.
 //
@@ -35,7 +36,7 @@ type TriangleStats struct {
 // u < v < w) by scanning, for each canonical edge (u,v), the common
 // neighbors w > v. The scan walks the smaller adjacency window and binary-
 // searches the larger, costing O(Σ_e min(d_u,d_v)·log d_max).
-func Triangles(s *graph.Static) TriangleStats {
+func Triangles(s *graph.CSR) TriangleStats {
 	n := s.N()
 	ts := TriangleStats{PerNode: make([]int64, n)}
 	deg := make([]float64, n)
@@ -75,7 +76,7 @@ func Triangles(s *graph.Static) TriangleStats {
 // correlation of the degrees at either end of an edge. It returns 0 for
 // graphs with no edges or zero degree variance at edge ends (e.g. regular
 // graphs).
-func Assortativity(s *graph.Static) float64 {
+func Assortativity(s *graph.CSR) float64 {
 	m := float64(s.M())
 	if m == 0 {
 		return 0
@@ -104,7 +105,7 @@ func Assortativity(s *graph.Static) float64 {
 
 // LikelihoodS returns S = Σ_{(u,v)∈E} d_u·d_v, the likelihood metric of Li
 // et al. that the paper uses for 1K-space exploration.
-func LikelihoodS(s *graph.Static) float64 {
+func LikelihoodS(s *graph.CSR) float64 {
 	var sum float64
 	for u := 0; u < s.N(); u++ {
 		du := float64(s.Degree(u))
@@ -122,7 +123,7 @@ func LikelihoodS(s *graph.Static) float64 {
 // It is computed without enumerating wedges: all neighbor pairs of each
 // center contribute ((Σd)²−Σd²)/2, and one triangle pass subtracts the
 // closed pairs.
-func S2(s *graph.Static) float64 {
+func S2(s *graph.CSR) float64 {
 	var allPairs float64
 	for c := 0; c < s.N(); c++ {
 		var sum, sumSq float64
@@ -138,7 +139,7 @@ func S2(s *graph.Static) float64 {
 
 // LocalClustering returns each node's clustering coefficient
 // c(v) = triangles(v)/C(d_v,2); nodes of degree < 2 get 0.
-func LocalClustering(s *graph.Static) []float64 {
+func LocalClustering(s *graph.CSR) []float64 {
 	ts := Triangles(s)
 	out := make([]float64, s.N())
 	for v := range out {
@@ -153,7 +154,7 @@ func LocalClustering(s *graph.Static) []float64 {
 // MeanClustering returns C̄, the mean local clustering over nodes of
 // degree >= 2 (nodes that can participate in a triangle). Returns 0 when
 // no such node exists.
-func MeanClustering(s *graph.Static) float64 {
+func MeanClustering(s *graph.CSR) float64 {
 	cl := LocalClustering(s)
 	var sum float64
 	cnt := 0
@@ -171,7 +172,7 @@ func MeanClustering(s *graph.Static) float64 {
 
 // ClusteringByDegree returns C(k): the mean local clustering of degree-k
 // nodes, for every degree k >= 2 present in the graph.
-func ClusteringByDegree(s *graph.Static) map[int]float64 {
+func ClusteringByDegree(s *graph.CSR) map[int]float64 {
 	cl := LocalClustering(s)
 	sum := make(map[int]float64)
 	cnt := make(map[int]int)
@@ -190,7 +191,7 @@ func ClusteringByDegree(s *graph.Static) map[int]float64 {
 
 // GlobalTransitivity returns 3·triangles / (number of connected node
 // triples), an alternative clustering summary provided for completeness.
-func GlobalTransitivity(s *graph.Static) float64 {
+func GlobalTransitivity(s *graph.CSR) float64 {
 	ts := Triangles(s)
 	var wedgesIncl float64 // neighbor pairs around every center
 	for c := 0; c < s.N(); c++ {
@@ -204,7 +205,7 @@ func GlobalTransitivity(s *graph.Static) float64 {
 }
 
 // DegreeHistogram returns n(k) for the graph.
-func DegreeHistogram(s *graph.Static) map[int]int {
+func DegreeHistogram(s *graph.CSR) map[int]int {
 	out := make(map[int]int)
 	for u := 0; u < s.N(); u++ {
 		out[s.Degree(u)]++

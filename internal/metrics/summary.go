@@ -60,7 +60,7 @@ type SummaryOptions struct {
 
 // Summarize computes the scalar metric suite on s. Metrics in the paper
 // are reported for giant connected components; pass the GCC.
-func Summarize(s *graph.Static, opt SummaryOptions) (Summary, error) {
+func Summarize(s *graph.CSR, opt SummaryOptions) (Summary, error) {
 	sum := Summary{
 		N:         s.N(),
 		M:         s.M(),

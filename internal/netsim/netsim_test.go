@@ -10,7 +10,7 @@ import (
 	"repro/internal/graph"
 )
 
-func build(t testing.TB, n int, edges [][2]int) *graph.Static {
+func build(t testing.TB, n int, edges [][2]int) *graph.CSR {
 	t.Helper()
 	g := graph.NewCSR(n)
 	for _, e := range edges {
@@ -18,20 +18,20 @@ func build(t testing.TB, n int, edges [][2]int) *graph.Static {
 			t.Fatal(err)
 		}
 	}
-	return g.Static()
+	return g
 }
 
-func star(t testing.TB, leaves int) *graph.Static {
+func star(t testing.TB, leaves int) *graph.CSR {
 	g := graph.NewCSR(leaves + 1)
 	for i := 1; i <= leaves; i++ {
 		if err := g.AddEdge(0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g.Static()
+	return g
 }
 
-func complete(t testing.TB, n int) *graph.Static {
+func complete(t testing.TB, n int) *graph.CSR {
 	g := graph.NewCSR(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -40,7 +40,7 @@ func complete(t testing.TB, n int) *graph.Static {
 			}
 		}
 	}
-	return g.Static()
+	return g
 }
 
 func TestRobustnessTargetedStar(t *testing.T) {
@@ -78,7 +78,7 @@ func TestRobustnessRandomVsTargeted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := g.Static()
+	s := g
 	fracs := []float64{0.01, 0.02, 0.025}
 	tgt, err := Robustness(s, fracs, true, nil)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestRobustnessRandomVsTargeted(t *testing.T) {
 }
 
 func TestRobustnessValidation(t *testing.T) {
-	if _, err := Robustness(graph.NewCSR(0).Static(), []float64{0.1}, true, nil); !errors.Is(err, ErrInvalid) {
+	if _, err := Robustness(graph.NewCSR(0), []float64{0.1}, true, nil); !errors.Is(err, ErrInvalid) {
 		t.Errorf("empty graph: err = %v, want ErrInvalid", err)
 	}
 	if _, err := Robustness(star(t, 3), []float64{0.1}, false, nil); !errors.Is(err, ErrInvalid) {
@@ -111,14 +111,14 @@ func TestRobustnessValidation(t *testing.T) {
 
 func TestRobustnessDegenerateGraphs(t *testing.T) {
 	// Zero-edge and single-node graphs yield well-defined curves.
-	pts, err := Robustness(graph.NewCSR(1).Static(), []float64{0, 1}, true, nil)
+	pts, err := Robustness(graph.NewCSR(1), []float64{0, 1}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pts[0].GCCFrac != 1 || pts[1].GCCFrac != 0 {
 		t.Errorf("single node curve = %+v, want GCC 1 then 0", pts)
 	}
-	pts, err = Robustness(graph.NewCSR(5).Static(), []float64{0, 0.5}, false, rand.New(rand.NewSource(1)))
+	pts, err = Robustness(graph.NewCSR(5), []float64{0, 0.5}, false, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWormSpreadPathIsSlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := WormSpread(g.Static(), 1, 100, rand.New(rand.NewSource(3)))
+	res, err := WormSpread(g, 1, 100, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestWormSpreadMonotoneCoverageProperty(t *testing.T) {
 			}
 		}
 		beta := 0.2 + 0.8*rng.Float64()
-		res, err := WormSpread(g.Static(), beta, 200, rng)
+		res, err := WormSpread(g, beta, 200, rng)
 		if err != nil {
 			return false
 		}
@@ -199,7 +199,7 @@ func TestWormSpreadValidation(t *testing.T) {
 	if _, err := WormSpread(s, 0.5, 10, nil); !errors.Is(err, ErrInvalid) {
 		t.Error("nil rng accepted")
 	}
-	if _, err := WormSpread(graph.NewCSR(0).Static(), 0.5, 10, rand.New(rand.NewSource(1))); !errors.Is(err, ErrInvalid) {
+	if _, err := WormSpread(graph.NewCSR(0), 0.5, 10, rand.New(rand.NewSource(1))); !errors.Is(err, ErrInvalid) {
 		t.Error("empty graph accepted")
 	}
 }
@@ -207,14 +207,14 @@ func TestWormSpreadValidation(t *testing.T) {
 func TestWormSpreadDegenerateGraphs(t *testing.T) {
 	// A single node is fully covered by its own seeding; a zero-edge
 	// graph never spreads past the seed. Neither may produce NaNs.
-	res, err := WormSpread(graph.NewCSR(1).Static(), 0.5, 10, rand.New(rand.NewSource(1)))
+	res, err := WormSpread(graph.NewCSR(1), 0.5, 10, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Coverage[0] != 1 {
 		t.Errorf("single-node coverage = %v, want [1]", res.Coverage)
 	}
-	res, err = WormSpread(graph.NewCSR(4).Static(), 0.5, 10, rand.New(rand.NewSource(1)))
+	res, err = WormSpread(graph.NewCSR(4), 0.5, 10, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestGreedyRoutingValidation(t *testing.T) {
 		}
 	}
 	// Fewer than two nodes: no routable pairs, well-defined zero result.
-	res, err := GreedyDegreeRouting(graph.NewCSR(1).Static(), 10, 0, rand.New(rand.NewSource(1)))
+	res, err := GreedyDegreeRouting(graph.NewCSR(1), 10, 0, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestGreedyRoutingStretchAtLeastOneProperty(t *testing.T) {
 				return false
 			}
 		}
-		res, err := GreedyDegreeRouting(g.Static(), 50, 0, rng)
+		res, err := GreedyDegreeRouting(g, 50, 0, rng)
 		if err != nil {
 			return false
 		}

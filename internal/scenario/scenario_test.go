@@ -13,7 +13,7 @@ import (
 
 // testGraph builds a connected random graph (a random tree plus extra
 // edges) so every scenario kind has meaningful work.
-func testGraph(t testing.TB, n int, seed int64) *graph.Static {
+func testGraph(t testing.TB, n int, seed int64) *graph.CSR {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.NewCSR(n)
@@ -28,7 +28,7 @@ func testGraph(t testing.TB, n int, seed int64) *graph.Static {
 			_ = g.AddEdge(a, b) // duplicates are fine to skip
 		}
 	}
-	return g.Static()
+	return g
 }
 
 func allSpecs() []dkapi.ScenarioSpec {
@@ -78,7 +78,7 @@ func TestValidateSpecs(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	measured := testGraph(t, 60, 1)
-	ensemble := []*graph.Static{testGraph(t, 60, 2), testGraph(t, 60, 3), testGraph(t, 60, 4)}
+	ensemble := []*graph.CSR{testGraph(t, 60, 2), testGraph(t, 60, 3), testGraph(t, 60, 4)}
 	var want []byte
 	for _, w := range []int{1, 2, 4, 8} {
 		parallel.SetWorkers(w)
@@ -108,7 +108,7 @@ func TestRunIdenticalEnsembleHasZeroDivergence(t *testing.T) {
 	// curve with zero divergence.
 	g := testGraph(t, 40, 5)
 	sp := dkapi.ScenarioSpec{Kind: dkapi.ScenarioRobustness, Fracs: []float64{0, 0.25, 0.5}, Targeted: true}
-	res, err := Run(g, []*graph.Static{g, g, g}, sp, 11)
+	res, err := Run(g, []*graph.CSR{g, g, g}, sp, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunEpidemicFixedGrid(t *testing.T) {
 	// that saturate early hold their final coverage — and coverage is
 	// monotone in [0, 1].
 	measured := testGraph(t, 50, 7)
-	ensemble := []*graph.Static{testGraph(t, 10, 8)} // saturates much sooner
+	ensemble := []*graph.CSR{testGraph(t, 10, 8)} // saturates much sooner
 	sp := dkapi.ScenarioSpec{Kind: dkapi.ScenarioEpidemic, Beta: 0.9, Rounds: 20, Trials: 2}
 	res, err := Run(measured, ensemble, sp, 13)
 	if err != nil {
@@ -169,14 +169,14 @@ func TestRunEpidemicFixedGrid(t *testing.T) {
 func TestRunDegenerateGraphs(t *testing.T) {
 	// Single-node measured graph and zero-edge replicas produce finite,
 	// well-defined curves for every kind.
-	single := graph.NewCSR(1).Static()
-	zeroEdge := graph.NewCSR(5).Static()
+	single := graph.NewCSR(1)
+	zeroEdge := graph.NewCSR(5)
 	for _, sp := range []dkapi.ScenarioSpec{
 		{Kind: dkapi.ScenarioRobustness, Fracs: []float64{0, 1}, Targeted: true},
 		{Kind: dkapi.ScenarioEpidemic, Beta: 0.5, Rounds: 4},
 		{Kind: dkapi.ScenarioRouting, Pairs: 8},
 	} {
-		res, err := Run(single, []*graph.Static{zeroEdge}, sp, 17)
+		res, err := Run(single, []*graph.CSR{zeroEdge}, sp, 17)
 		if err != nil {
 			t.Fatalf("%s: %v", sp.Kind, err)
 		}

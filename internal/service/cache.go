@@ -48,8 +48,7 @@ type Entry struct {
 
 	mu        sync.Mutex
 	g         *graph.CSR
-	static    *graph.Static
-	gcc       *graph.Static
+	gcc       *graph.CSR
 	profile   *dk.Profile // deepest extraction so far
 	summaries map[summaryKey]metrics.Summary
 }
@@ -64,16 +63,6 @@ func (e *Entry) Graph() *graph.CSR { return e.g }
 
 // Size returns the graph's node and edge counts.
 func (e *Entry) Size() (n, m int) { return e.g.N(), e.g.M() }
-
-// Static returns the CSR form of the graph, built once and reused.
-func (e *Entry) Static() *graph.Static {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.static == nil {
-		e.static = e.g.Static()
-	}
-	return e.static
-}
 
 // Profile returns the dK-profile of the graph at depth d, extracting it
 // on first use. Deeper extractions subsume shallower ones via the
@@ -140,8 +129,7 @@ func (e *Entry) Summary(spectral bool, sources int, seed int64) (metrics.Summary
 		return s, true, nil
 	}
 	if e.gcc == nil {
-		gcc, _ := graph.GiantComponent(e.g)
-		e.gcc = gcc.Static()
+		e.gcc, _ = graph.GiantComponent(e.g)
 	}
 	s, err := metrics.Summarize(e.gcc, metrics.SummaryOptions{
 		Spectral:        spectral,

@@ -21,13 +21,15 @@ import (
 
 // Laplacian is a matrix-free normalized Laplacian operator over a graph.
 type Laplacian struct {
-	s       *graph.Static
+	s       *graph.CSR
 	invSqrt []float64 // 1/√deg per node
 }
 
-// NewLaplacian wraps s. Every node must have degree >= 1 (run on a giant
-// connected component); it returns an error otherwise.
-func NewLaplacian(s *graph.Static) (*Laplacian, error) {
+// NewLaplacian wraps s, whose windows the operator reads in place: s must
+// not be mutated while the operator is in use. Every node must have
+// degree >= 1 (run on a giant connected component); it returns an error
+// otherwise.
+func NewLaplacian(s *graph.CSR) (*Laplacian, error) {
 	n := s.N()
 	if n == 0 {
 		return nil, fmt.Errorf("spectral: empty graph")
@@ -99,7 +101,7 @@ func (l *Laplacian) Dense() [][]float64 {
 // up to the dense threshold are solved exactly with Jacobi; larger ones
 // use deflated Lanczos with maxIter iterations (0 means an automatic
 // budget). rng seeds the Lanczos start vector.
-func Extremes(s *graph.Static, rng *rand.Rand, maxIter int) (lambda1, lambdaN float64, err error) {
+func Extremes(s *graph.CSR, rng *rand.Rand, maxIter int) (lambda1, lambdaN float64, err error) {
 	l, err := NewLaplacian(s)
 	if err != nil {
 		return 0, 0, err

@@ -9,7 +9,7 @@ import (
 	"repro/internal/graph"
 )
 
-func build(t testing.TB, n int, edges [][2]int) *graph.Static {
+func build(t testing.TB, n int, edges [][2]int) *graph.CSR {
 	t.Helper()
 	g := graph.NewCSR(n)
 	for _, e := range edges {
@@ -17,10 +17,10 @@ func build(t testing.TB, n int, edges [][2]int) *graph.Static {
 			t.Fatal(err)
 		}
 	}
-	return g.Static()
+	return g
 }
 
-func complete(t testing.TB, n int) *graph.Static {
+func complete(t testing.TB, n int) *graph.CSR {
 	g := graph.NewCSR(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -29,20 +29,20 @@ func complete(t testing.TB, n int) *graph.Static {
 			}
 		}
 	}
-	return g.Static()
+	return g
 }
 
-func cycle(t testing.TB, n int) *graph.Static {
+func cycle(t testing.TB, n int) *graph.CSR {
 	g := graph.NewCSR(n)
 	for i := 0; i < n; i++ {
 		if err := g.AddEdge(i, (i+1)%n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g.Static()
+	return g
 }
 
-func connectedRandom(rng *rand.Rand, n, extra int) *graph.Static {
+func connectedRandom(rng *rand.Rand, n, extra int) *graph.CSR {
 	g := graph.NewCSR(n)
 	for i := 1; i < n; i++ {
 		if err := g.AddEdge(i, rng.Intn(i)); err != nil {
@@ -64,7 +64,7 @@ func connectedRandom(rng *rand.Rand, n, extra int) *graph.Static {
 		}
 		added++
 	}
-	return g.Static()
+	return g
 }
 
 func TestTridiagKnownEigenvalues(t *testing.T) {
@@ -173,7 +173,7 @@ func TestExtremesStar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l1, ln, err := Extremes(g.Static(), rand.New(rand.NewSource(3)), 0)
+	l1, ln, err := Extremes(g, rand.New(rand.NewSource(3)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestExtremesLargePath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l1, ln, err := Extremes(g.Static(), rand.New(rand.NewSource(4)), 0)
+	l1, ln, err := Extremes(g, rand.New(rand.NewSource(4)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestExtremesLargePath(t *testing.T) {
 }
 
 func TestLaplacianValidation(t *testing.T) {
-	if _, err := NewLaplacian(graph.NewCSR(0).Static()); err == nil {
+	if _, err := NewLaplacian(graph.NewCSR(0)); err == nil {
 		t.Error("empty graph accepted")
 	}
 	g := graph.NewCSR(3)
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewLaplacian(g.Static()); err == nil {
+	if _, err := NewLaplacian(g); err == nil {
 		t.Error("degree-0 node accepted")
 	}
 	if _, _, err := Extremes(build(t, 4, [][2]int{{0, 1}, {2, 3}}), rand.New(rand.NewSource(1)), 0); err == nil {

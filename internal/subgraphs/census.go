@@ -234,7 +234,7 @@ func sortClasses[K ClassKey[K]](s []ClassCount[K]) {
 // and (K1, K2, K3) order for triangles. The planes take O(nc²) = O(m)
 // memory; the flushed slots are logged in fixed-size chunks so the
 // output arrays are allocated at their exact length.
-func Count(s graph.Adjacency) *Census {
+func Count(s *graph.CSR) *Census {
 	n := s.N()
 	deg := make([]int, n)
 	maxDeg := 0

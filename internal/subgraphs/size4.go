@@ -41,7 +41,7 @@ type Size4Census struct {
 //
 // Co-degree accumulation costs O(Σ_c deg(c)²) memory-light passes; this is
 // a diagnostic intended for small and mid-sized graphs.
-func CountSize4(s *graph.Static) Size4Census {
+func CountSize4(s *graph.CSR) Size4Census {
 	var c Size4Census
 	n := s.N()
 	deg := make([]int, n)

@@ -47,7 +47,7 @@ var denseLimit = 1 << 20
 // for double-edge swaps, the only moves evaluated at depth 3), because
 // census keys of intermediate states use the fixed degrees.
 //
-// Adjacency reads go straight to the CSR's sorted windows, so the graph
+// Neighbor reads go straight to the CSR's sorted windows, so the graph
 // itself is the mirror. The bitsets are the only derived adjacency
 // state: every mutation of the underlying CSR must be paired with the
 // matching Add/Remove/ApplySwap call to keep them coherent.
