@@ -22,7 +22,7 @@ import (
 // measured — never per node or per edge.
 const extract2KAllocBudget = 150
 
-// csrDecodeAllocBudget bounds allocations of one ReadBinaryCSR decode
+// csrDecodeAllocBudget bounds allocations of one ReadBinary decode
 // of the same topology: the arena slices, the edge list, and the
 // decoder's fixed scratch — ~13 objects measured, O(1) slice headers,
 // not O(m) boxes.
@@ -52,12 +52,12 @@ func TestExtract2KAllocBudget(t *testing.T) {
 func TestCSRDecodeAllocBudget(t *testing.T) {
 	src := benchTopology(t)
 	var buf bytes.Buffer
-	if err := graph.WriteBinaryCSR(&buf, src, nil); err != nil {
+	if err := graph.WriteBinary(&buf, src, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := graph.ReadBinaryCSR(bytes.NewReader(data)); err != nil {
+		if _, _, err := graph.ReadBinary(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	})

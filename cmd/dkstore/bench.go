@@ -54,7 +54,7 @@ func runBench(st *store.Store, n, d int, out string) error {
 	if err := graph.WriteEdgeList(&text, g); err != nil {
 		return err
 	}
-	if err := graph.WriteBinaryCSR(&bin, g, nil); err != nil {
+	if err := graph.WriteBinary(&bin, g, nil); err != nil {
 		return err
 	}
 	rep.TextBytes = text.Len()

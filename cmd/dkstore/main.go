@@ -201,9 +201,8 @@ func runImport(st *store.Store, path string) error {
 	if err != nil {
 		return err
 	}
-	c := g.CSR()
-	hash := graph.ContentHash(c, labels)
-	if err := st.PutGraph(hash, c, labels); err != nil {
+	hash := graph.ContentHash(g, labels)
+	if err := st.PutGraph(hash, g, labels); err != nil {
 		return err
 	}
 	fmt.Println(hash)

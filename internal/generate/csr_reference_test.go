@@ -2,11 +2,11 @@ package generate
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
-	"repro/internal/subgraphs"
 )
 
 // profileBytes encodes a profile to its canonical binary form so two
@@ -20,59 +20,21 @@ func profileBytes(t *testing.T, p *dk.Profile) []byte {
 	return b.Bytes()
 }
 
-// TestCSRMatchesMapReference is the old-vs-new pinning suite of the
-// CSR-first refactor: on every differential graph family it checks that
-// the working CSR and the retained map-adjacency Graph agree on content
-// hash, wire bytes, extracted profiles at all four depths, and the
-// wedge/triangle census — and that a rewiring run on the CSR, replayed
-// move-for-move on the map reference, leaves the two representations
-// with identical edge-index streams (the RNG-stream contract) and
-// byte-identical encodings.
+// TestCSRMatchesMapReference pins the rewired CSR's edge list against
+// the map-adjacency semantics it inherited. On every differential graph
+// family a rewiring run on the CSR is replayed move for move on a plain
+// edge-slot list: removing an edge moves the last slot into the freed
+// one and adding an edge appends, as the map graph did. The CSR must
+// leave the same edge-index stream (the RNG-stream contract the uniform
+// edge draw EdgeAt ∘ Intn depends on), and a CSR rebuilt from the slots
+// must have the same content hash and profile. Objective-free depth 2
+// swaps in place instead, each edge keeping its slot, so its stream is
+// checked against that slot model; a zero-score objective keeps a second
+// depth-2 run on the remove-and-add path.
 func TestCSRMatchesMapReference(t *testing.T) {
 	for _, fam := range diffFamilies {
 		for _, seed := range []int64{7, 23} {
 			c := fam.build(newRng(seed))
-			ref := c.Graph() // retained map-adjacency reference
-
-			// Read-only analysis surfaces agree.
-			if graph.ContentHash(c, nil) != graph.ContentHash(ref, nil) {
-				t.Fatalf("%s: content hash differs across representations", fam.name)
-			}
-			var bc, bg bytes.Buffer
-			if err := graph.WriteBinaryCSR(&bc, c, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := graph.WriteBinary(&bg, ref, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bc.Bytes(), bg.Bytes()) {
-				t.Fatalf("%s: binary encodings differ across representations", fam.name)
-			}
-			for d := 0; d <= 3; d++ {
-				pc, err := dk.Extract(c, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pg, err := dk.Extract(ref.CSR(), d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(profileBytes(t, pc), profileBytes(t, pg)) {
-					t.Fatalf("%s: depth-%d profiles differ across representations", fam.name, d)
-				}
-			}
-			if !subgraphs.Count(c).Equal(subgraphs.Count(ref.CSR())) {
-				t.Fatalf("%s: censuses differ across representations", fam.name)
-			}
-
-			// Dynamic surface: rewire the CSR, replay the accepted-move log
-			// on the map reference with the same edge operations, and require
-			// the two mutable representations to stay in lockstep — including
-			// the swap-remove edge-index permutation that the uniform edge
-			// draw (EdgeAt ∘ Intn) depends on. Objective-free depth 2 swaps
-			// in place instead, each edge keeping its slot, so its stream is
-			// checked against that slot model; a zero-score objective keeps
-			// a second depth-2 run on the remove-and-add path.
 			for _, run := range []struct {
 				depth int
 				obj   Objective
@@ -90,51 +52,53 @@ func TestCSRMatchesMapReference(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				mirror := ref.Clone()
 				slots := c.Edges()
-				for _, m := range r.AcceptedMoves() {
-					for i, e := range slots {
-						switch e {
-						case graph.Edge{U: m.U, V: m.V}.Canon():
-							slots[i] = graph.Edge{U: m.U, V: m.Y}.Canon()
-						case graph.Edge{U: m.X, V: m.Y}.Canon():
-							slots[i] = graph.Edge{U: m.X, V: m.V}.Canon()
-						}
+				inPlace := depth == 2 && run.obj == nil
+				remove := func(e graph.Edge) {
+					i := slices.Index(slots, e.Canon())
+					if i < 0 {
+						t.Fatalf("%s/d%d: replay removes missing edge %v", fam.name, depth, e)
 					}
-					mirror.RemoveEdge(m.U, m.V)
-					mirror.RemoveEdge(m.X, m.Y)
-					if err := mirror.AddEdge(m.U, m.Y); err != nil {
-						t.Fatal(err)
-					}
-					if err := mirror.AddEdge(m.X, m.V); err != nil {
-						t.Fatal(err)
-					}
+					slots[i] = slots[len(slots)-1]
+					slots = slots[:len(slots)-1]
 				}
-				if work.M() != mirror.M() {
+				for _, m := range r.AcceptedMoves() {
+					uv, xy := graph.Edge{U: m.U, V: m.V}.Canon(), graph.Edge{U: m.X, V: m.Y}.Canon()
+					uy, xv := graph.Edge{U: m.U, V: m.Y}.Canon(), graph.Edge{U: m.X, V: m.V}.Canon()
+					if inPlace {
+						slots[slices.Index(slots, uv)] = uy
+						slots[slices.Index(slots, xy)] = xv
+						continue
+					}
+					remove(uv)
+					remove(xy)
+					slots = append(slots, uy, xv)
+				}
+				if work.M() != len(slots) {
 					t.Fatalf("%s/d%d: edge counts diverged", fam.name, depth)
 				}
-				want := mirror.EdgeAt
-				if depth == 2 && run.obj == nil {
-					want = func(i int) graph.Edge { return slots[i] }
-				}
-				for i := 0; i < work.M(); i++ {
-					if work.EdgeAt(i) != want(i) {
+				for i, e := range slots {
+					if work.EdgeAt(i) != e {
 						t.Fatalf("%s/d%d: edge stream diverged at index %d: %v vs %v",
-							fam.name, depth, i, work.EdgeAt(i), want(i))
+							fam.name, depth, i, work.EdgeAt(i), e)
 					}
 				}
-				if graph.ContentHash(work, nil) != graph.ContentHash(mirror, nil) {
+				ref, err := graph.NewCSRFromEdges(c.N(), slots)
+				if err != nil {
+					t.Fatalf("%s/d%d: replayed slots: %v", fam.name, depth, err)
+				}
+				if graph.ContentHash(work, nil) != graph.ContentHash(ref, nil) {
 					t.Fatalf("%s/d%d: rewired content hash differs", fam.name, depth)
 				}
 				pw, err := dk.Extract(work, depth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pm, err := dk.Extract(mirror.CSR(), depth)
+				pr, err := dk.Extract(ref, depth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(profileBytes(t, pw), profileBytes(t, pm)) {
+				if !bytes.Equal(profileBytes(t, pw), profileBytes(t, pr)) {
 					t.Fatalf("%s/d%d: rewired profiles differ", fam.name, depth)
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 )
 
 // Binary graph format ("DKGB"): the on-disk edge-list encoding of the
@@ -47,69 +46,13 @@ const labelFlag = 1 // flags bit 0: label table present
 // quarantine damaged files.
 var ErrCorrupt = errors.New("corrupt binary artifact")
 
-// WriteBinary writes g (and its optional dense-id→label table) in the
-// binary graph format. labels must be nil or have length g.N(). The
+// WriteBinary writes c (and its optional dense-id→label table) in the
+// binary graph format. labels must be nil or have length c.N(). The
 // encoding is canonical: equal graphs with equal labels produce identical
-// bytes regardless of construction order.
-func WriteBinary(w io.Writer, g *Graph, labels []int) error {
-	if labels != nil && len(labels) != g.N() {
-		return fmt.Errorf("graph: label table has %d entries for %d nodes", len(labels), g.N())
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw}
-	var flags byte
-	if labels != nil {
-		flags |= labelFlag
-	}
-	cw.writeByte(flags)
-	cw.writeUvarint(uint64(g.N()))
-	cw.writeUvarint(uint64(g.M()))
-	fwd := make([]int, 0, 64)
-	for u := 0; u < g.N(); u++ {
-		fwd = fwd[:0]
-		for v := range g.adj[u] {
-			if v > u {
-				fwd = append(fwd, v)
-			}
-		}
-		slices.Sort(fwd)
-		cw.writeUvarint(uint64(len(fwd)))
-		prev := u
-		for _, v := range fwd {
-			cw.writeUvarint(uint64(v - prev))
-			prev = v
-		}
-	}
-	if labels != nil {
-		prev := 0
-		for _, l := range labels {
-			cw.writeVarint(int64(l) - int64(prev))
-			prev = l
-		}
-	}
-	if cw.err != nil {
-		return cw.err
-	}
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], cw.crc)
-	if _, err := bw.Write(trailer[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteBinaryCSR writes c in the binary graph format. It produces
-// byte-identical output to WriteBinary on the same edge set: the
-// encoding is canonical, and CSR windows are already sorted so the
+// bytes regardless of construction order. CSR windows are sorted, so the
 // forward-neighbor runs stream straight out of the arena with no
 // per-node sort or allocation.
-func WriteBinaryCSR(w io.Writer, c *CSR, labels []int) error {
+func WriteBinary(w io.Writer, c *CSR, labels []int) error {
 	if labels != nil && len(labels) != c.N() {
 		return fmt.Errorf("graph: label table has %d entries for %d nodes", len(labels), c.N())
 	}
@@ -159,8 +102,10 @@ func WriteBinaryCSR(w io.Writer, c *CSR, labels []int) error {
 }
 
 // ReadBinary decodes a binary graph written by WriteBinary, returning the
-// graph and its label table (nil if none was stored).
-func ReadBinary(r io.Reader) (*Graph, []int, error) {
+// graph and its label table (nil if none was stored). Decoded edges
+// arrive in sorted canonical order, so the windows fill already sorted
+// and the whole materialization is O(n+m).
+func ReadBinary(r io.Reader) (*CSR, []int, error) {
 	return ReadBinaryLimit(r, ReadLimits{})
 }
 
@@ -198,43 +143,7 @@ func ReadBinaryInfo(r io.Reader) (BinaryInfo, error) {
 // parser, for decoding binary graphs from untrusted sources. Independent
 // of any limit, decoder allocations are proportional to the bytes
 // consumed, never to header-claimed sizes.
-func ReadBinaryLimit(r io.Reader, lim ReadLimits) (*Graph, []int, error) {
-	edges, n, labels, err := readBinaryEdges(r, lim)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The gap encoding guarantees u < v < n with strictly increasing v per
-	// node, so edges are simple and duplicate-free by construction; the
-	// adjacency index can be built with presized maps and no membership
-	// checks.
-	deg := make([]int, n)
-	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	g := &Graph{adj: make([]map[int]int, n), edges: edges}
-	for u, d := range deg {
-		if d > 0 {
-			g.adj[u] = make(map[int]int, d)
-		}
-	}
-	for i, e := range edges {
-		g.adj[e.U][e.V] = i
-		g.adj[e.V][e.U] = i
-	}
-	return g, labels, nil
-}
-
-// ReadBinaryCSR decodes a binary graph straight into the CSR working
-// representation — no map adjacency is ever built. Because decoded
-// edges arrive in sorted canonical order, the windows fill already
-// sorted and the whole materialization is O(n+m).
-func ReadBinaryCSR(r io.Reader) (*CSR, []int, error) {
-	return ReadBinaryCSRLimit(r, ReadLimits{})
-}
-
-// ReadBinaryCSRLimit is ReadBinaryCSR with resource bounds.
-func ReadBinaryCSRLimit(r io.Reader, lim ReadLimits) (*CSR, []int, error) {
+func ReadBinaryLimit(r io.Reader, lim ReadLimits) (*CSR, []int, error) {
 	edges, n, labels, err := readBinaryEdges(r, lim)
 	if err != nil {
 		return nil, nil, err
@@ -243,9 +152,8 @@ func ReadBinaryCSRLimit(r io.Reader, lim ReadLimits) (*CSR, []int, error) {
 }
 
 // readBinaryEdges decodes the container into its canonical-order edge
-// list, applying the byte budget; representation-specific
-// materialization happens in the callers.
-func readBinaryEdges(r io.Reader, lim ReadLimits) ([]Edge, int, []int, error) {
+// list, applying the byte budget.
+func readBinaryEdges(r io.Reader, lim ReadLimits) ([]edge32, int, []int, error) {
 	cr := &countingReader{r: r}
 	if lim.MaxBytes > 0 {
 		cr.r = io.LimitReader(r, lim.MaxBytes+1)
@@ -260,7 +168,7 @@ func readBinaryEdges(r io.Reader, lim ReadLimits) ([]Edge, int, []int, error) {
 }
 
 // readBinaryBody decodes the container after byte-budget wrapping.
-func readBinaryBody(cr io.Reader, lim ReadLimits) ([]Edge, int, []int, error) {
+func readBinaryBody(cr io.Reader, lim ReadLimits) ([]edge32, int, []int, error) {
 	if err := readMagic(cr); err != nil {
 		return nil, 0, nil, err
 	}
@@ -288,7 +196,7 @@ func readBinaryBody(cr io.Reader, lim ReadLimits) ([]Edge, int, []int, error) {
 	}
 	// Decoded edges arrive in sorted canonical order; the slice grows with
 	// the input, so a forged M cannot force a huge allocation up front.
-	edges := make([]Edge, 0, min(m, 1<<20))
+	edges := make([]edge32, 0, min(m, 1<<20))
 	for u := 0; u < n; u++ {
 		f, err := readCount(c, "forward degree")
 		if err != nil {
@@ -310,7 +218,7 @@ func readBinaryBody(cr io.Reader, lim ReadLimits) ([]Edge, int, []int, error) {
 				return nil, 0, nil, corruptf("node %d: neighbor gap %d out of range", u, gap)
 			}
 			v := prev + int(gap)
-			edges = append(edges, Edge{u, v})
+			edges = append(edges, edge32{int32(u), int32(v)})
 			prev = v
 		}
 	}

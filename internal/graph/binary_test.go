@@ -12,18 +12,18 @@ import (
 
 // binGraph builds a reproducible random simple graph via the shared
 // randomGraph helper in graph_test.go.
-func binGraph(n, m int, seed int64) *Graph {
+func binGraph(n, m int, seed int64) *CSR {
 	return randomGraph(rand.New(rand.NewSource(seed)), n, m)
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
-		g      *Graph
+		g      *CSR
 		labels []int
 	}{
-		{"empty", New(0), nil},
-		{"isolated", New(5), nil},
+		{"empty", NewCSR(0), nil},
+		{"isolated", NewCSR(5), nil},
 		{"single-edge", mustGraph(t, 2, [][2]int{{0, 1}}), nil},
 		{"random", binGraph(200, 600, 1), nil},
 		{"labeled", mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}}), []int{700, 3, 42}},
@@ -59,9 +59,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func mustGraph(t *testing.T, n int, edges [][2]int) *Graph {
+func mustGraph(t *testing.T, n int, edges [][2]int) *CSR {
 	t.Helper()
-	g := New(n)
+	g := NewCSR(n)
 	for _, e := range edges {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -210,8 +210,5 @@ func TestBinaryDecodedGraphUsable(t *testing.T) {
 	}
 	if !got.Equal(g) {
 		t.Fatal("mutated-back graph differs")
-	}
-	if got.CSR().M() != g.M() {
-		t.Fatal("CSR() conversion inconsistent")
 	}
 }

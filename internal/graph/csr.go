@@ -1,34 +1,29 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
-// CSR is the mutable working representation of an undirected simple
-// graph: compressed-sparse-row adjacency with int32 node ids, sorted
-// neighbor windows, and an edge-index overlay that makes edge removal
-// O(deg) instead of O(m).
-//
-// It replaces the map-adjacency Graph everywhere past the ingestion
-// boundary. Compared to Graph's ~50+ bytes per directed adjacency entry
-// (map bucket + pointer overhead), CSR spends 8 bytes (neighbor id +
-// edge index) plus amortized slack, which is what opens the
-// million-node path.
+// CSR is the undirected simple graph every package works on:
+// compressed-sparse-row adjacency with int32 node ids, sorted neighbor
+// windows, and an edge-index overlay that makes edge removal O(deg)
+// instead of O(m). It spends 8 bytes per directed adjacency entry
+// (neighbor id + edge index) plus amortized slack.
 //
 // Layout: node u's live neighbor window is
 // neigh[start[u] : start[u]+deg[u]], sorted ascending, with capacity
 // wcap[u]. epos runs parallel to neigh: epos[i] is the index in edges
 // of the edge between the window's owner and neigh[i]. edges is the
-// flat edge list in canonical orientation (U < V) with the exact
-// append / swap-remove semantics of Graph, so index-addressed edge
-// draws (EdgeAt(rng.Intn(M()))) consume identical RNG streams on
-// either representation. Its entries are packed int32 pairs, widened
-// to Edge by EdgeAt and Edges: rewiring reads two random entries per
-// proposal, and at half the footprint more of the list stays in cache.
-// SwapEnds, which Graph lacks, rewrites two entries in place.
+// flat edge list in canonical orientation (U < V): AddEdge appends and
+// RemoveEdge moves the last entry into the freed slot, so
+// index-addressed edge draws (EdgeAt(rng.Intn(M()))) are a pure function
+// of the construction and mutation sequence. Its entries are packed
+// int32 pairs, widened to Edge by EdgeAt and Edges: rewiring reads two
+// random entries per proposal, and at half the footprint more of the
+// list stays in cache. SwapEnds rewrites two entries in place.
 //
 // When an insert finds its window full, the window relocates to the
 // tail of neigh with fresh slack (per-node free-slot relocation); the
@@ -54,14 +49,11 @@ func pack(e Edge) edge32 { return edge32{int32(e.U), int32(e.V)} }
 
 func (e edge32) edge() Edge { return Edge{int(e.U), int(e.V)} }
 
-// packEdges returns edges packed into the CSR edge-list layout.
-func packEdges(edges []Edge) []edge32 {
-	out := make([]edge32, len(edges))
-	for i, e := range edges {
-		out[i] = pack(e)
-	}
-	return out
-}
+// key orders canonical edges lexicographically by (U, V).
+func (e edge32) key() uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.V)) }
+
+// compareEdges is the sorted canonical edge order.
+func compareEdges(a, b edge32) int { return cmp.Compare(a.key(), b.key()) }
 
 // checkNodeCount panics unless n node ids fit the CSR's int32 width. It
 // runs before a constructor allocates anything.
@@ -137,12 +129,12 @@ func (c *CSR) reserve(edges []Edge) {
 
 // csrFromCanonicalEdges builds a CSR from an edge list that is already
 // simple, in-range, and sorted in canonical order (U < V, sorted by
-// (U, V)). Because the list is sorted, each node's window fills in
-// ascending neighbor order — backward neighbors (from edges where the
-// node is V) arrive before forward ones, both runs ascending — so no
-// per-window sort is needed: the whole build is O(n + m). The binary
-// decoder and CanonicalClone use this.
-func csrFromCanonicalEdges(n int, edges []Edge) *CSR {
+// (U, V)), taking ownership of edges. Because the list is sorted, each
+// node's window fills in ascending neighbor order — backward neighbors
+// (from edges where the node is V) arrive before forward ones, both runs
+// ascending — so no per-window sort is needed: the whole build is
+// O(n + m). Both readers and CanonicalClone use this.
+func csrFromCanonicalEdges(n int, edges []edge32) *CSR {
 	checkNodeCount(n)
 	c := &CSR{
 		start: make([]int32, n),
@@ -150,7 +142,7 @@ func csrFromCanonicalEdges(n int, edges []Edge) *CSR {
 		wcap:  make([]int32, n),
 		neigh: make([]int32, 2*len(edges)),
 		epos:  make([]int32, 2*len(edges)),
-		edges: packEdges(edges),
+		edges: edges,
 	}
 	for _, e := range edges {
 		c.wcap[e.U]++
@@ -164,21 +156,15 @@ func csrFromCanonicalEdges(n int, edges []Edge) *CSR {
 	fill := make([]int32, n)
 	copy(fill, c.start)
 	for i, e := range edges {
-		c.neigh[fill[e.U]] = int32(e.V)
+		c.neigh[fill[e.U]] = e.V
 		c.epos[fill[e.U]] = int32(i)
 		fill[e.U]++
-		c.neigh[fill[e.V]] = int32(e.U)
+		c.neigh[fill[e.V]] = e.U
 		c.epos[fill[e.V]] = int32(i)
 		fill[e.V]++
 	}
 	copy(c.deg, c.wcap)
 	return c
-}
-
-// CSR builds the CSR working representation of g, preserving g's edge
-// list order exactly so EdgeAt draws are unchanged by the conversion.
-func (g *Graph) CSR() *CSR {
-	return newCSRPreservingOrder(g.N(), packEdges(g.edges))
 }
 
 // newCSRPreservingOrder builds a CSR from a simple, in-range edge list
@@ -225,26 +211,6 @@ func newCSRPreservingOrder(n int, edges []edge32) *CSR {
 		c.epos[c.start[e.V]+int32(pv)] = int32(i)
 	}
 	return c
-}
-
-// Graph converts back to the map-adjacency builder representation,
-// preserving edge list order. Only ingestion-boundary and differential
-// test code should need this.
-func (c *CSR) Graph() *Graph {
-	g := &Graph{
-		adj:   make([]map[int]int, c.N()),
-		edges: c.Edges(),
-	}
-	for u := range g.adj {
-		if d := c.deg[u]; d > 0 {
-			g.adj[u] = make(map[int]int, d)
-		}
-	}
-	for i, e := range g.edges {
-		g.adj[e.U][e.V] = i
-		g.adj[e.V][e.U] = i
-	}
-	return g
 }
 
 // window returns u's live neighbor window.
@@ -306,8 +272,7 @@ func (c *CSR) HasEdge(u, v int) bool {
 }
 
 // AddEdge inserts the undirected edge (u,v). It returns an error for
-// self-loops, duplicate edges, and out-of-range endpoints — the same
-// contract (and error text) as Graph.AddEdge.
+// self-loops, duplicate edges, and out-of-range endpoints.
 func (c *CSR) AddEdge(u, v int) error {
 	switch {
 	case u < 0 || u >= len(c.deg) || v < 0 || v >= len(c.deg):
@@ -384,9 +349,8 @@ func (c *CSR) compact() {
 }
 
 // RemoveEdge deletes the undirected edge (u,v) and reports whether it
-// was present. The deleted edge is swapped with the last entry of the
-// edge list — the same index permutation Graph.RemoveEdge applies, so
-// EdgeAt streams match across representations.
+// was present. The last entry of the edge list moves into the deleted
+// edge's slot.
 func (c *CSR) RemoveEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= len(c.deg) || v >= len(c.deg) {
 		return false
@@ -524,12 +488,7 @@ func (c *CSR) Edges() []Edge {
 // SortedEdges returns the edge list sorted lexicographically.
 func (c *CSR) SortedEdges() []Edge {
 	out := c.Edges()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, func(a, b Edge) int { return compareEdges(pack(a), pack(b)) })
 	return out
 }
 
@@ -537,8 +496,7 @@ func (c *CSR) SortedEdges() []Edge {
 // sorted canonical order — the order EdgeAt exposes.
 func (c *CSR) EdgesCanonicallyOrdered() bool {
 	for i := 1; i < len(c.edges); i++ {
-		a, b := c.edges[i-1], c.edges[i]
-		if a.U > b.U || (a.U == b.U && a.V >= b.V) {
+		if c.edges[i-1].key() >= c.edges[i].key() {
 			return false
 		}
 	}
@@ -549,7 +507,9 @@ func (c *CSR) EdgesCanonicallyOrdered() bool {
 // canonical order, so index-addressed edge draws are a pure function of
 // the edge set rather than of construction order.
 func (c *CSR) CanonicalClone() *CSR {
-	return csrFromCanonicalEdges(c.N(), c.SortedEdges())
+	edges := slices.Clone(c.edges)
+	slices.SortFunc(edges, compareEdges)
+	return csrFromCanonicalEdges(c.N(), edges)
 }
 
 // VisitNeighbors calls f for every neighbor of u, in ascending order,
@@ -667,6 +627,18 @@ func (c *CSR) Equal(h *CSR) bool {
 	}
 	return true
 }
+
+// Graph is CSR under the name of the retired map-adjacency type.
+//
+// Deprecated: an alias kept only for the dkperf benchmark module until
+// its next change; use CSR.
+type Graph = CSR
+
+// CSR returns c itself.
+//
+// Deprecated: kept only for the dkperf benchmark module until its next
+// change; use c directly.
+func (c *CSR) CSR() *CSR { return c }
 
 // Static is CSR under its former snapshot name.
 //

@@ -7,22 +7,22 @@ import (
 	"testing"
 )
 
-// checkMirror verifies every invariant that ties a CSR to its reference
-// Graph: node/edge counts, edge-list order (the RNG-stream contract),
+// checkMirror verifies every invariant that ties a CSR to its map
+// reference: node/edge counts, edge-list order (the RNG-stream contract),
 // sorted windows, the edge-index overlay, and HasEdge agreement.
-func checkMirror(t *testing.T, c *CSR, g *Graph) {
+func checkMirror(t *testing.T, c *CSR, g *mapGraph) {
 	t.Helper()
 	if c.N() != g.N() || c.M() != g.M() {
-		t.Fatalf("size mismatch: CSR %d/%d vs Graph %d/%d", c.N(), c.M(), g.N(), g.M())
+		t.Fatalf("size mismatch: CSR %d/%d vs map %d/%d", c.N(), c.M(), g.N(), g.M())
 	}
 	for i := 0; i < g.M(); i++ {
 		if c.EdgeAt(i) != g.EdgeAt(i) {
-			t.Fatalf("edge %d: CSR %v vs Graph %v", i, c.EdgeAt(i), g.EdgeAt(i))
+			t.Fatalf("edge %d: CSR %v vs map %v", i, c.EdgeAt(i), g.EdgeAt(i))
 		}
 	}
 	for u := 0; u < g.N(); u++ {
 		if c.Degree(u) != g.Degree(u) {
-			t.Fatalf("degree(%d): CSR %d vs Graph %d", u, c.Degree(u), g.Degree(u))
+			t.Fatalf("degree(%d): CSR %d vs map %d", u, c.Degree(u), g.Degree(u))
 		}
 		w := c.Neighbors(u)
 		ew := c.ewindow(u)
@@ -31,7 +31,7 @@ func checkMirror(t *testing.T, c *CSR, g *Graph) {
 				t.Fatalf("node %d: window not strictly sorted: %v", u, w)
 			}
 			if !g.HasEdge(u, int(v)) {
-				t.Fatalf("node %d: CSR has neighbor %d, Graph does not", u, v)
+				t.Fatalf("node %d: CSR has neighbor %d, map does not", u, v)
 			}
 			e := c.EdgeAt(int(ew[i]))
 			if (Edge{u, int(v)}.Canon()) != e {
@@ -40,19 +40,19 @@ func checkMirror(t *testing.T, c *CSR, g *Graph) {
 		}
 		for _, v := range g.Neighbors(u) {
 			if !c.HasEdge(u, v) {
-				t.Fatalf("node %d: Graph has neighbor %d, CSR does not", u, v)
+				t.Fatalf("node %d: map has neighbor %d, CSR does not", u, v)
 			}
 		}
 	}
 }
 
 // TestCSRMirrorsGraph drives an identical random mutation sequence
-// through both representations and checks they stay in lockstep,
-// including the swap-remove edge index permutation.
+// through the CSR and the map reference and checks they stay in
+// lockstep, including the swap-remove edge index permutation.
 func TestCSRMirrorsGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 40
-	g := New(n)
+	g := newMapGraph(n)
 	c := NewCSR(n)
 	for step := 0; step < 5000; step++ {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -61,7 +61,7 @@ func TestCSRMirrorsGraph(t *testing.T) {
 			errG := g.AddEdge(u, v)
 			errC := c.AddEdge(u, v)
 			if (errG == nil) != (errC == nil) {
-				t.Fatalf("AddEdge(%d,%d): Graph err %v, CSR err %v", u, v, errG, errC)
+				t.Fatalf("AddEdge(%d,%d): map err %v, CSR err %v", u, v, errG, errC)
 			}
 			if errG != nil && errG.Error() != errC.Error() {
 				t.Fatalf("AddEdge(%d,%d) error text: %q vs %q", u, v, errG, errC)
@@ -74,7 +74,7 @@ func TestCSRMirrorsGraph(t *testing.T) {
 			okG := g.RemoveEdge(u, v)
 			okC := c.RemoveEdge(u, v)
 			if okG != okC {
-				t.Fatalf("RemoveEdge(%d,%d): Graph %v, CSR %v", u, v, okG, okC)
+				t.Fatalf("RemoveEdge(%d,%d): map %v, CSR %v", u, v, okG, okC)
 			}
 		}
 		if step%500 == 0 {
@@ -83,23 +83,8 @@ func TestCSRMirrorsGraph(t *testing.T) {
 	}
 	checkMirror(t, c, g)
 
-	// Conversions round-trip and preserve edge order.
-	checkMirror(t, g.CSR(), g)
-	checkMirror(t, c, c.Graph())
-	if h := ContentHash(c, nil); h != ContentHash(g, nil) {
-		t.Fatalf("ContentHash differs across representations")
-	}
-	gc := g.CSR()
-	for u := 0; u < n; u++ {
-		a, b := c.Neighbors(u), gc.Neighbors(u)
-		if len(a) != len(b) {
-			t.Fatalf("degree(%d) mismatch", u)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("window %d mismatch: %v vs %v", u, a, b)
-			}
-		}
+	if ContentHash(c, nil) != contentHashRef(g, nil) {
+		t.Fatalf("ContentHash differs from the reference definition")
 	}
 
 	// Clone and CanonicalClone preserve the respective contracts.
@@ -112,7 +97,7 @@ func TestCSRMirrorsGraph(t *testing.T) {
 	if !cc.Equal(c) {
 		t.Fatalf("CanonicalClone changed the edge set")
 	}
-	checkMirror(t, cc, g.CanonicalClone())
+	checkMirror(t, cc, mapFromEdges(n, g.sortedEdges()))
 }
 
 // TestCSRRelocation grows one hub far past every window's initial
@@ -120,7 +105,7 @@ func TestCSRMirrorsGraph(t *testing.T) {
 func TestCSRRelocation(t *testing.T) {
 	const n = 3000
 	c := NewCSR(n)
-	g := New(n)
+	g := newMapGraph(n)
 	for v := 1; v < n; v++ {
 		if err := c.AddEdge(0, v); err != nil {
 			t.Fatalf("AddEdge: %v", err)
@@ -145,11 +130,12 @@ func TestCSRRelocation(t *testing.T) {
 	checkMirror(t, c, g)
 }
 
-// TestCSRBinaryRoundTrip checks the direct CSR codec against the Graph
-// codec byte-for-byte, and that decode-to-CSR reproduces the graph.
+// TestCSRBinaryRoundTrip checks WriteBinary against the map reference's
+// encoder byte for byte and ContentHash against its definition, and that
+// decoding reproduces the graph in sorted canonical edge order.
 func TestCSRBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := New(200)
+	g := newMapGraph(200)
 	for i := 0; i < 900; i++ {
 		_ = g.AddEdge(rng.Intn(200), rng.Intn(200))
 	}
@@ -157,22 +143,28 @@ func TestCSRBinaryRoundTrip(t *testing.T) {
 	for i := range labels {
 		labels[i] = 1000 + i*3
 	}
-	c := g.CSR()
+	c, err := NewCSRFromEdges(g.N(), g.edges)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var bg, bc bytes.Buffer
-	if err := WriteBinary(&bg, g, labels); err != nil {
+	if err := writeBinaryRef(&bg, g, labels); err != nil {
+		t.Fatalf("writeBinaryRef: %v", err)
+	}
+	if err := WriteBinary(&bc, c, labels); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
 	}
-	if err := WriteBinaryCSR(&bc, c, labels); err != nil {
-		t.Fatalf("WriteBinaryCSR: %v", err)
-	}
 	if !bytes.Equal(bg.Bytes(), bc.Bytes()) {
-		t.Fatalf("CSR and Graph writers disagree on the wire bytes")
+		t.Fatalf("WriteBinary and the map reference encoder disagree on the wire bytes")
+	}
+	if ContentHash(c, labels) != contentHashRef(g, labels) {
+		t.Fatalf("ContentHash differs from the reference definition")
 	}
 
-	dec, gotLabels, err := ReadBinaryCSR(bytes.NewReader(bc.Bytes()))
+	dec, gotLabels, err := ReadBinary(bytes.NewReader(bc.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadBinaryCSR: %v", err)
+		t.Fatalf("ReadBinary: %v", err)
 	}
 	if !dec.Equal(c) {
 		t.Fatalf("decoded CSR differs from source")
@@ -185,12 +177,7 @@ func TestCSRBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("label %d: got %d want %d", i, l, labels[i])
 		}
 	}
-	// Decoded-from-binary matches the map path's canonical order exactly.
-	gDec, _, err := ReadBinary(bytes.NewReader(bg.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	checkMirror(t, dec, gDec)
+	checkMirror(t, dec, mapFromEdges(g.N(), g.sortedEdges()))
 }
 
 // sameState reports whether two CSRs hold the same edge list order (the

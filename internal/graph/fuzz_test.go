@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,9 +14,12 @@ import (
 var fuzzLimits = ReadLimits{MaxBytes: 1 << 16, MaxNodes: 1 << 10, MaxEdges: 1 << 12}
 
 // FuzzReadEdgeList hardens the text edge-list parser against malformed
-// input: arbitrary bytes must either parse into a well-formed graph that
-// round-trips through the binary codec, or fail with an error — never
-// panic and never allocate beyond the input-proportional bound.
+// input and pins it against the map-building parse it replaced
+// (readEdgeListRef): arbitrary bytes must be accepted or rejected exactly
+// when the reference does, never panic, and never allocate beyond the
+// input-proportional bound. An accepted graph has the reference's labels
+// and edge set, its edge list is in sorted canonical order, and it
+// round-trips through the binary codec.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# comment\n\n  7   9 \n9 7000000\n")
@@ -29,14 +33,22 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add(strings.Repeat("0 1\n", 3))
 	f.Fuzz(func(t *testing.T, input string) {
 		g, labels, err := ReadEdgeListLimit(strings.NewReader(input), fuzzLimits)
+		ref, refLabels, refErr := readEdgeListRef(strings.NewReader(input), fuzzLimits)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadEdgeListLimit err %v, reference err %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
 		if g == nil {
 			t.Fatal("nil graph with nil error")
 		}
-		if labels != nil && len(labels) != g.N() {
-			t.Fatalf("%d labels for %d nodes", len(labels), g.N())
+		if !slices.Equal(labels, refLabels) {
+			t.Fatalf("labels %v, reference %v", labels, refLabels)
+		}
+		checkMirror(t, g, mapFromEdges(ref.N(), ref.sortedEdges()))
+		if !g.EdgesCanonicallyOrdered() {
+			t.Fatal("parsed edge list not in sorted canonical order")
 		}
 		// A successfully parsed graph must survive the binary round trip
 		// exactly, labels included.
@@ -48,18 +60,14 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary decode of own encoding: %v", err)
 		}
-		if !got.Equal(g) {
-			t.Fatal("binary round trip changed the graph")
-		}
-		for i := range labels {
-			if gotLabels[i] != labels[i] {
-				t.Fatal("binary round trip changed the labels")
-			}
+		sameState(t, got, g)
+		if !slices.Equal(gotLabels, labels) {
+			t.Fatal("binary round trip changed the labels")
 		}
 		// Content addresses are a pure function of the edge set, so the
 		// round trip preserves them.
-		if ContentHash(got, gotLabels) != ContentHash(g, labels) {
-			t.Fatal("binary round trip changed the content hash")
+		if ContentHash(got, gotLabels) != contentHashRef(ref, refLabels) {
+			t.Fatal("content hash differs from the reference definition")
 		}
 	})
 }
@@ -123,7 +131,7 @@ func FuzzSwapEnds(f *testing.F) {
 				t.Fatalf("degree of node %d changed %d -> %d", u, d, c.Degree(u))
 			}
 		}
-		checkMirror(t, c, c.Graph())
+		checkMirror(t, c, mapFromEdges(n, c.Edges()))
 		rebuild, err := NewCSRFromEdges(n, c.Edges())
 		if err != nil {
 			t.Fatalf("rebuild of swapped edge list: %v", err)

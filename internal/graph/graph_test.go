@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func mustEdge(t *testing.T, g *Graph, u, v int) {
+func mustEdge(t *testing.T, g *CSR, u, v int) {
 	t.Helper()
 	if err := g.AddEdge(u, v); err != nil {
 		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
@@ -16,9 +16,9 @@ func mustEdge(t *testing.T, g *Graph, u, v int) {
 }
 
 // path returns the path graph 0-1-2-...-(n-1).
-func path(t *testing.T, n int) *Graph {
+func path(t *testing.T, n int) *CSR {
 	t.Helper()
-	g := New(n)
+	g := NewCSR(n)
 	for i := 0; i+1 < n; i++ {
 		mustEdge(t, g, i, i+1)
 	}
@@ -26,7 +26,7 @@ func path(t *testing.T, n int) *Graph {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
+	g := NewCSR(3)
 	if err := g.AddEdge(0, 0); err == nil {
 		t.Error("self-loop accepted")
 	}
@@ -46,14 +46,14 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 func TestDegreeAndNeighbors(t *testing.T) {
-	g := New(4)
+	g := NewCSR(4)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 0, 2)
 	mustEdge(t, g, 0, 3)
 	if got := g.Degree(0); got != 3 {
 		t.Errorf("Degree(0) = %d, want 3", got)
 	}
-	want := []int{1, 2, 3}
+	want := []int32{1, 2, 3}
 	got := g.Neighbors(0)
 	if len(got) != len(want) {
 		t.Fatalf("Neighbors(0) = %v, want %v", got, want)
@@ -71,7 +71,7 @@ func TestDegreeAndNeighbors(t *testing.T) {
 
 func TestRemoveEdgeSwapConsistency(t *testing.T) {
 	// Removing from the middle must keep the edge-index map consistent.
-	g := New(5)
+	g := NewCSR(5)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 2, 3)
@@ -114,7 +114,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestCommonNeighborCount(t *testing.T) {
-	g := New(5)
+	g := NewCSR(5)
 	mustEdge(t, g, 0, 2)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 0, 3)
@@ -132,8 +132,8 @@ func TestCommonNeighborCount(t *testing.T) {
 }
 
 // randomGraph builds a random simple graph for property tests.
-func randomGraph(rng *rand.Rand, n, m int) *Graph {
-	g := New(n)
+func randomGraph(rng *rand.Rand, n, m int) *CSR {
+	g := NewCSR(n)
 	for g.M() < m {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v || g.HasEdge(u, v) {
@@ -152,10 +152,15 @@ func TestCSRMatchesGraphProperty(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		maxM := n * (n - 1) / 2
 		m := rng.Intn(maxM + 1)
-		g := randomGraph(rng, n, m)
-		s := g.CSR()
+		s := randomGraph(rng, n, m)
+		g := mapFromEdges(n, s.Edges())
 		if s.N() != g.N() || s.M() != g.M() {
 			return false
+		}
+		for i := 0; i < g.M(); i++ {
+			if s.EdgeAt(i) != g.EdgeAt(i) {
+				return false
+			}
 		}
 		for u := 0; u < n; u++ {
 			if s.Degree(u) != g.Degree(u) {
@@ -175,8 +180,7 @@ func TestCSRMatchesGraphProperty(t *testing.T) {
 				}
 			}
 		}
-		// Round-trip back to Graph.
-		return s.Graph().Equal(g)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -185,8 +189,7 @@ func TestCSRMatchesGraphProperty(t *testing.T) {
 
 func TestCSRNeighborsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 200, 900)
-	s := g.CSR()
+	s := randomGraph(rng, 200, 900)
 	for u := 0; u < s.N(); u++ {
 		w := s.Neighbors(u)
 		for i := 1; i < len(w); i++ {
@@ -198,12 +201,12 @@ func TestCSRNeighborsSorted(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(7)
+	g := NewCSR(7)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 3, 4)
 	// 5, 6 isolated
-	comp, sizes := Components(g.CSR())
+	comp, sizes := Components(g)
 	if len(sizes) != 4 {
 		t.Fatalf("component count = %d, want 4", len(sizes))
 	}
@@ -219,12 +222,12 @@ func TestComponents(t *testing.T) {
 }
 
 func TestGiantComponent(t *testing.T) {
-	g := New(8)
+	g := NewCSR(8)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 2, 3)
 	mustEdge(t, g, 4, 5)
-	gcc, newToOld := GiantComponent(g.CSR())
+	gcc, newToOld := GiantComponent(g)
 	if gcc.N() != 4 || gcc.M() != 3 {
 		t.Fatalf("GCC has n=%d m=%d, want 4,3", gcc.N(), gcc.M())
 	}
@@ -247,22 +250,21 @@ func TestGiantComponentEmpty(t *testing.T) {
 }
 
 func TestIsConnected(t *testing.T) {
-	if !IsConnected(New(0).CSR()) {
+	if !IsConnected(NewCSR(0)) {
 		t.Error("empty graph should be connected")
 	}
 	g := path(t, 5)
-	if !IsConnected(g.CSR()) {
+	if !IsConnected(g) {
 		t.Error("path should be connected")
 	}
 	g.RemoveEdge(2, 3)
-	if IsConnected(g.CSR()) {
+	if IsConnected(g) {
 		t.Error("broken path should be disconnected")
 	}
 }
 
 func TestBFSPath(t *testing.T) {
-	g := path(t, 6)
-	s := g.CSR()
+	s := path(t, 6)
 	dist := make([]int32, s.N())
 	queue := make([]int32, 0, s.N())
 	reached := BFS(s, 0, dist, queue)
@@ -277,9 +279,8 @@ func TestBFSPath(t *testing.T) {
 }
 
 func TestBFSUnreachable(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1)
-	s := g.CSR()
+	s := NewCSR(4)
+	mustEdge(t, s, 0, 1)
 	dist := make([]int32, s.N())
 	queue := make([]int32, 0, s.N())
 	reached := BFS(s, 0, dist, queue)
@@ -293,16 +294,16 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestEccentricity(t *testing.T) {
 	g := path(t, 5)
-	if got := Eccentricity(g.CSR(), 0); got != 4 {
+	if got := Eccentricity(g, 0); got != 4 {
 		t.Errorf("Eccentricity(end) = %d, want 4", got)
 	}
-	if got := Eccentricity(g.CSR(), 2); got != 2 {
+	if got := Eccentricity(g, 2); got != 2 {
 		t.Errorf("Eccentricity(middle) = %d, want 2", got)
 	}
 }
 
 func TestReadWriteEdgeListRoundTrip(t *testing.T) {
-	g := New(5)
+	g := NewCSR(5)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 0, 4)
@@ -316,7 +317,7 @@ func TestReadWriteEdgeListRoundTrip(t *testing.T) {
 	}
 	// Node 3 is isolated so it does not survive the round trip; compare
 	// against the graph with isolated nodes dropped.
-	gd, _ := DropIsolated(g.CSR())
+	gd, _ := DropIsolated(g)
 	if h.N() != gd.N() || h.M() != gd.M() {
 		t.Fatalf("round trip: n=%d m=%d, want n=%d m=%d", h.N(), h.M(), gd.N(), gd.M())
 	}
@@ -362,7 +363,7 @@ func TestReadEdgeListCommentsAndLabels(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
-	g := New(3)
+	g := NewCSR(3)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 0, 2)
 	var buf bytes.Buffer
@@ -417,12 +418,12 @@ func TestMultigraphSimplifyToGCC(t *testing.T) {
 }
 
 func TestSubgraph(t *testing.T) {
-	g := New(5)
+	g := NewCSR(5)
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 2, 3)
 	mustEdge(t, g, 3, 4)
-	sub, newToOld := Subgraph(g.CSR(), []int{1, 2, 3})
+	sub, newToOld := Subgraph(g, []int{1, 2, 3})
 	if sub.N() != 3 || sub.M() != 2 {
 		t.Fatalf("subgraph n=%d m=%d, want 3,2", sub.N(), sub.M())
 	}
@@ -437,7 +438,6 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		m := rng.Intn(n * (n - 1) / 2)
 		g := randomGraph(rng, n, m)
-		s := g.CSR()
 
 		const inf = 1 << 29
 		d := make([][]int, n)
@@ -466,7 +466,7 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
 		for src := 0; src < n; src++ {
-			BFS(s, src, dist, queue)
+			BFS(g, src, dist, queue)
 			for v := 0; v < n; v++ {
 				want := d[src][v]
 				if want >= inf {
@@ -487,7 +487,7 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 func TestBridgesPath(t *testing.T) {
 	// Every edge of a path is a bridge.
 	g := path(t, 6)
-	bs := Bridges(g.CSR())
+	bs := Bridges(g)
 	if len(bs) != 5 {
 		t.Errorf("path bridges = %d, want 5", len(bs))
 	}
@@ -495,31 +495,31 @@ func TestBridgesPath(t *testing.T) {
 
 func TestBridgesCycle(t *testing.T) {
 	// No edge of a cycle is a bridge.
-	g := New(6)
+	g := NewCSR(6)
 	for i := 0; i < 6; i++ {
 		mustEdge(t, g, i, (i+1)%6)
 	}
-	if bs := Bridges(g.CSR()); len(bs) != 0 {
+	if bs := Bridges(g); len(bs) != 0 {
 		t.Errorf("cycle bridges = %v, want none", bs)
 	}
 }
 
 func TestBridgesBarbell(t *testing.T) {
 	// Two triangles joined by one edge: exactly that edge is a bridge.
-	g := New(6)
+	g := NewCSR(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
 		mustEdge(t, g, e[0], e[1])
 	}
-	bs := Bridges(g.CSR())
+	bs := Bridges(g)
 	if len(bs) != 1 || bs[0] != (Edge{2, 3}) {
 		t.Errorf("barbell bridges = %v, want [(2,3)]", bs)
 	}
 }
 
 // bruteBridges removes each edge and checks whether its component splits.
-func bruteBridges(g *Graph) map[Edge]bool {
+func bruteBridges(g *CSR) map[Edge]bool {
 	out := make(map[Edge]bool)
-	base, _ := Components(g.CSR())
+	base, _ := Components(g)
 	baseComps := make(map[int32]bool)
 	for _, c := range base {
 		baseComps[c] = true
@@ -528,7 +528,7 @@ func bruteBridges(g *Graph) map[Edge]bool {
 	for _, e := range g.Edges() {
 		h := g.Clone()
 		h.RemoveEdge(e.U, e.V)
-		_, sizes := Components(h.CSR())
+		_, sizes := Components(h)
 		if len(sizes) > nBase+countIsolatedDiff(g, h) {
 			out[e] = true
 		}
@@ -539,7 +539,7 @@ func bruteBridges(g *Graph) map[Edge]bool {
 // countIsolatedDiff counts extra size-1 components created purely by
 // removing the edge (both endpoints degree-1 cases are still splits, so
 // this returns 0; kept for clarity of the comparison above).
-func countIsolatedDiff(g, h *Graph) int { return 0 }
+func countIsolatedDiff(g, h *CSR) int { return 0 }
 
 func TestBridgesMatchBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -548,7 +548,7 @@ func TestBridgesMatchBruteForceProperty(t *testing.T) {
 		m := rng.Intn(n * (n - 1) / 2)
 		g := randomGraph(rng, n, m)
 		want := bruteBridges(g)
-		got := BridgeSet(g.CSR())
+		got := BridgeSet(g)
 		if len(got) != len(want) {
 			return false
 		}
@@ -565,13 +565,13 @@ func TestBridgesMatchBruteForceProperty(t *testing.T) {
 }
 
 // TestModelBasedFuzz runs random interleaved add/remove operations and
-// checks the Graph against a plain map-of-sets reference model after
+// checks the CSR against a plain map-of-sets reference model after
 // every operation batch.
 func TestModelBasedFuzz(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(20)
-		g := New(n)
+		g := NewCSR(n)
 		ref := make(map[Edge]bool)
 		for op := 0; op < 300; op++ {
 			u, v := rng.Intn(n), rng.Intn(n)

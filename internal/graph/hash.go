@@ -2,32 +2,23 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 )
-
-// EdgeLister is the minimal read surface shared by both graph
-// representations (Graph and CSR): node/edge counts plus the
-// canonical-orientation edge list. Content addressing is defined over
-// it so all representations of one edge set hash identically.
-type EdgeLister interface {
-	N() int
-	M() int
-	Edges() []Edge
-}
 
 // canonicalPairs returns g's edges as label pairs in canonical form:
 // each pair ordered a <= b, the list sorted lexicographically. This is
 // THE canonical edge list — ContentHash hashes exactly these lines and
 // WriteCanonicalEdgeList emits them, so the two can never drift apart.
-func canonicalPairs(g EdgeLister, labels []int) [][2]int {
+func canonicalPairs(g *CSR, labels []int) [][2]int {
 	pairs := make([][2]int, 0, g.M())
-	for _, e := range g.Edges() {
-		a, b := e.U, e.V
+	for _, e := range g.edges {
+		a, b := int(e.U), int(e.V)
 		if labels != nil {
 			a, b = labels[a], labels[b]
 		}
@@ -36,11 +27,11 @@ func canonicalPairs(g EdgeLister, labels []int) [][2]int {
 		}
 		pairs = append(pairs, [2]int{a, b})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
+	slices.SortFunc(pairs, func(x, y [2]int) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
 		}
-		return pairs[i][1] < pairs[j][1]
+		return cmp.Compare(x[1], y[1])
 	})
 	return pairs
 }
@@ -56,7 +47,7 @@ func canonicalPairs(g EdgeLister, labels []int) [][2]int {
 // The HTTP service keys its profile cache by this address, and the
 // persistent artifact store (internal/store) uses it as the on-disk name
 // of every graph and profile artifact.
-func ContentHash(g EdgeLister, labels []int) string {
+func ContentHash(g *CSR, labels []int) string {
 	h := sha256.New()
 	var buf [32]byte
 	for _, p := range canonicalPairs(g, labels) {
@@ -75,7 +66,7 @@ func ContentHash(g EdgeLister, labels []int) string {
 // the lines ContentHash hashes. Re-parsing the output therefore
 // reproduces the same content address — the round trip `dkstore export`
 // then `import` relies on.
-func WriteCanonicalEdgeList(w io.Writer, g EdgeLister, labels []int) error {
+func WriteCanonicalEdgeList(w io.Writer, g *CSR, labels []int) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes=%d edges=%d\n", g.N(), g.M()); err != nil {
 		return err

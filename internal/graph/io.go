@@ -2,9 +2,11 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,17 +40,25 @@ type ReadLimits struct {
 //
 // Node labels may be arbitrary non-negative integers; they are remapped to
 // dense ids 0..n-1 in order of first appearance. The returned labels slice
-// maps dense id → original label. Duplicate edges and self-loops are
-// rejected with an error naming the offending line.
-func ReadEdgeList(r io.Reader) (g *Graph, labels []int, err error) {
+// maps dense id → original label. The graph's edge list is in sorted
+// canonical order (EdgesCanonicallyOrdered), whatever the line order.
+//
+// Self-loops and duplicate edges are rejected with an error naming the
+// offending line. A malformed line, a self-loop or a crossed ReadLimits
+// bound is reported as soon as it is read; duplicates are found only
+// after the whole input has been read, so any of those errors takes
+// precedence over a duplicate on an earlier line. A duplicate is
+// reported at the first line that repeats an earlier edge.
+func ReadEdgeList(r io.Reader) (g *CSR, labels []int, err error) {
 	return ReadEdgeListLimit(r, ReadLimits{})
 }
 
 // ReadEdgeListLimit is ReadEdgeList with resource bounds, for parsing
 // edge lists from untrusted sources (network request bodies). The input
 // is consumed as a stream: an input crossing a bound fails fast with an
-// error wrapping ErrLimit rather than being read to the end.
-func ReadEdgeListLimit(r io.Reader, lim ReadLimits) (g *Graph, labels []int, err error) {
+// error wrapping ErrLimit rather than being read to the end. Duplicate
+// edges count toward MaxEdges.
+func ReadEdgeListLimit(r io.Reader, lim ReadLimits) (g *CSR, labels []int, err error) {
 	cr := &countingReader{r: r}
 	if lim.MaxBytes > 0 {
 		// Read at most one byte past the cap so "exactly at the limit"
@@ -57,18 +67,20 @@ func ReadEdgeListLimit(r io.Reader, lim ReadLimits) (g *Graph, labels []int, err
 	}
 	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	idOf := make(map[int]int)
-	g = New(0)
-	lineNo := 0
-	intern := func(label int) int {
+	idOf := make(map[int]int32)
+	intern := func(label int) int32 {
 		id, ok := idOf[label]
 		if !ok {
-			id = g.AddNode()
+			id = int32(len(labels))
 			idOf[label] = id
 			labels = append(labels, label)
 		}
 		return id
 	}
+	// read holds every edge with the line it came from, in canonical
+	// orientation; sorting brings duplicates next to each other.
+	var read []lineEdge
+	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		if lim.MaxBytes > 0 && cr.n > lim.MaxBytes {
@@ -93,13 +105,18 @@ func ReadEdgeListLimit(r io.Reader, lim ReadLimits) (g *Graph, labels []int, err
 		if a < 0 || b < 0 {
 			return nil, nil, fmt.Errorf("graph: line %d: negative node label", lineNo)
 		}
-		if err := g.AddEdge(intern(a), intern(b)); err != nil {
-			return nil, nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+		if a == b {
+			return nil, nil, fmt.Errorf("graph: line %d: self-loop at node %d", lineNo, a)
 		}
-		if lim.MaxNodes > 0 && g.N() > lim.MaxNodes {
+		e := edge32{intern(a), intern(b)}
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		read = append(read, lineEdge{e, lineNo})
+		if lim.MaxNodes > 0 && len(labels) > lim.MaxNodes {
 			return nil, nil, fmt.Errorf("graph: line %d: %w: more than %d nodes", lineNo, ErrLimit, lim.MaxNodes)
 		}
-		if lim.MaxEdges > 0 && g.M() > lim.MaxEdges {
+		if lim.MaxEdges > 0 && len(read) > lim.MaxEdges {
 			return nil, nil, fmt.Errorf("graph: line %d: %w: more than %d edges", lineNo, ErrLimit, lim.MaxEdges)
 		}
 	}
@@ -111,7 +128,31 @@ func ReadEdgeListLimit(r io.Reader, lim ReadLimits) (g *Graph, labels []int, err
 	if lim.MaxBytes > 0 && cr.n > lim.MaxBytes {
 		return nil, nil, fmt.Errorf("graph: %w: more than %d bytes", ErrLimit, lim.MaxBytes)
 	}
-	return g, labels, nil
+	slices.SortFunc(read, func(x, y lineEdge) int {
+		if c := cmp.Compare(x.e.key(), y.e.key()); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.line, y.line)
+	})
+	edges := make([]edge32, len(read))
+	dup := -1
+	for i, le := range read {
+		if i > 0 && le.e == read[i-1].e && (dup < 0 || le.line < read[dup].line) {
+			dup = i
+		}
+		edges[i] = le.e
+	}
+	if dup >= 0 {
+		e := read[dup].e
+		return nil, nil, fmt.Errorf("graph: line %d: duplicate edge %d %d", read[dup].line, labels[e.U], labels[e.V])
+	}
+	return csrFromCanonicalEdges(len(labels), edges), labels, nil
+}
+
+// lineEdge is a parsed edge and the input line it was read from.
+type lineEdge struct {
+	e    edge32
+	line int
 }
 
 // countingReader counts bytes delivered to the scanner so byte limits are
@@ -127,17 +168,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Listable is the minimal view the text writers need; both the Graph
-// builder and the working CSR satisfy it.
-type Listable interface {
-	EdgeLister
-	Degree(u int) int
-	SortedEdges() []Edge
-}
-
 // WriteEdgeList writes the graph as a sorted "u v" edge list, suitable for
 // ReadEdgeList round-tripping.
-func WriteEdgeList(w io.Writer, g Listable) error {
+func WriteEdgeList(w io.Writer, g *CSR) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes=%d edges=%d\n", g.N(), g.M()); err != nil {
 		return err
@@ -154,7 +187,7 @@ func WriteEdgeList(w io.Writer, g Listable) error {
 // or above hubThreshold are drawn filled so the core-vs-periphery hub
 // placement that Figure 3 of the paper is read for stands out; pass 0 to
 // disable highlighting.
-func WriteDOT(w io.Writer, g Listable, name string, hubThreshold int) error {
+func WriteDOT(w io.Writer, g *CSR, name string, hubThreshold int) error {
 	bw := bufio.NewWriter(w)
 	if name == "" {
 		name = "G"

@@ -9,7 +9,7 @@ import (
 )
 
 func TestReadEdgeListLimitRoundTrip(t *testing.T) {
-	g := New(5)
+	g := NewCSR(5)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}} {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -55,26 +55,35 @@ func TestReadEdgeListCommentsBlanksAndWhitespace(t *testing.T) {
 func TestReadEdgeListMalformedLines(t *testing.T) {
 	cases := []struct {
 		name, in, wantSub string
+		lim               ReadLimits
 	}{
-		{"one field", "0 1\n2\n", "want 2 fields"},
-		{"bad first node", "x 1\n", `bad node "x"`},
-		{"bad second node", "1 y\n", `bad node "y"`},
-		{"negative label", "0 -1\n", "negative node label"},
-		{"self-loop", "3 3\n", "line 1"},
-		{"duplicate edge", "0 1\n1 0\n", "line 2"},
-		{"float label", "0 1.5\n", `bad node "1.5"`},
+		{name: "one field", in: "0 1\n2\n", wantSub: "want 2 fields"},
+		{name: "bad first node", in: "x 1\n", wantSub: `bad node "x"`},
+		{name: "bad second node", in: "1 y\n", wantSub: `bad node "y"`},
+		{name: "negative label", in: "0 -1\n", wantSub: "negative node label"},
+		{name: "self-loop", in: "3 3\n", wantSub: "line 1"},
+		{name: "duplicate edge", in: "0 1\n1 0\n", wantSub: "line 2"},
+		{name: "float label", in: "0 1.5\n", wantSub: `bad node "1.5"`},
+		// Duplicates are found after the whole input is read, so a later
+		// malformed line or crossed bound is reported first, and among
+		// several duplicates the first line that repeats an earlier edge
+		// is named.
+		{name: "bad node after duplicate", in: "0 1\n1 0\nx 1\n", wantSub: `bad node "x"`},
+		{name: "edge limit after duplicate", in: "0 1\n1 0\n2 3\n", wantSub: "more than 2 edges", lim: ReadLimits{MaxEdges: 2}},
+		{name: "first repeating line", in: "0 1\n2 3\n3 2\n1 0\n", wantSub: "line 3"},
+		{name: "first repeating line, earlier edge", in: "0 1\n2 3\n1 0\n3 2\n", wantSub: "line 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := ReadEdgeList(strings.NewReader(tc.in))
+			_, _, err := ReadEdgeListLimit(strings.NewReader(tc.in), tc.lim)
 			if err == nil {
 				t.Fatalf("input %q parsed without error", tc.in)
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
-			if errors.Is(err, ErrLimit) {
-				t.Fatalf("malformed input must not report ErrLimit: %v", err)
+			if errors.Is(err, ErrLimit) != (tc.lim != ReadLimits{}) {
+				t.Fatalf("only a crossed bound may report ErrLimit: %v", err)
 			}
 		})
 	}

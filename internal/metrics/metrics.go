@@ -123,7 +123,10 @@ func LikelihoodS(s *graph.CSR) float64 {
 // It is computed without enumerating wedges: all neighbor pairs of each
 // center contribute ((Σd)²−Σd²)/2, and one triangle pass subtracts the
 // closed pairs.
-func S2(s *graph.CSR) float64 {
+func S2(s *graph.CSR) float64 { return s2(s, Triangles(s)) }
+
+// s2 is S2 with the triangle pass already done.
+func s2(s *graph.CSR, ts TriangleStats) float64 {
 	var allPairs float64
 	for c := 0; c < s.N(); c++ {
 		var sum, sumSq float64
@@ -134,13 +137,15 @@ func S2(s *graph.CSR) float64 {
 		}
 		allPairs += (sum*sum - sumSq) / 2
 	}
-	return allPairs - Triangles(s).SumProds
+	return allPairs - ts.SumProds
 }
 
 // LocalClustering returns each node's clustering coefficient
 // c(v) = triangles(v)/C(d_v,2); nodes of degree < 2 get 0.
-func LocalClustering(s *graph.CSR) []float64 {
-	ts := Triangles(s)
+func LocalClustering(s *graph.CSR) []float64 { return localClustering(s, Triangles(s)) }
+
+// localClustering is LocalClustering with the triangle pass already done.
+func localClustering(s *graph.CSR, ts TriangleStats) []float64 {
 	out := make([]float64, s.N())
 	for v := range out {
 		d := s.Degree(v)
@@ -154,8 +159,11 @@ func LocalClustering(s *graph.CSR) []float64 {
 // MeanClustering returns C̄, the mean local clustering over nodes of
 // degree >= 2 (nodes that can participate in a triangle). Returns 0 when
 // no such node exists.
-func MeanClustering(s *graph.CSR) float64 {
-	cl := LocalClustering(s)
+func MeanClustering(s *graph.CSR) float64 { return meanClustering(s, Triangles(s)) }
+
+// meanClustering is MeanClustering with the triangle pass already done.
+func meanClustering(s *graph.CSR, ts TriangleStats) float64 {
+	cl := localClustering(s, ts)
 	var sum float64
 	cnt := 0
 	for v, c := range cl {

@@ -50,8 +50,8 @@ type SummaryOptions struct {
 	// ExactDistances opts out of the automatic sampling switch: the
 	// distance pass stays exact no matter the graph size.
 	ExactDistances bool
-	// SkipS2 skips the second-order likelihood (the most expensive scalar
-	// on hub-heavy graphs).
+	// SkipS2 leaves the second-order likelihood at zero. S2 shares C̄'s
+	// triangle pass, so skipping it saves only its O(m) wedge sums.
 	SkipS2 bool
 	// Rng drives sampling and the Lanczos start vector; required when
 	// DistanceSources > 0 or Spectral is set.
@@ -61,16 +61,18 @@ type SummaryOptions struct {
 // Summarize computes the scalar metric suite on s. Metrics in the paper
 // are reported for giant connected components; pass the GCC.
 func Summarize(s *graph.CSR, opt SummaryOptions) (Summary, error) {
+	// One triangle pass serves both C̄ and S2.
+	ts := Triangles(s)
 	sum := Summary{
 		N:         s.N(),
 		M:         s.M(),
 		AvgDegree: s.AvgDegree(),
 		R:         Assortativity(s),
-		CBar:      MeanClustering(s),
+		CBar:      meanClustering(s, ts),
 		S:         LikelihoodS(s),
 	}
 	if !opt.SkipS2 {
-		sum.S2 = S2(s)
+		sum.S2 = s2(s, ts)
 	}
 	var dd *DistanceDistribution
 	switch {

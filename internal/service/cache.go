@@ -231,9 +231,9 @@ func (c *Cache) diskTier() *store.Store { return c.disk }
 // (edge set, seed), not of whether the graph arrived via text parse,
 // binary decode, or dataset synthesis — otherwise the same generate
 // request would yield different replicas before and after a restart.
-// Binary-decoded graphs are already canonical; others are normalized
-// through a clone, which also keeps shared dataset-memo graphs
-// untouched.
+// Parsed and binary-decoded graphs are already canonical; others
+// (dataset synthesis) are normalized through a clone, which also keeps
+// shared dataset-memo graphs untouched.
 func (c *Cache) Intern(g *graph.CSR, labels []int) (*Entry, bool) {
 	if !g.EdgesCanonicallyOrdered() {
 		g = g.CanonicalClone()

@@ -13,7 +13,7 @@ func mustParse(t *testing.T, s string) (*graph.CSR, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.CSR(), labels
+	return g, labels
 }
 
 func TestCanonicalHashInvariance(t *testing.T) {

@@ -137,7 +137,10 @@ func (s *Server) resolveRef(ref GraphRef) (*Entry, error) {
 		if err != nil {
 			return nil, classifyGraphError(err)
 		}
-		e, _ := s.cache.Intern(g.CSR(), labels)
+		if g.N() == 0 {
+			return nil, &apiError{http.StatusBadRequest, CodeBadRequest, ErrEmptyEdges.Error()}
+		}
+		e, _ := s.cache.Intern(g, labels)
 		return e, nil
 	default:
 		g, err := s.datasetGraph(ref.Dataset, ref.Seed, ref.N)
@@ -148,6 +151,11 @@ func (s *Server) resolveRef(ref GraphRef) (*Entry, error) {
 		return e, nil
 	}
 }
+
+// ErrEmptyEdges rejects an inline edge-list reference with no edges, as
+// an empty upload to /v1/extract is rejected. pkg/dk's local backend
+// returns it too, so local and remote runs agree.
+var ErrEmptyEdges = errors.New("empty edge list; an inline edges reference needs at least one 'u v' line")
 
 // apiError carries a pre-classified HTTP status and code with a message.
 type apiError struct {

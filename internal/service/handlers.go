@@ -109,7 +109,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 				"empty edge list; POST a 'u v' per line body or pass ?dataset=")
 			return
 		}
-		entry, _ = s.cache.Intern(g.CSR(), labels)
+		entry, _ = s.cache.Intern(g, labels)
 	}
 
 	root := trace.FromContext(r.Context())

@@ -316,6 +316,34 @@ func TestGenerateDeterministicAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestEmptyInlineEdgesRejected checks that an inline edge list with no
+// edges is refused on every route that takes a graph reference, the way
+// an empty upload to /v1/extract is, instead of being interned as a
+// 0-node graph. No job may be enqueued for it.
+func TestEmptyInlineEdgesRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	const empty = `{"edges":"# comment\n"}`
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/compare", `{"a":` + empty + `,"b":{"dataset":"paw"}}`},
+		{"/v1/generate", `{"source":` + empty + `}`},
+		{"/v1/pipelines", `{"steps":[{"id":"x","op":"extract","source":` + empty + `}]}`},
+	} {
+		var e ErrorResponse
+		postJSON(t, ts.URL+tc.route, "application/json", tc.body, http.StatusBadRequest, &e)
+		if e.Code != CodeBadRequest || !strings.Contains(e.Error, "empty edge list") {
+			t.Fatalf("%s: error (%q, %q), want %q naming the empty edge list", tc.route, e.Code, e.Error, CodeBadRequest)
+		}
+	}
+	var e ErrorResponse
+	postJSON(t, ts.URL+"/v1/extract", "text/plain", "# comment\n", http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error, "empty edge list") {
+		t.Fatalf("upload error %q should name the empty edge list", e.Error)
+	}
+	if st := srv.JobStats(); st.Queued+st.Running != 0 || st.Completed+st.Failed != 0 {
+		t.Fatalf("jobs ran for empty edge lists: %+v", st)
+	}
+}
+
 func TestExtractErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBodyBytes: 64})
 
@@ -422,8 +450,8 @@ func TestCompareDepth3Distances(t *testing.T) {
 	// Ground truth via direct extraction.
 	ga, _, _ := graph.ReadEdgeList(strings.NewReader(pawEdges))
 	gb, _, _ := graph.ReadEdgeList(strings.NewReader(path))
-	pa, _ := dk.Extract(ga.CSR(), 3)
-	pb, _ := dk.Extract(gb.CSR(), 3)
+	pa, _ := dk.Extract(ga, 3)
+	pb, _ := dk.Extract(gb, 3)
 	for _, de := range cmp.Distances {
 		want, err := dk.Distance(pa, pb, de.D)
 		if err != nil {

@@ -41,14 +41,14 @@ func BenchmarkGraphDecodeText(b *testing.B) {
 func BenchmarkGraphDecodeBinary(b *testing.B) {
 	g := benchTopology()
 	var buf bytes.Buffer
-	if err := graph.WriteBinaryCSR(&buf, g, nil); err != nil {
+	if err := graph.WriteBinary(&buf, g, nil); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := graph.ReadBinaryCSR(bytes.NewReader(data)); err != nil {
+		if _, _, err := graph.ReadBinary(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

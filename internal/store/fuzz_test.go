@@ -22,7 +22,7 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 	}
 	var gb bytes.Buffer
-	if err := graph.WriteBinaryCSR(&gb, g, []int{10, 20, 30, 40}); err != nil {
+	if err := graph.WriteBinary(&gb, g, []int{10, 20, 30, 40}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(gb.Bytes())
@@ -44,12 +44,12 @@ func FuzzStoreDecode(f *testing.F) {
 
 	lim := graph.ReadLimits{MaxBytes: 1 << 16, MaxNodes: 1 << 12, MaxEdges: 1 << 14}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if g, labels, err := graph.ReadBinaryCSRLimit(bytes.NewReader(data), lim); err == nil {
+		if g, labels, err := graph.ReadBinaryLimit(bytes.NewReader(data), lim); err == nil {
 			var re bytes.Buffer
-			if err := graph.WriteBinaryCSR(&re, g, labels); err != nil {
+			if err := graph.WriteBinary(&re, g, labels); err != nil {
 				t.Fatalf("re-encode of decoded graph: %v", err)
 			}
-			g2, labels2, err := graph.ReadBinaryCSR(bytes.NewReader(re.Bytes()))
+			g2, labels2, err := graph.ReadBinary(bytes.NewReader(re.Bytes()))
 			if err != nil {
 				t.Fatalf("decode of own encoding: %v", err)
 			}

@@ -189,7 +189,7 @@ func (s *Store) PutGraph(hash string, g *graph.CSR, labels []int) error {
 		return nil
 	}
 	if err := atomicWrite(path, func(w io.Writer) error {
-		return graph.WriteBinaryCSR(w, g, labels)
+		return graph.WriteBinary(w, g, labels)
 	}); err != nil {
 		return err
 	}
@@ -223,7 +223,7 @@ func (s *Store) GetGraph(hash string, lim graph.ReadLimits) (*graph.CSR, []int, 
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	g, labels, err := graph.ReadBinaryCSRLimit(f, lim)
+	g, labels, err := graph.ReadBinaryLimit(f, lim)
 	if err != nil {
 		s.readErrors.Add(1)
 		return nil, nil, fmt.Errorf("store: graph %s: %w", hash, err)
@@ -468,7 +468,7 @@ func (s *Store) GC() (GCReport, error) {
 		if err != nil {
 			return false, nil
 		}
-		_, _, err = graph.ReadBinaryCSR(f)
+		_, _, err = graph.ReadBinary(f)
 		f.Close()
 		return err != nil, &rep.CorruptGraphs
 	})

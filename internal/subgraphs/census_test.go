@@ -8,9 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
+func build(t *testing.T, n int, edges [][2]int) *graph.CSR {
 	t.Helper()
-	g := graph.New(n)
+	g := graph.NewCSR(n)
 	for _, e := range edges {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -61,7 +61,7 @@ func (m *mapCensus) census() *Census {
 }
 
 // bruteCensus enumerates all node triples.
-func bruteCensus(g *graph.Graph) *mapCensus {
+func bruteCensus(g *graph.CSR) *mapCensus {
 	c := newMapCensus()
 	n := g.N()
 	deg := g.DegreeSequence()
@@ -108,7 +108,7 @@ func TestTriangleKeyCanonical(t *testing.T) {
 
 func TestCountTriangleGraph(t *testing.T) {
 	g := build(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	c := Count(g.CSR())
+	c := Count(g)
 	if c.TotalWedges() != 0 {
 		t.Errorf("K3 wedges = %d, want 0", c.TotalWedges())
 	}
@@ -119,7 +119,7 @@ func TestCountTriangleGraph(t *testing.T) {
 
 func TestCountPath3(t *testing.T) {
 	g := build(t, 3, [][2]int{{0, 1}, {1, 2}})
-	c := Count(g.CSR())
+	c := Count(g)
 	if c.Wedge(WedgeKey{1, 2, 1}) != 1 || c.TotalWedges() != 1 {
 		t.Errorf("P3 wedges = %v", c.Wedges)
 	}
@@ -130,7 +130,7 @@ func TestCountPath3(t *testing.T) {
 
 func TestCountStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	c := Count(g.CSR())
+	c := Count(g)
 	if c.Wedge(WedgeKey{1, 3, 1}) != 3 || c.TotalWedges() != 3 {
 		t.Errorf("K1,3 wedges = %v", c.Wedges)
 	}
@@ -142,7 +142,7 @@ func TestCountStar(t *testing.T) {
 func TestCountPaperExample(t *testing.T) {
 	// Triangle 0,1,2 plus pendant 3 attached to 2.
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	c := Count(g.CSR())
+	c := Count(g)
 	if got := c.Wedge(WedgeKey{1, 3, 2}); got != 2 {
 		t.Errorf("wedge class (1,3,2) = %d, want 2 (census: %v)", got, c.Wedges)
 	}
@@ -154,8 +154,8 @@ func TestCountPaperExample(t *testing.T) {
 	}
 }
 
-func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
-	g := graph.New(n)
+func randomGraph(rng *rand.Rand, n, m int) *graph.CSR {
+	g := graph.NewCSR(n)
 	for g.M() < m {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v || g.HasEdge(u, v) {
@@ -174,7 +174,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 		n := 3 + rng.Intn(18)
 		m := rng.Intn(n*(n-1)/2 + 1)
 		g := randomGraph(rng, n, m)
-		return Count(g.CSR()).Equal(bruteCensus(g).census())
+		return Count(g).Equal(bruteCensus(g).census())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -213,8 +213,8 @@ func countReference(s *graph.CSR) *mapCensus {
 
 // hubGraph builds a graph whose top node degrees cross
 // DefaultBitsetThreshold, exercising the bitset probe path of Count.
-func hubGraph(rng *rand.Rand, n, m int) *graph.Graph {
-	g := graph.New(n)
+func hubGraph(rng *rand.Rand, n, m int) *graph.CSR {
+	g := graph.NewCSR(n)
 	for i := 1; i < n; i++ {
 		if err := g.AddEdge(i, rng.Intn(i)); err != nil {
 			panic(err)
@@ -244,7 +244,7 @@ func hubGraph(rng *rand.Rand, n, m int) *graph.Graph {
 // bitset threshold) — the regime the rewrite exists for.
 func TestCountMatchesReferenceHubGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := hubGraph(rng, 400, 1400).CSR()
+	s := hubGraph(rng, 400, 1400)
 	if s.MaxDegree() < DefaultBitsetThreshold {
 		t.Fatalf("max degree %d below bitset threshold %d; test graph too tame", s.MaxDegree(), DefaultBitsetThreshold)
 	}
@@ -263,7 +263,7 @@ func TestCountMatchesReferenceMapFallback(t *testing.T) {
 	denseLimit = 1
 	defer func() { denseLimit = old }()
 	rng := rand.New(rand.NewSource(7))
-	s := hubGraph(rng, 200, 700).CSR()
+	s := hubGraph(rng, 200, 700)
 	if !Count(s).Equal(countReference(s).census()) {
 		t.Error("map-fallback census disagrees with reference")
 	}
@@ -271,8 +271,8 @@ func TestCountMatchesReferenceMapFallback(t *testing.T) {
 
 // manyClassGraph is a random tree on n nodes whose first hubs nodes are
 // topped up to degrees 4, 5, …: more than hubs distinct degrees.
-func manyClassGraph(rng *rand.Rand, n, hubs int) *graph.Graph {
-	g := graph.New(n)
+func manyClassGraph(rng *rand.Rand, n, hubs int) *graph.CSR {
+	g := graph.NewCSR(n)
 	for i := 1; i < n; i++ {
 		if err := g.AddEdge(i, rng.Intn(i)); err != nil {
 			panic(err)
@@ -294,7 +294,7 @@ func manyClassGraph(rng *rand.Rand, n, hubs int) *graph.Graph {
 // classes: nc³ above 2²⁰, the regime that ran on packed-key maps before
 // Count moved to per-class planes.
 func TestCountMatchesReferenceManyClasses(t *testing.T) {
-	s := manyClassGraph(rand.New(rand.NewSource(5)), 1000, 150).CSR()
+	s := manyClassGraph(rand.New(rand.NewSource(5)), 1000, 150)
 	classes := map[int]bool{}
 	for u := 0; u < s.N(); u++ {
 		classes[s.Degree(u)] = true
@@ -310,8 +310,8 @@ func TestCountMatchesReferenceManyClasses(t *testing.T) {
 // megaHubGraph joins node 0 to 90 % of the other nodes. Most of those
 // are paired off into triangles with the hub (degree 2); the last tenth
 // hang off random nodes, and a few random chords join the unpaired ones.
-func megaHubGraph(rng *rand.Rand, n int) *graph.Graph {
-	g := graph.New(n)
+func megaHubGraph(rng *rand.Rand, n int) *graph.CSR {
+	g := graph.NewCSR(n)
 	add := func(u, v int) {
 		if u != v && !g.HasEdge(u, v) {
 			if err := g.AddEdge(u, v); err != nil {
@@ -339,7 +339,7 @@ func megaHubGraph(rng *rand.Rand, n int) *graph.Graph {
 // every closed pair around a degree-2 center sits next to the hub, whose
 // window it must not walk.
 func TestCountMatchesReferenceMegaHub(t *testing.T) {
-	s := megaHubGraph(rand.New(rand.NewSource(11)), 2000).CSR()
+	s := megaHubGraph(rand.New(rand.NewSource(11)), 2000)
 	deg2 := 0
 	for u := 0; u < s.N(); u++ {
 		if s.Degree(u) == 2 {
@@ -368,10 +368,10 @@ func FuzzCountMatchesReference(f *testing.F) {
 			return
 		}
 		n := 3 + int(data[0])%126
-		g := graph.New(n)
+		s := graph.NewCSR(n)
 		add := func(u, v int) {
-			if u != v && !g.HasEdge(u, v) {
-				if err := g.AddEdge(u, v); err != nil {
+			if u != v && !s.HasEdge(u, v) {
+				if err := s.AddEdge(u, v); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -382,7 +382,6 @@ func FuzzCountMatchesReference(f *testing.F) {
 		for i := 2; i+1 < len(data); i += 2 {
 			add(int(data[i])%n, int(data[i+1])%n)
 		}
-		s := g.CSR()
 		c := Count(s)
 		if !c.Equal(countReference(s).census()) {
 			t.Fatalf("census disagrees with reference on n=%d, m=%d", n, s.M())
@@ -408,7 +407,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 		m := 4 + rng.Intn(n*(n-1)/2-3)
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-		before := mapOf(Count(g.CSR()))
+		before := mapOf(Count(g))
 
 		// Try to find a valid degree-preserving swap.
 		for attempt := 0; attempt < 200; attempt++ {
@@ -435,7 +434,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 			d.AddEdge(g, deg, x, v)
 			g.AddEdge(x, v)
 
-			after := Count(g.CSR())
+			after := Count(g)
 			d.ApplyTo(before)
 			return before.census().Equal(after)
 		}
@@ -482,7 +481,7 @@ func TestDeltaAddRemoveCancel(t *testing.T) {
 
 func TestCensusClone(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	c := Count(g.CSR())
+	c := Count(g)
 	cl := c.Clone()
 	if !c.Equal(cl) {
 		t.Fatal("clone not equal")
@@ -495,7 +494,7 @@ func TestCensusClone(t *testing.T) {
 
 func TestSize4CensusPaw(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	c := CountSize4(g.CSR())
+	c := CountSize4(g)
 	want := Size4Census{Path4: 2, Claw: 1, Cycle4: 0, Paw: 1, Diamond: 0, K4: 0}
 	if c != want {
 		t.Errorf("paw census = %+v, want %+v", c, want)
@@ -504,7 +503,7 @@ func TestSize4CensusPaw(t *testing.T) {
 
 func TestSize4CensusK4(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	c := CountSize4(g.CSR())
+	c := CountSize4(g)
 	// K4 contains: 4 claws (one per center), 12 P4s (4!/2), 3 C4s,
 	// 12 paws (4 triangles × 3 pendant choices... each triangle has 3
 	// vertices each with degree 3 → (3-2)*3 = 3 per triangle × 4 = 12),
@@ -517,7 +516,7 @@ func TestSize4CensusK4(t *testing.T) {
 
 func TestSize4CensusCycle(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	c := CountSize4(g.CSR())
+	c := CountSize4(g)
 	want := Size4Census{Path4: 4, Claw: 0, Cycle4: 1, Paw: 0, Diamond: 0, K4: 0}
 	if c != want {
 		t.Errorf("C4 census = %+v, want %+v", c, want)
@@ -526,7 +525,7 @@ func TestSize4CensusCycle(t *testing.T) {
 
 func TestSize4CensusStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	c := CountSize4(g.CSR())
+	c := CountSize4(g)
 	want := Size4Census{Path4: 0, Claw: 1}
 	if c != want {
 		t.Errorf("K1,3 census = %+v, want %+v", c, want)

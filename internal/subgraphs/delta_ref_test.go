@@ -1,5 +1,7 @@
 package subgraphs
 
+import "repro/internal/graph"
+
 // The map-keyed census delta that 3K rewiring and 3K targeting ran on
 // before the dense Tracker. It is kept here only as the differential
 // reference the Tracker tests compare against.
@@ -68,26 +70,17 @@ func (d *Delta) addTriangle(a, b, c int, sign int64) {
 	}
 }
 
-// AdjGraph is the read surface Delta needs from a mutable graph:
-// neighbor iteration and membership probes. Both the map-adjacency
-// graph.Graph (the retained differential-test reference) and the CSR
-// working representation satisfy it.
-type AdjGraph interface {
-	VisitNeighbors(u int, f func(v int) bool)
-	HasEdge(u, v int) bool
-}
-
 // RemoveEdge records the census change caused by deleting edge (u,v) from
 // g. It must be called while the edge is still present; the caller then
 // performs g.RemoveEdge(u, v).
-func (d *Delta) RemoveEdge(g AdjGraph, deg []int, u, v int) {
+func (d *Delta) RemoveEdge(g *graph.CSR, deg []int, u, v int) {
 	d.edgeChange(g, deg, u, v, -1)
 }
 
 // AddEdge records the census change caused by inserting edge (u,v) into g.
 // It must be called while the edge is still absent; the caller then
 // performs g.AddEdge(u, v).
-func (d *Delta) AddEdge(g AdjGraph, deg []int, u, v int) {
+func (d *Delta) AddEdge(g *graph.CSR, deg []int, u, v int) {
 	d.edgeChange(g, deg, u, v, +1)
 }
 
@@ -95,7 +88,7 @@ func (d *Delta) AddEdge(g AdjGraph, deg []int, u, v int) {
 // with edge (u,v): triangles through each common neighbor w (which trade
 // places with the u–w–v wedge centered at w), wedges centered at u ending
 // at v, and wedges centered at v ending at u.
-func (d *Delta) edgeChange(g AdjGraph, deg []int, u, v int, sign int64) {
+func (d *Delta) edgeChange(g *graph.CSR, deg []int, u, v int, sign int64) {
 	du, dv := deg[u], deg[v]
 	g.VisitNeighbors(u, func(w int) bool {
 		if w == v {

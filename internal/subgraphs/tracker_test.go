@@ -11,7 +11,7 @@ import (
 // randomValidSwap draws a double-edge swap (u,v),(x,y) → (u,y),(x,v) that
 // is structurally valid on g (distinct endpoints, replacement edges
 // absent), or ok = false if the draw failed.
-func randomValidSwap(rng *rand.Rand, g *graph.Graph) (u, v, x, y int, ok bool) {
+func randomValidSwap(rng *rand.Rand, g *graph.CSR) (u, v, x, y int, ok bool) {
 	e1 := g.EdgeAt(rng.Intn(g.M()))
 	e2 := g.EdgeAt(rng.Intn(g.M()))
 	u, v = e1.U, e1.V
@@ -33,7 +33,7 @@ func randomValidSwap(rng *rand.Rand, g *graph.Graph) (u, v, x, y int, ok bool) {
 
 // mapDeltaOfSwap computes the swap's census delta with the map-keyed
 // Delta via apply-and-revert on a clone — the reference implementation.
-func mapDeltaOfSwap(g *graph.Graph, deg []int, u, v, x, y int) *Census {
+func mapDeltaOfSwap(g *graph.CSR, deg []int, u, v, x, y int) *Census {
 	work := g.Clone()
 	d := NewDelta()
 	d.RemoveEdge(work, deg, u, v)
@@ -75,7 +75,7 @@ func TestTrackerSwapDeltaMatchesDelta(t *testing.T) {
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
 
-		cg := g.CSR()
+		cg := g.Clone()
 		denseLimit = oldLimit
 		trMerge := NewTracker(cg, deg)
 		trBits := NewTrackerThreshold(cg, deg, 1)
@@ -133,7 +133,7 @@ func TestTrackerSwapDeltaJDDMatchesSwapDelta(t *testing.T) {
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
 
-		cg := g.CSR()
+		cg := g.Clone()
 		denseLimit = oldLimit
 		trMerge := NewTracker(cg, deg)
 		trBits := NewTrackerThreshold(cg, deg, 1)
@@ -184,7 +184,7 @@ func TestTrackerSwapDeltaMatchesComposedOps(t *testing.T) {
 		m := 5 + rng.Intn(n*(n-1)/2-4)
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-		cg := g.CSR()
+		cg := g.Clone()
 		tr := NewTracker(cg, deg)
 		td := tr.NewDelta()
 		for tries := 0; tries < 20; tries++ {
@@ -234,7 +234,7 @@ func TestTrackerApplySwapMaintainsMirror(t *testing.T) {
 		n, m := 24, 60
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-		cg := g.CSR()
+		cg := g.Clone()
 		tr := NewTrackerThreshold(cg, deg, threshold)
 		td := tr.NewDelta()
 		accepted := 0
@@ -283,7 +283,7 @@ func TestTrackerApplySwapMaintainsMirror(t *testing.T) {
 func TestTrackerDeltaResetAndZero(t *testing.T) {
 	g := build(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
 	deg := g.DegreeSequence()
-	tr := NewTracker(g.CSR(), deg)
+	tr := NewTracker(g.Clone(), deg)
 	td := tr.NewDelta()
 	if !td.IsZero() {
 		t.Fatal("fresh delta not zero")
@@ -352,7 +352,7 @@ func TestTrackerObservedPairSizingStaysDense(t *testing.T) {
 	}
 	g := build(t, n, edges)
 	deg := g.DegreeSequence()
-	cg := g.CSR()
+	cg := g.Clone()
 	tr := NewTracker(cg, deg)
 	if nc := tr.nc; nc*nc*nc <= denseLimit {
 		t.Fatalf("test graph too tame: nc=%d, nc³=%d <= denseLimit=%d", nc, nc*nc*nc, denseLimit)

@@ -59,7 +59,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrap(g.CSR(), labels), nil
+	return wrap(g, labels), nil
 }
 
 // ReadGraphFile reads an edge-list file; "-" means stdin.

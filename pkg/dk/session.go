@@ -85,6 +85,9 @@ func (b backend) Resolve(ref dkapi.GraphRef) (pipeline.Handle, error) {
 		if err != nil {
 			return nil, err
 		}
+		if g.g.N() == 0 {
+			return nil, service.ErrEmptyEdges
+		}
 		e, _ := b.s.cache.Intern(g.g, g.labels)
 		return handle{e}, nil
 	case ref.Dataset != "":

@@ -128,6 +128,23 @@ func netsimPipeline() dkapi.PipelineRequest {
 // plus an 8-replica dK-random ensemble returns measured-vs-ensemble
 // curves for all three scenario kinds, byte-identical between the local
 // facade and a remote server, and across repeated remote submissions.
+// TestEmptyInlineEdgesLocalRemoteAgree checks that an inline edge list
+// with no edges fails the same pipeline locally (pkg/dk) and remotely
+// (the server) instead of running on a 0-node graph.
+func TestEmptyInlineEdgesLocalRemoteAgree(t *testing.T) {
+	_, c := newServer(t)
+	ctx := context.Background()
+	req := dkapi.PipelineRequest{Steps: []dkapi.PipelineStep{
+		{ID: "ext", Op: dkapi.OpExtract, Source: &dkapi.GraphRef{Edges: "# comment\n"}, D: dkapi.Int(1)},
+	}}
+	if _, _, err := c.RunPipeline(ctx, req); err == nil || !strings.Contains(err.Error(), "empty edge list") {
+		t.Fatalf("remote run: err %v, want an empty edge list error", err)
+	}
+	if _, err := dk.RunPipeline(ctx, req); err == nil || !strings.Contains(err.Error(), "empty edge list") {
+		t.Fatalf("local run: err %v, want an empty edge list error", err)
+	}
+}
+
 func TestNetsimLocalRemoteIdentical(t *testing.T) {
 	_, c := newServer(t)
 	ctx := context.Background()
