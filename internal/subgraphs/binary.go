@@ -44,33 +44,48 @@ func (c *Census) AppendBinary(dst []byte) []byte {
 }
 
 // UnmarshalBinary decodes the encoding produced by MarshalBinary. Keys are
-// re-canonicalized on the way in; duplicate classes and zero counts are
-// rejected so every valid encoding has exactly one decoded form.
+// re-canonicalized on the way in; duplicate classes, zero counts and
+// degrees above math.MaxInt32 are rejected so every valid encoding has
+// exactly one decoded form.
 func (c *Census) UnmarshalBinary(data []byte) error {
 	d := binDecoder{buf: data}
 	nw := d.count("wedge classes")
 	wedges := make([]WedgeCount, 0, min(nw, 1<<16))
-	for i := 0; i < nw && d.err == nil; i++ {
-		kc := d.count("wedge center degree")
-		lo := d.count("wedge end degree")
-		hi := d.count("wedge end degree")
+	for i := 0; i < nw; i++ {
+		kc := d.uvarint("wedge center degree")
+		lo := d.uvarint("wedge end degree")
+		hi := d.uvarint("wedge end degree")
 		n := d.count64("wedge count")
-		if d.err == nil && n <= 0 {
-			return fmt.Errorf("subgraphs: wedge class %+v count %d", NewWedgeKey(lo, kc, hi), n)
+		if d.err != nil {
+			break
 		}
-		wedges = append(wedges, WedgeCount{NewWedgeKey(lo, kc, hi), n})
+		if !degreesFit(kc, lo, hi) {
+			return fmt.Errorf("subgraphs: wedge class k_center=%d k_lo=%d k_hi=%d: %w", kc, lo, hi, errDegreeRange)
+		}
+		k := NewWedgeKey(int(lo), int(kc), int(hi))
+		if n <= 0 {
+			return fmt.Errorf("subgraphs: wedge class %+v count %d", k, n)
+		}
+		wedges = append(wedges, WedgeCount{k, n})
 	}
 	nt := d.count("triangle classes")
 	tris := make([]TriangleCount, 0, min(nt, 1<<16))
-	for i := 0; i < nt && d.err == nil; i++ {
-		k1 := d.count("triangle degree")
-		k2 := d.count("triangle degree")
-		k3 := d.count("triangle degree")
+	for i := 0; i < nt; i++ {
+		k1 := d.uvarint("triangle degree")
+		k2 := d.uvarint("triangle degree")
+		k3 := d.uvarint("triangle degree")
 		n := d.count64("triangle count")
-		if d.err == nil && n <= 0 {
-			return fmt.Errorf("subgraphs: triangle class %+v count %d", NewTriangleKey(k1, k2, k3), n)
+		if d.err != nil {
+			break
 		}
-		tris = append(tris, TriangleCount{NewTriangleKey(k1, k2, k3), n})
+		if !degreesFit(k1, k2, k3) {
+			return fmt.Errorf("subgraphs: triangle class k1=%d k2=%d k3=%d: %w", k1, k2, k3, errDegreeRange)
+		}
+		k := NewTriangleKey(int(k1), int(k2), int(k3))
+		if n <= 0 {
+			return fmt.Errorf("subgraphs: triangle class %+v count %d", k, n)
+		}
+		tris = append(tris, TriangleCount{k, n})
 	}
 	if d.err != nil {
 		return d.err

@@ -15,6 +15,8 @@ package subgraphs
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -22,26 +24,29 @@ import (
 
 // WedgeKey identifies a wedge class by node degrees: a path end–center–end
 // with end degrees KLo <= KHi (swapping the two ends is an isomorphism, so
-// the key is canonical).
+// the key is canonical). Degrees are int32, as the CSR caps nodes at
+// math.MaxInt32, which with the int64 count makes a 24-byte census entry.
 type WedgeKey struct {
-	KLo, KCenter, KHi int
+	KLo, KCenter, KHi int32
 }
 
-// NewWedgeKey canonicalizes (end1, center, end2) degree arguments.
+// NewWedgeKey canonicalizes (end1, center, end2) degree arguments, each
+// of which must lie in [0, math.MaxInt32].
 func NewWedgeKey(kEnd1, kCenter, kEnd2 int) WedgeKey {
 	if kEnd1 > kEnd2 {
 		kEnd1, kEnd2 = kEnd2, kEnd1
 	}
-	return WedgeKey{kEnd1, kCenter, kEnd2}
+	return WedgeKey{int32(kEnd1), int32(kCenter), int32(kEnd2)}
 }
 
 // TriangleKey identifies a triangle class by sorted node degrees
 // K1 <= K2 <= K3.
 type TriangleKey struct {
-	K1, K2, K3 int
+	K1, K2, K3 int32
 }
 
-// NewTriangleKey canonicalizes three degree arguments.
+// NewTriangleKey canonicalizes three degree arguments, each of which
+// must lie in [0, math.MaxInt32].
 func NewTriangleKey(a, b, c int) TriangleKey {
 	if a > b {
 		a, b = b, a
@@ -52,7 +57,7 @@ func NewTriangleKey(a, b, c int) TriangleKey {
 	if a > b {
 		a, b = b, a
 	}
-	return TriangleKey{a, b, c}
+	return TriangleKey{int32(a), int32(b), int32(c)}
 }
 
 // Compare orders wedge keys by (KCenter, KLo, KHi), the census's
@@ -181,6 +186,20 @@ func Join[K ClassKey[K]](a, b []ClassCount[K], f func(k K, x, y int64)) {
 	}
 }
 
+// errDegreeRange is the decoders' error for a class degree that does not
+// fit the int32 key fields.
+var errDegreeRange = fmt.Errorf("degree outside [0, %d]", math.MaxInt32)
+
+// degreesFit reports whether every degree lies in [0, math.MaxInt32].
+func degreesFit[T int | uint64](ks ...T) bool {
+	for _, k := range ks {
+		if k < 0 || uint64(k) > math.MaxInt32 {
+			return false
+		}
+	}
+	return true
+}
+
 // setCanonical sets c to the decoded wire records wedges and tris:
 // sorted into key order, duplicate keys rejected, zero counts dropped.
 func (c *Census) setCanonical(wedges []WedgeCount, tris []TriangleCount) error {
@@ -230,10 +249,11 @@ func sortClasses[K ClassKey[K]](s []ClassCount[K]) {
 // (degree >= DefaultBitsetThreshold) with the longer window, u's window
 // beyond v against v's bitset — so no edge costs more than its shorter
 // endpoint window. When a class is done its planes' nonzero slots are
-// flushed in index order, which is (KCenter, KLo, KHi) order for wedges
+// appended in index order, which is (KCenter, KLo, KHi) order for wedges
 // and (K1, K2, K3) order for triangles. The planes take O(nc²) = O(m)
-// memory; the flushed slots are logged in fixed-size chunks so the
-// output arrays are allocated at their exact length.
+// memory. The wedge array, most of the census, is allocated once at the
+// capacity wedgeClassBound gives, so it never grows and is never copied;
+// triangles go to a growing slice.
 func Count(s *graph.CSR) *Census {
 	n := s.N()
 	deg := make([]int, n)
@@ -251,11 +271,11 @@ func Count(s *graph.CSR) *Census {
 	for _, d := range deg {
 		classOf[d] = 0
 	}
-	classDeg := make([]int, 0, 16)
+	classDeg := make([]int32, 0, 16)
 	for d, seen := range classOf {
 		if seen == 0 {
 			classOf[d] = int32(len(classDeg))
-			classDeg = append(classDeg, d)
+			classDeg = append(classDeg, int32(d))
 		}
 	}
 	nc := len(classDeg)
@@ -289,9 +309,12 @@ func Count(s *graph.CSR) *Census {
 		}
 	}
 
+	c := &Census{
+		Wedges:    make([]WedgeCount, 0, wedgeClassBound(s, cls, order, start)),
+		Triangles: []TriangleCount{},
+	}
 	wPlane := make([]int64, nc*nc)
 	tPlane := make([]int64, nc*nc)
-	var wLog, tLog slotLog
 	cnt := make([]int64, nc)
 	touched := make([]int32, 0, 64)
 	stamp := make([]int32, n) // stamp[w] == u+1: w is a neighbor of center u
@@ -356,68 +379,86 @@ func Count(s *graph.CSR) *Census {
 				}
 			}
 		}
-		wLog.flush(wPlane, nc, 0)
-		tLog.flush(tPlane, nc, cc)
-	}
-
-	c := &Census{
-		Wedges:    make([]WedgeCount, wLog.n),
-		Triangles: make([]TriangleCount, tLog.n),
-	}
-	for cc, i := 0, 0; cc < nc; cc++ {
-		for ; i < wLog.ends[cc]; i++ {
-			e := wLog.at(i)
-			c.Wedges[i] = WedgeCount{WedgeKey{classDeg[e.a], classDeg[cc], classDeg[e.b]}, e.n}
+		// Append and zero the nonzero slots (a, b), a <= b, in index
+		// order: wedge ends from class 0, triangle corners from cc.
+		kc := classDeg[cc]
+		for a := 0; a < nc; a++ {
+			row := wPlane[a*nc : (a+1)*nc]
+			for b := a; b < nc; b++ {
+				if v := row[b]; v != 0 {
+					c.Wedges = append(c.Wedges, WedgeCount{WedgeKey{classDeg[a], kc, classDeg[b]}, v})
+					row[b] = 0
+				}
+			}
 		}
-	}
-	for cc, i := 0, 0; cc < nc; cc++ {
-		for ; i < tLog.ends[cc]; i++ {
-			e := tLog.at(i)
-			c.Triangles[i] = TriangleCount{TriangleKey{classDeg[cc], classDeg[e.a], classDeg[e.b]}, e.n}
+		for a := cc; a < nc; a++ {
+			row := tPlane[a*nc : (a+1)*nc]
+			for b := a; b < nc; b++ {
+				if v := row[b]; v != 0 {
+					if len(c.Triangles) == cap(c.Triangles) {
+						// Double: append's 1.25× steps for large slices
+						// would allocate about 5× the final array.
+						c.Triangles = slices.Grow(c.Triangles, len(c.Triangles)+1)
+					}
+					c.Triangles = append(c.Triangles, TriangleCount{TriangleKey{kc, classDeg[a], classDeg[b]}, v})
+					row[b] = 0
+				}
+			}
 		}
 	}
 	return c
 }
 
-// slot is one nonzero plane entry: classes a <= b and the count.
-type slot struct {
-	a, b int32
-	n    int64
-}
-
-// logChunk is the slotLog chunk length.
-const logChunk = 1 << 14
-
-// slotLog collects the nonzero plane slots flushed per center class in
-// fixed-size chunks, so Count can size its output exactly once counting
-// ends, without reallocating a growing buffer.
-type slotLog struct {
-	chunks [][]slot
-	n      int
-	ends   []int // ends[cc]: slots logged through center class cc
-}
-
-// flush logs and zeroes the nonzero slots (a, b), from <= a <= b, of
-// the nc×nc plane in index order, and closes the current center class.
-func (l *slotLog) flush(plane []int64, nc, from int) {
-	for a := from; a < nc; a++ {
-		row := plane[a*nc : (a+1)*nc]
-		for b := a; b < nc; b++ {
-			if v := row[b]; v != 0 {
-				if l.n%logChunk == 0 {
-					l.chunks = append(l.chunks, make([]slot, logChunk))
-				}
-				l.chunks[l.n/logChunk][l.n%logChunk] = slot{int32(a), int32(b), v}
-				l.n++
-				row[b] = 0
+// wedgeClassBound returns an upper bound on the number of wedge classes
+// Count emits for the class layout cls, order and start. For each center
+// class it marks, in an nc²-bit set, every end-class slot (lo, hi) that
+// a center's neighbor-class histogram fills, and counts the marks. Closed
+// pairs only subtract from slots the histogram filled, so no other slot
+// can end nonzero. A center ORs the bitset of its neighbors' classes into
+// the row of each such class, so a hub with T neighbor classes costs
+// T·nc/64 word operations, not T²/2 slot updates.
+func wedgeClassBound(s *graph.CSR, cls, order []int32, start []int) int {
+	nc := len(start) - 1
+	words := (nc + 63) / 64
+	seen := make([]uint64, nc*words) // row lo: the hi classes marked
+	nbr := make([]uint64, words)     // classes with a neighbor of the center
+	twice := make([]uint64, words)   // classes with two or more
+	touched := make([]int32, 0, 64)
+	bound := 0
+	for cc := 0; cc < nc; cc++ {
+		for _, u := range order[start[cc]:start[cc+1]] {
+			nbrs := s.Neighbors(int(u))
+			if len(nbrs) < 2 {
+				continue
 			}
+			for _, v := range nbrs {
+				c := cls[v]
+				if w, bit := c>>6, uint64(1)<<(c&63); nbr[w]&bit == 0 {
+					nbr[w] |= bit
+					touched = append(touched, c)
+				} else {
+					twice[w] |= bit
+				}
+			}
+			for _, a := range touched {
+				row, w, bit := seen[int(a)*words:int(a+1)*words], a>>6, uint64(1)<<(a&63)
+				row[w] |= nbr[w]&^(bit<<1-1) | twice[w]&bit // hi > a, or hi == a twice
+				for x := w + 1; x < int32(words); x++ {
+					row[x] |= nbr[x]
+				}
+			}
+			for _, a := range touched {
+				nbr[a>>6], twice[a>>6] = 0, 0
+			}
+			touched = touched[:0]
 		}
+		for _, x := range seen {
+			bound += bits.OnesCount64(x)
+		}
+		clear(seen)
 	}
-	l.ends = append(l.ends, l.n)
+	return bound
 }
-
-// at returns the i-th logged slot.
-func (l *slotLog) at(i int) slot { return l.chunks[i/logChunk][i%logChunk] }
 
 // bsHas probes membership of w in a node bitset.
 func bsHas(bs []uint64, w int32) bool {

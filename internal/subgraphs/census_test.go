@@ -397,6 +397,36 @@ func FuzzCountMatchesReference(f *testing.F) {
 	})
 }
 
+// TestCountWedgeCapacity checks that Count allocates its wedge array
+// once, at the pre-pass bound, and that the bound is what the pre-pass
+// promises: the number of distinct wedge keys over every neighbor pair
+// of every center, open or closed. An undercount would make the append
+// grow the array; cap would then differ from the bound.
+func TestCountWedgeCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range []*graph.CSR{
+		build(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}),
+		randomGraph(rng, 40, 150),
+		hubGraph(rng, 300, 1000),
+		manyClassGraph(rng, 1000, 150),
+		megaHubGraph(rng, 400),
+	} {
+		keys := map[WedgeKey]bool{}
+		for u := 0; u < g.N(); u++ {
+			nb := g.Neighbors(u)
+			for i, a := range nb {
+				for _, b := range nb[i+1:] {
+					keys[NewWedgeKey(g.Degree(int(a)), g.Degree(u), g.Degree(int(b)))] = true
+				}
+			}
+		}
+		c := Count(g)
+		if cap(c.Wedges) != len(keys) || len(c.Wedges) > len(keys) {
+			t.Errorf("n=%d m=%d: %d wedge classes, cap %d, want cap %d", g.N(), g.M(), len(c.Wedges), cap(c.Wedges), len(keys))
+		}
+	}
+}
+
 // TestDeltaMatchesRecountProperty verifies the incremental delta machinery
 // against full recounts across random degree-preserving double-edge swaps:
 // the foundation of all 3K rewiring.

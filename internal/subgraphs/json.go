@@ -39,10 +39,10 @@ type censusJSON struct {
 func (c *Census) MarshalJSON() ([]byte, error) {
 	out := censusJSON{Wedges: make([]wedgeJSON, len(c.Wedges)), Triangles: make([]triangleJSON, len(c.Triangles))}
 	for i, w := range c.Wedges {
-		out.Wedges[i] = wedgeJSON{w.Key.KLo, w.Key.KCenter, w.Key.KHi, w.Count}
+		out.Wedges[i] = wedgeJSON{int(w.Key.KLo), int(w.Key.KCenter), int(w.Key.KHi), w.Count}
 	}
 	for i, t := range c.Triangles {
-		out.Triangles[i] = triangleJSON{t.Key.K1, t.Key.K2, t.Key.K3, t.Count}
+		out.Triangles[i] = triangleJSON{int(t.Key.K1), int(t.Key.K2), int(t.Key.K3), t.Count}
 	}
 	return json.Marshal(out)
 }
@@ -50,7 +50,8 @@ func (c *Census) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes the sorted-array census encoding produced by
 // MarshalJSON. Keys are re-canonicalized and classes sorted on the way
 // in, so hand-written JSON in any order is accepted; zero-count classes
-// are dropped, and negative counts and duplicate classes are rejected.
+// are dropped, and negative counts, degrees outside [0, math.MaxInt32]
+// and duplicate classes are rejected.
 func (c *Census) UnmarshalJSON(b []byte) error {
 	var in censusJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -58,6 +59,9 @@ func (c *Census) UnmarshalJSON(b []byte) error {
 	}
 	wedges := make([]WedgeCount, len(in.Wedges))
 	for i, w := range in.Wedges {
+		if !degreesFit(w.KLo, w.KCenter, w.KHi) {
+			return fmt.Errorf("subgraphs: wedge class k_lo=%d k_center=%d k_hi=%d: %w", w.KLo, w.KCenter, w.KHi, errDegreeRange)
+		}
 		wedges[i] = WedgeCount{NewWedgeKey(w.KLo, w.KCenter, w.KHi), w.Count}
 		if w.Count < 0 {
 			return fmt.Errorf("subgraphs: wedge class %+v count %d in JSON", wedges[i].Key, w.Count)
@@ -65,6 +69,9 @@ func (c *Census) UnmarshalJSON(b []byte) error {
 	}
 	tris := make([]TriangleCount, len(in.Triangles))
 	for i, t := range in.Triangles {
+		if !degreesFit(t.K1, t.K2, t.K3) {
+			return fmt.Errorf("subgraphs: triangle class k1=%d k2=%d k3=%d: %w", t.K1, t.K2, t.K3, errDegreeRange)
+		}
 		tris[i] = TriangleCount{NewTriangleKey(t.K1, t.K2, t.K3), t.Count}
 		if t.Count < 0 {
 			return fmt.Errorf("subgraphs: triangle class %+v count %d in JSON", tris[i].Key, t.Count)

@@ -56,7 +56,7 @@ type Tracker struct {
 	nc        int        // degree class count
 	dense     bool       // pair-sized arrays fit denseLimit, else map fallback
 	cls       []int32    // node -> degree class (ascending in degree)
-	classDeg  []int      // degree class -> degree
+	classDeg  []int32    // degree class -> degree
 	pid       []int32    // ordered class pair (a*nc+b) -> dense pair id, -1 unobserved
 	pairA     []int32    // pair id -> first class of the ordered pair
 	pairB     []int32    // pair id -> second class of the ordered pair
@@ -89,11 +89,11 @@ func NewTrackerThreshold(g *graph.CSR, deg []int, threshold int) *Tracker {
 	for _, d := range deg {
 		classOf[d] = 0
 	}
-	classDeg := make([]int, 0, 16)
+	classDeg := make([]int32, 0, 16)
 	for d, seen := range classOf {
 		if seen == 0 {
 			classOf[d] = int32(len(classDeg))
-			classDeg = append(classDeg, d)
+			classDeg = append(classDeg, int32(d))
 		}
 	}
 	nc := len(classDeg)
@@ -752,7 +752,7 @@ func (t *Tracker) NewCensusGap(current, target *Census) *CensusGap {
 }
 
 // classOf returns the class of degree k, or false if no node has it.
-func (t *Tracker) classOf(k int) (int32, bool) {
+func (t *Tracker) classOf(k int32) (int32, bool) {
 	lo, hi := 0, len(t.classDeg)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -289,8 +289,10 @@ const (
 // internal tree. Its Wedges and Triangles are arrays of {Key, Count}
 // sorted by class key — wedges by (KCenter, KLo, KHi), triangles by
 // (K1, K2, K3) — with unique keys and nonzero counts; Census.Wedge and
-// Census.Triangle look a class up. The JSON form is the sorted record
-// arrays it has always been.
+// Census.Triangle look a class up. The key fields (KLo, KCenter, KHi and
+// K1, K2, K3) are int32 degrees, which makes each entry 24 bytes; the
+// decoders reject a degree outside [0, math.MaxInt32]. The JSON form is
+// the sorted record arrays it has always been.
 type Census = subgraphs.Census
 
 // Profile, Summary are likewise re-exported for SDK users. A Profile's
