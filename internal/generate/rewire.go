@@ -129,6 +129,13 @@ type intner interface{ Intn(n int) int }
 // deciding from the objective delta. A nil objective with the default
 // policy yields pure dK-randomizing rewiring.
 type Rewirer struct {
+	// G is the graph being rewired. It holds every accepted move
+	// whenever neither Step nor Run is executing. Inside Run's own loop,
+	// objective-free depth-2 rewiring without PreserveConnectivity
+	// applies its swaps to the end index and its edge set only, and
+	// rebuilds G from them once, in place, when Run returns (error
+	// returns included); OnProgress callbacks of such a run see G as it
+	// was when Run began.
 	G     *graph.CSR
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
@@ -184,6 +191,7 @@ type Rewirer struct {
 	dirtyList []int
 	moves     []Move
 	ends      *endIndex // objective-free depth-2 proposer, built by the first Step
+	deferG    bool      // Run's loop is leaving the ends' swaps out of G
 }
 
 // endIndex is the proposal state of objective-free depth-2 rewiring. An
@@ -191,11 +199,16 @@ type Rewirer struct {
 // far node at[a^1]. byFar lists every end grouped by the degree of its
 // far node: class k is byFar[class[k]:class[k+1]]. A 2K swap exchanges
 // the far nodes of two ends in one class, which moves no end to another
-// class, so only the two far entries of at change.
+// class, so only the two far entries of at change. Read in pairs, at is
+// also the edge list in slot order: edge i joins at[2i] and at[2i+1],
+// which is EdgeAt(i) up to orientation. edges answers the duplicate
+// probes. stale reports swaps not yet written back to the graph.
 type endIndex struct {
 	at    []int32
 	byFar []uint32
 	class []int32
+	edges *edgeSet
+	stale bool
 }
 
 // newEndIndex builds the end index of g by counting sort, in O(n + m).
@@ -205,10 +218,13 @@ func newEndIndex(g *graph.CSR, deg []int) *endIndex {
 		at:    make([]int32, 2*m),
 		byFar: make([]uint32, 2*m),
 		class: make([]int32, g.MaxDegree()+2),
+		edges: newEdgeSet(m),
 	}
 	for i := 0; i < m; i++ {
 		e := g.EdgeAt(i)
-		ix.at[2*i], ix.at[2*i+1] = int32(e.U), int32(e.V)
+		u, v := int32(e.U), int32(e.V)
+		ix.at[2*i], ix.at[2*i+1] = u, v
+		ix.edges.insert(edgeKey(u, v))
 		ix.class[deg[e.U]+1]++
 		ix.class[deg[e.V]+1]++
 	}
@@ -224,14 +240,31 @@ func newEndIndex(g *graph.CSR, deg []int) *endIndex {
 	return ix
 }
 
-// swap exchanges the far nodes of ends a and b, applying the 2K swap
-// (u,v),(x,y) → (u,y),(x,v) to g in place. It is its own inverse.
+// swap exchanges the far nodes of ends a and b: the 2K swap
+// (u,v),(x,y) → (u,y),(x,v). It updates the edge set, and g in place
+// unless g is nil; then g falls behind until sync. It is its own
+// inverse.
 func (ix *endIndex) swap(g *graph.CSR, a, b int) {
-	v, y := ix.at[a^1], ix.at[b^1]
-	if err := g.SwapEnds(int(ix.at[a]), int(v), int(ix.at[b]), int(y)); err != nil {
+	u, v, x, y := ix.at[a], ix.at[a^1], ix.at[b], ix.at[b^1]
+	if !ix.edges.remove(edgeKey(u, v)) || !ix.edges.remove(edgeKey(x, y)) ||
+		!ix.edges.insert(edgeKey(u, y)) || !ix.edges.insert(edgeKey(x, v)) {
+		panic(fmt.Sprintf("generate: internal invariant violated: swap (%d,%d),(%d,%d) disagrees with the edge set", u, v, x, y))
+	}
+	if g == nil {
+		ix.stale = true
+	} else if err := g.SwapEnds(int(u), int(v), int(x), int(y)); err != nil {
 		panic("generate: internal invariant violated: " + err.Error())
 	}
 	ix.at[a^1], ix.at[b^1] = y, v
+}
+
+// sync writes the swaps left out of g back to it: one in-place rebuild
+// from the edge list at holds in slot order.
+func (ix *endIndex) sync(g *graph.CSR) {
+	if ix.stale {
+		g.RebuildEdges(ix.at)
+		ix.stale = false
+	}
 }
 
 // candidate is one speculatively drawn and structurally evaluated
@@ -430,11 +463,15 @@ func (r *Rewirer) stepEnds() (bool, error) {
 		r.Stats.Rejected.SelfLoop++
 		return false, nil
 	}
-	if r.G.HasEdge(u, y) || r.G.HasEdge(x, v) {
+	if ix.edges.has(edgeKey(int32(u), int32(y))) || ix.edges.has(edgeKey(int32(x), int32(v))) {
 		r.Stats.Rejected.DuplicateEdge++
 		return false, nil
 	}
-	ix.swap(r.G, a, b)
+	if r.deferG {
+		ix.swap(nil, a, b)
+	} else {
+		ix.swap(r.G, a, b)
+	}
 	if r.PreserveConnectivity && !graph.IsConnected(r.G) {
 		ix.swap(r.G, a, b)
 		r.Stats.Rejected.Disconnected++
@@ -622,8 +659,19 @@ func (b RejectionBreakdown) sub(o RejectionBreakdown) RejectionBreakdown {
 // returned stats are the Rewirer's cumulative r.Stats (identical to the
 // run's own when the Rewirer is fresh). With OnProgress set, Run emits a
 // convergence sample every ProgressEvery attempts and a final one at
-// whatever attempt count the run stopped on.
+// whatever attempt count the run stopped on. Objective-free depth-2
+// runs without PreserveConnectivity write their swaps back to r.G once,
+// on return (see Rewirer.G).
 func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, error) {
+	if r.Depth == 2 && r.Obj == nil && !r.PreserveConnectivity {
+		r.deferG = true
+		defer func() {
+			r.deferG = false
+			if r.ends != nil {
+				r.ends.sync(r.G)
+			}
+		}()
+	}
 	every := r.ProgressEvery
 	if every <= 0 {
 		every = r.G.M() // one sample per sweep (M proposals)

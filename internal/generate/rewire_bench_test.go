@@ -2,12 +2,36 @@ package generate
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
 	"repro/internal/stats"
 )
+
+// powerLawBenchGraph is the input of BenchmarkRewireD2PowerLaw: the
+// giant component of a γ=2 power-law graph on 50k nodes, matched from a
+// seed-2 degree sequence.
+func powerLawBenchGraph(tb testing.TB) *graph.CSR {
+	tb.Helper()
+	const n = 50000
+	rng := newRng(2)
+	pl, err := stats.NewPowerLaw(2.0, 1, int(3*math.Sqrt(n)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seq := pl.DegreeSequence(rng, n)
+	for !dk.Graphical(seq) {
+		seq = pl.DegreeSequence(rng, n)
+	}
+	g, err := Matching1K(dk.NewDegreeDist(seq), Options{Rng: rng})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, _ = graph.GiantComponent(g)
+	return g
+}
 
 // BenchmarkRewireD2PowerLaw times depth-2 dK-randomizing rewiring on a
 // γ=2 power-law graph of about 50k nodes, large enough that the edge
@@ -18,24 +42,15 @@ import (
 // 10·M proposals). It reports ns per attempted proposal and ns per
 // accepted swap: proposals drawn from the end index are mostly
 // accepted, so ns/attempt rises with the acceptance ratio, while
-// ns/accepted tracks the cost of the run's real work.
+// ns/accepted tracks the cost of the run's real work. B/edge is the
+// heap allocated per op over M, the figure TestRandomizeD2AllocBudget
+// bounds.
 func BenchmarkRewireD2PowerLaw(b *testing.B) {
-	const n = 50000
-	rng := newRng(2)
-	pl, err := stats.NewPowerLaw(2.0, 1, int(3*math.Sqrt(n)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := pl.DegreeSequence(rng, n)
-	for !dk.Graphical(seq) {
-		seq = pl.DegreeSequence(rng, n)
-	}
-	g, err := Matching1K(dk.NewDegreeDist(seq), Options{Rng: rng})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, _ = graph.GiantComponent(g)
-	attempts, accepted := 0, 0
+	g := powerLawBenchGraph(b)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	attempts, accepted, ops := 0, 0, 0
 	for seed := int64(0); b.Loop(); seed++ {
 		_, st, err := Randomize(g, 2, RandomizeOptions{Rng: newRng(seed), SwapFactor: 1})
 		if err != nil {
@@ -43,8 +58,11 @@ func BenchmarkRewireD2PowerLaw(b *testing.B) {
 		}
 		attempts += st.Attempts
 		accepted += st.Accepted
+		ops++
 	}
+	runtime.ReadMemStats(&after)
 	ns := float64(b.Elapsed().Nanoseconds())
 	b.ReportMetric(ns/float64(attempts), "ns/attempt")
 	b.ReportMetric(ns/float64(accepted), "ns/accepted")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(ops*g.M()), "B/edge")
 }

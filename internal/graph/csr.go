@@ -169,48 +169,115 @@ func csrFromCanonicalEdges(n int, edges []edge32) *CSR {
 
 // newCSRPreservingOrder builds a CSR from a simple, in-range edge list
 // in arbitrary order, taking ownership of edges and keeping it as the
-// edge list verbatim. Windows are sorted after a counting fill; the
-// edge-index overlay is laid down by binary search, O(m log d) total.
+// edge list verbatim.
 func newCSRPreservingOrder(n int, edges []edge32) *CSR {
 	checkNodeCount(n)
 	c := &CSR{
 		start: make([]int32, n),
 		deg:   make([]int32, n),
 		wcap:  make([]int32, n),
-		neigh: make([]int32, 2*len(edges)),
-		epos:  make([]int32, 2*len(edges)),
 		edges: edges,
 	}
-	for _, e := range edges {
+	c.layOut()
+	return c
+}
+
+// layOut rebuilds the windows of c from its edge list, which it keeps
+// verbatim, reusing the neighbor arena where it is large enough. A
+// counting fill places every neighbor with its edge index; each window
+// is then sorted with the indices carried along, as packed
+// neighbor<<32|index words in a scratch buffer of the largest degree,
+// so no edge has to be searched for afterwards. It reports whether
+// every window is free of duplicates.
+func (c *CSR) layOut() bool {
+	if m2 := 2 * len(c.edges); cap(c.neigh) >= m2 && cap(c.epos) >= m2 {
+		c.neigh, c.epos = c.neigh[:m2], c.epos[:m2]
+	} else {
+		c.neigh, c.epos = make([]int32, m2), make([]int32, m2)
+	}
+	clear(c.wcap)
+	for _, e := range c.edges {
 		c.wcap[e.U]++
 		c.wcap[e.V]++
 	}
-	var off int32
-	for u := 0; u < n; u++ {
+	var off, maxDeg int32
+	for u := range c.start {
 		c.start[u] = off
 		off += c.wcap[u]
+		maxDeg = max(maxDeg, c.wcap[u])
 	}
-	fill := make([]int32, n)
-	copy(fill, c.start)
-	for _, e := range edges {
-		c.neigh[fill[e.U]] = e.V
-		fill[e.U]++
-		c.neigh[fill[e.V]] = e.U
-		fill[e.V]++
+	// deg is the fill cursor of each window; it ends equal to wcap.
+	clear(c.deg)
+	for i, e := range c.edges {
+		p := c.start[e.U] + c.deg[e.U]
+		c.neigh[p], c.epos[p] = e.V, int32(i)
+		c.deg[e.U]++
+		p = c.start[e.V] + c.deg[e.V]
+		c.neigh[p], c.epos[p] = e.U, int32(i)
+		c.deg[e.V]++
 	}
-	copy(c.deg, c.wcap)
-	for u := 0; u < n; u++ {
-		slices.Sort(c.window(u))
+	c.dead = 0
+	simple := true
+	buf := make([]uint64, maxDeg)
+	for u := range c.start {
+		w, ew := c.window(u), c.ewindow(u)
+		if len(w) < 2 {
+			continue
+		}
+		b := buf[:len(w)]
+		for i := range w {
+			b[i] = uint64(w[i])<<32 | uint64(uint32(ew[i]))
+		}
+		slices.Sort(b)
+		for i, x := range b {
+			w[i], ew[i] = int32(x>>32), int32(uint32(x))
+			if i > 0 && w[i-1] == w[i] {
+				simple = false
+			}
+		}
 	}
-	// With windows sorted, locate each edge's two slots by binary search
-	// to lay down the edge-index overlay: O(m log d).
-	for i, e := range edges {
-		pu, _ := c.find(int(e.U), int(e.V))
-		c.epos[c.start[e.U]+int32(pu)] = int32(i)
-		pv, _ := c.find(int(e.V), int(e.U))
-		c.epos[c.start[e.V]+int32(pv)] = int32(i)
+	return simple
+}
+
+// RebuildEdges rebuilds c in place from ends, an edge list in slot
+// order: edge i joins nodes ends[2i] and ends[2i+1], in either
+// orientation, and becomes EdgeAt(i) in canonical orientation. The node
+// count stays; the windows come out compact and sorted, in c's own
+// arrays where they are large enough. This is the write-back of a
+// caller that applied many swaps to its own copy of the edge list: one
+// O(m log d) rebuild instead of one SwapEnds per swap. It panics unless
+// ends has even length and describes a simple graph on c's nodes; the
+// range and self-loop checks run before c is touched, the duplicate
+// check after.
+func (c *CSR) RebuildEdges(ends []int32) {
+	if len(ends)%2 != 0 {
+		panic("graph: RebuildEdges of an odd-length end list")
 	}
-	return c
+	n := int32(len(c.deg))
+	for i := 0; i < len(ends); i += 2 {
+		u, v := ends[i], ends[i+1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			panic(fmt.Sprintf("graph: RebuildEdges edge (%d,%d) out of range [0,%d)", u, v, n))
+		}
+		if u == v {
+			panic(fmt.Sprintf("graph: RebuildEdges self-loop at node %d", u))
+		}
+	}
+	m := len(ends) / 2
+	if cap(c.edges) < m {
+		c.edges = make([]edge32, m)
+	}
+	c.edges = c.edges[:m]
+	for i := range c.edges {
+		u, v := ends[2*i], ends[2*i+1]
+		if u > v {
+			u, v = v, u
+		}
+		c.edges[i] = edge32{u, v}
+	}
+	if !c.layOut() {
+		panic("graph: RebuildEdges of a duplicate edge")
+	}
 }
 
 // window returns u's live neighbor window.

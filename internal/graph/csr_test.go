@@ -270,6 +270,80 @@ func TestRequeueEdgesMatchesApplyRevert(t *testing.T) {
 	}
 }
 
+// endsOf returns the edge list of c in slot order, as RebuildEdges
+// takes it, with every other edge reversed.
+func endsOf(c *CSR) []int32 {
+	ends := make([]int32, 0, 2*c.M())
+	for i, e := range c.Edges() {
+		if i%2 == 1 {
+			e.U, e.V = e.V, e.U
+		}
+		ends = append(ends, int32(e.U), int32(e.V))
+	}
+	return ends
+}
+
+// TestRebuildEdges checks that rebuilding a graph in place from another
+// graph's slot-ordered edge list leaves the same edge list, windows and
+// edge-index overlay as that graph, whatever the target held before:
+// fewer edges, more edges, or relocated windows with dead space. Invalid
+// lists panic, and a range or self-loop panic leaves the target intact.
+func TestRebuildEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 60
+	random := func(m int) *CSR {
+		c := NewCSR(n)
+		for c.M() < m {
+			_ = c.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name           string
+		target, source *CSR
+	}{
+		{"grow", random(40), random(300)},
+		{"shrink", random(300), random(40)},
+		{"empty", random(30), NewCSR(n)},
+		{"relocated", func() *CSR {
+			c := NewCSR(n)
+			for v := 1; v < n; v++ {
+				_ = c.AddEdge(0, v)
+			}
+			return c
+		}(), random(200)},
+	} {
+		tc.target.RebuildEdges(endsOf(tc.source))
+		sameState(t, tc.target, tc.source)
+		checkMirror(t, tc.target, mapFromEdges(n, tc.source.Edges()))
+		if tc.target.dead != 0 || len(tc.target.neigh) != 2*tc.source.M() {
+			t.Fatalf("%s: arena of %d slots with %d dead, want %d compact", tc.name, len(tc.target.neigh), tc.target.dead, 2*tc.source.M())
+		}
+	}
+
+	c := random(50)
+	want := c.Clone()
+	for _, bad := range [][]int32{{0, 1, 2}, {0, n}, {-1, 3}, {4, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RebuildEdges(%v) did not panic", bad)
+				}
+			}()
+			c.RebuildEdges(bad)
+		}()
+		sameState(t, c, want)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RebuildEdges of a duplicate edge did not panic")
+			}
+		}()
+		c.RebuildEdges([]int32{0, 1, 2, 3, 1, 0})
+	}()
+}
+
 // TestCSRNodeCountBound checks that the constructors refuse node counts
 // outside the int32 id width before allocating anything, and that
 // AddNode's guard (checkNodeCount on the grown count) admits exactly

@@ -79,7 +79,8 @@ func FuzzReadEdgeList(f *testing.F) {
 // nodes included. Afterwards the
 // degrees are unchanged, every window is sorted, the edge-index overlay
 // agrees with the edge list, the adjacency equals a NewCSRFromEdges
-// rebuild of Edges(), and RemoveEdge can delete every edge.
+// rebuild of Edges() and a RebuildEdges rebuild of the slot-ordered
+// edge list, and RemoveEdge can delete every edge.
 func FuzzSwapEnds(f *testing.F) {
 	f.Add(int64(1), uint8(60), []byte{0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 4, 5, 5, 6})
 	f.Add(int64(42), uint8(40), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 6, 7})
@@ -137,6 +138,9 @@ func FuzzSwapEnds(f *testing.F) {
 			t.Fatalf("rebuild of swapped edge list: %v", err)
 		}
 		sameState(t, c, rebuild)
+		inPlace := NewCSR(n)
+		inPlace.RebuildEdges(endsOf(c))
+		sameState(t, inPlace, c)
 		for _, e := range c.Edges() {
 			if !c.RemoveEdge(e.U, e.V) {
 				t.Fatalf("RemoveEdge(%d,%d) found no edge", e.U, e.V)

@@ -235,10 +235,18 @@ func (c *Cache) diskTier() *store.Store { return c.disk }
 // (dataset synthesis) are normalized through a clone, which also keeps
 // shared dataset-memo graphs untouched.
 func (c *Cache) Intern(g *graph.CSR, labels []int) (*Entry, bool) {
+	return c.InternHashed(g, labels, CanonicalHash(g, labels))
+}
+
+// InternHashed is Intern for a graph whose content address h the caller
+// already holds, computed by CanonicalHash from the same g and labels:
+// it skips re-hashing the edge list. An h that does not match would file
+// the topology under a wrong address, so inputs from outside the process
+// go through Intern.
+func (c *Cache) InternHashed(g *graph.CSR, labels []int, h Hash) (*Entry, bool) {
 	if !g.EdgesCanonicallyOrdered() {
 		g = g.CanonicalClone()
 	}
-	h := CanonicalHash(g, labels)
 	e, existed := c.intern(h, g, true)
 	if !existed && c.disk != nil {
 		// Write-through is idempotent: the artifact is content-addressed,

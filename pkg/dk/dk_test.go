@@ -3,6 +3,7 @@ package dk_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +45,66 @@ func TestExtractCachedSemantics(t *testing.T) {
 	}
 	if first.Graph != second.Graph {
 		t.Fatalf("graph infos differ: %+v vs %+v", first.Graph, second.Graph)
+	}
+}
+
+// TestSessionAddCarriedHash: a Session files a graph under the hash it
+// carries. A replica re-added to a session randomizes to the same
+// replicas as its topology re-parsed from the edge list, and a second
+// extraction of it is a cache hit under Graph.Hash(). Node 0 of the
+// source is adjacent to every other node, and 2K rewiring keeps it so,
+// so the replica's canonical edge list names nodes 0, 1, 2, … first in
+// that order and re-parsing keeps every node id.
+func TestSessionAddCarriedHash(t *testing.T) {
+	ctx := context.Background()
+	const n = 40
+	var edges strings.Builder
+	for v := 1; v < n; v++ {
+		fmt.Fprintf(&edges, "0 %d\n", v)
+		if v+1 < n {
+			fmt.Fprintf(&edges, "%d %d\n", v, v+1)
+		}
+		if w := 1 + (v*7)%(n-1); w > v+1 {
+			fmt.Fprintf(&edges, "%d %d\n", v, w)
+		}
+	}
+	src := mustGraph(t, edges.String())
+	gen, err := dk.NewSession().Generate(ctx, src, dk.GenerateOptions{D: dkapi.Int(2), Replicas: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := gen.Graphs[0]
+	reparsed := mustGraph(t, replica.Edges())
+	if reparsed.Hash() != replica.Hash() {
+		t.Fatalf("re-parsed replica hashes to %s, carried hash %s", reparsed.Hash(), replica.Hash())
+	}
+	randomize := func(g *dk.Graph) string {
+		out, err := dk.NewSession().Generate(ctx, g, dk.GenerateOptions{D: dkapi.Int(2), Method: "randomize", Replicas: 2, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, rg := range out.Graphs {
+			if err := rg.WriteEdgeList(&sb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sb.String()
+	}
+	if randomize(replica) != randomize(reparsed) {
+		t.Fatal("a re-added replica randomizes differently from its re-parsed edge list")
+	}
+
+	s := dk.NewSession()
+	for i, wantCached := range []bool{false, true} {
+		res, err := s.Extract(ctx, replica, dk.ExtractOptions{D: dkapi.Int(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached != wantCached || res.Graph.Hash != replica.Hash() {
+			t.Fatalf("extraction %d: cached=%v hash %s, want cached=%v hash %s",
+				i+1, res.Cached, res.Graph.Hash, wantCached, replica.Hash())
+		}
 	}
 }
 

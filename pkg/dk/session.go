@@ -59,8 +59,11 @@ func NewSessionWith(opts SessionOptions) *Session {
 
 // Add interns a graph into the session and returns the hash reference
 // later pipeline steps (or other calls on this session) can use for it.
+// It files the graph under the hash g carries, computed when g was
+// parsed, synthesized or generated, instead of hashing the edge list
+// again.
 func (s *Session) Add(g *Graph) dkapi.GraphRef {
-	s.cache.Intern(g.g, g.labels)
+	s.cache.InternHashed(g.g, g.labels, service.Hash(g.hash))
 	return dkapi.GraphRef{Hash: g.hash}
 }
 
