@@ -8,9 +8,9 @@
 //	dkrepro -workers 4           # bound the worker pool (default: all cores)
 //
 // Output is plain text: tables match the paper's table rows; figures are
-// printed as aligned x/series matrices ready for plotting. EXPERIMENTS.md
-// in the repository root records a reference run against the paper's
-// numbers.
+// printed as aligned x/series matrices ready for plotting. The tests in
+// internal/experiments pin the qualitative shape of Table 5, Fig. 3 and
+// Fig. 8 at small scale.
 package main
 
 import (

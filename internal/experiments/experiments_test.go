@@ -109,7 +109,7 @@ func TestTable5HOT(t *testing.T) {
 	}
 	// The paper's dramatic d=3 collapse shows in the isomorphism-
 	// discounted column (leaf relabelings are isomorphic no-ops that
-	// remain census-preserving at every d; see EXPERIMENTS.md).
+	// remain census-preserving at every d; see generate.RewiringCount).
 	if iso[3] > iso[2]/10 {
 		t.Errorf("discounted 3K count %d not dramatically smaller than 2K %d", iso[3], iso[2])
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -20,7 +21,7 @@ type DistanceDistribution struct {
 }
 
 // Distances computes the exact distance distribution by running a BFS from
-// every node. Cost is O(n·m).
+// every node, 64 sources per bit-parallel batch. Cost is O(n·m) at worst.
 func Distances(s *graph.CSR) *DistanceDistribution {
 	return distances(s, nil, nil)
 }
@@ -70,8 +71,8 @@ func partialPerm(rng *rand.Rand, n, k int) []int {
 	return out
 }
 
-// bfsScratch is the reusable per-worker state of one BFS pass, shared by
-// the distance and degree-correlation sweeps.
+// bfsScratch is the reusable per-worker state of one BFS pass, used by
+// the degree-correlation sweep.
 type bfsScratch struct{ dist, queue []int32 }
 
 // bfsScratchFor lazily initializes the calling worker's scratch slot.
@@ -85,10 +86,19 @@ func bfsScratchFor(scratch []*bfsScratch, worker, n int) *bfsScratch {
 	return scratch[worker]
 }
 
-// distances fans the per-source BFS sweeps out over the worker pool.
-// Each chunk of sources tallies into its own histogram; histograms hold
-// integer counts, so merging them (in chunk order, for uniformity with
-// the float-valued metrics) is exact and worker-count independent.
+// msbfsScratch is the per-worker state of one bit-parallel multi-source
+// BFS batch: bit i of a node's word stands for the batch's i-th source.
+type msbfsScratch struct{ seen, frontier, next []uint64 }
+
+// distances runs the sources as bit-parallel multi-source BFS (MS-BFS,
+// Then et al., VLDB 2014): each batch of 64 sources sweeps the graph
+// once per level, ORing every frontier word into the neighbors' next
+// words, so a node reached by many sources at the same depth is expanded
+// once. A node's newly reached bits at level x are next &^ seen, and
+// their popcount is its share of Count[x]. Batches fan out over the
+// worker pool; the histograms hold integer counts, so merging them is
+// exact and worker-count independent. Scratch is three words per node
+// per worker.
 func distances(s *graph.CSR, srcs []int, _ *rand.Rand) *DistanceDistribution {
 	n := s.N()
 	srcAt := func(i int) int { return i }
@@ -98,35 +108,69 @@ func distances(s *graph.CSR, srcs []int, _ *rand.Rand) *DistanceDistribution {
 		nsrc = len(srcs)
 	}
 	dd := &DistanceDistribution{Count: make([]int64, 2), Sources: nsrc}
-	scratch := make([]*bfsScratch, parallel.Workers())
-	parallel.OrderedReduce(nsrc, accumChunks,
-		func(worker, lo, hi int) *DistanceDistribution {
-			sc := bfsScratchFor(scratch, worker, n)
-			part := &DistanceDistribution{Count: make([]int64, 2)}
-			for i := lo; i < hi; i++ {
-				reached := graph.BFS(s, srcAt(i), sc.dist, sc.queue)
-				part.Unreachable += int64(n - reached)
-				for _, d := range sc.dist {
-					if d <= 0 {
-						continue
-					}
-					for int(d) >= len(part.Count) {
-						part.Count = append(part.Count, 0)
-					}
-					part.Count[d]++
+	scratch := make([]*msbfsScratch, parallel.Workers())
+	parallel.OrderedReduce((nsrc+63)/64, accumChunks,
+		func(worker, lo, hi int) []int64 {
+			if scratch[worker] == nil {
+				scratch[worker] = &msbfsScratch{
+					seen:     make([]uint64, n),
+					frontier: make([]uint64, n),
+					next:     make([]uint64, n),
 				}
 			}
-			return part
+			sc := scratch[worker]
+			count := make([]int64, 2)
+			for b := lo; b < hi; b++ {
+				clear(sc.seen)
+				clear(sc.frontier)
+				for i := b * 64; i < min(nsrc, b*64+64); i++ {
+					bit := uint64(1) << (i - b*64)
+					src := srcAt(i)
+					sc.seen[src] |= bit
+					sc.frontier[src] |= bit
+				}
+				for x := 1; ; x++ {
+					for u, f := range sc.frontier {
+						if f == 0 {
+							continue
+						}
+						sc.frontier[u] = 0
+						for _, v := range s.Neighbors(u) {
+							sc.next[v] |= f
+						}
+					}
+					var reached int64
+					for v, nx := range sc.next {
+						if nx == 0 {
+							continue
+						}
+						sc.next[v] = 0
+						if fresh := nx &^ sc.seen[v]; fresh != 0 {
+							sc.frontier[v] = fresh
+							sc.seen[v] |= fresh
+							reached += int64(bits.OnesCount64(fresh))
+						}
+					}
+					if reached == 0 {
+						break
+					}
+					if x == len(count) {
+						count = append(count, 0)
+					}
+					count[x] += reached
+				}
+			}
+			return count
 		},
-		func(part *DistanceDistribution) {
-			dd.Unreachable += part.Unreachable
-			for x, cnt := range part.Count {
-				for x >= len(dd.Count) {
+		func(count []int64) {
+			for x, c := range count {
+				if x == len(dd.Count) {
 					dd.Count = append(dd.Count, 0)
 				}
-				dd.Count[x] += cnt
+				dd.Count[x] += c
 			}
 		})
+	dd.Unreachable = int64(nsrc)*int64(n-1) - dd.TotalPairs()
 	return dd
 }
 

@@ -10,15 +10,17 @@
 // comparisons in the paper are made on giant connected components, which
 // callers extract first via graph.GiantComponent.
 //
-// The O(n·m) per-source sweeps (betweenness, distance distributions,
-// degree correlations) fan their BFS sources out over the worker pool of
-// internal/parallel. Partial results are accumulated per fixed chunk of
-// sources and merged in chunk order, so every function returns
+// The O(n·m) sweeps fan their BFS sources out over the worker pool of
+// internal/parallel: betweenness and degree correlations one source at a
+// time, distance distributions in bit-parallel batches of 64 sources.
+// Partial results are accumulated per fixed chunk of sources (or
+// batches) and merged in chunk order, so every function returns
 // bit-identical values at any worker count — see DESIGN.md §3.
 package metrics
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -32,44 +34,77 @@ type TriangleStats struct {
 	SumProds float64 // Σ_triangles (d_a·d_b + d_a·d_c + d_b·d_c)
 }
 
-// Triangles enumerates every triangle exactly once (by its ordered corners
-// u < v < w) by scanning, for each canonical edge (u,v), the common
-// neighbors w > v. The scan walks the smaller adjacency window and binary-
-// searches the larger, costing O(Σ_e min(d_u,d_v)·log d_max).
+// Triangles enumerates every triangle exactly once, at its lowest-rank
+// corner, where nodes are ranked by (degree, id). Each node keeps only
+// its higher-rank neighbors (the forward adjacency, built once); a node
+// u stamps its forward neighbors, and every stamped forward neighbor w
+// of a forward neighbor v closes the triangle u–v–w. Forward windows
+// hold at most O(√m) nodes, so the pass costs O(m·√m) whatever the node
+// numbering. SumProds is summed exactly in 128 bits and rounded once.
 func Triangles(s *graph.CSR) TriangleStats {
 	n := s.N()
 	ts := TriangleStats{PerNode: make([]int64, n)}
-	deg := make([]float64, n)
-	for u := 0; u < n; u++ {
-		deg[u] = float64(s.Degree(u))
+	before := func(u, v int) bool {
+		du, dv := s.Degree(u), s.Degree(v)
+		return du < dv || du == dv && u < v
 	}
+	// Every edge is forward from exactly one end, so fwd holds m ids.
+	start := make([]int32, n+1)
+	fwd := make([]int32, 0, s.M())
 	for u := 0; u < n; u++ {
-		for _, v32 := range s.Neighbors(u) {
-			v := int(v32)
-			if v <= u {
-				continue
+		for _, v := range s.Neighbors(u) {
+			if before(u, int(v)) {
+				fwd = append(fwd, v)
 			}
-			// Iterate over the smaller neighborhood.
-			a, b := u, v
-			if s.Degree(a) > s.Degree(b) {
-				a, b = b, a
-			}
-			for _, w32 := range s.Neighbors(a) {
-				w := int(w32)
-				if w <= v {
+		}
+		start[u+1] = int32(len(fwd))
+	}
+	stamp := make([]int32, n) // u+1 marks u's forward neighbors
+	var hi, lo uint64         // SumProds as a 128-bit integer
+	for u := 0; u < n; u++ {
+		fu := fwd[start[u]:start[u+1]]
+		if len(fu) < 2 {
+			continue
+		}
+		mark := int32(u) + 1
+		for _, v := range fu {
+			stamp[v] = mark
+		}
+		du := uint64(s.Degree(u))
+		for _, v := range fu {
+			dv := uint64(s.Degree(int(v)))
+			for _, w := range fwd[start[v]:start[v+1]] {
+				if stamp[w] != mark {
 					continue
 				}
-				if s.HasEdge(b, w) {
-					ts.PerNode[u]++
-					ts.PerNode[v]++
-					ts.PerNode[w]++
-					ts.Total++
-					ts.SumProds += deg[u]*deg[v] + deg[u]*deg[w] + deg[v]*deg[w]
-				}
+				ts.PerNode[u]++
+				ts.PerNode[v]++
+				ts.PerNode[w]++
+				ts.Total++
+				dw := uint64(s.Degree(int(w)))
+				var carry uint64
+				lo, carry = bits.Add64(lo, du*dv+du*dw+dv*dw, 0)
+				hi += carry
 			}
 		}
 	}
+	ts.SumProds = uint128ToFloat(hi, lo)
 	return ts
+}
+
+// uint128ToFloat rounds hi·2⁶⁴ + lo to the nearest float64.
+func uint128ToFloat(hi, lo uint64) float64 {
+	if hi == 0 {
+		return float64(lo)
+	}
+	// Keep the top 64 bits and fold the dropped ones into a sticky bit,
+	// far below the rounding position, so one conversion rounds right.
+	shift := 64 - bits.LeadingZeros64(hi)
+	top := hi<<(64-shift) | lo>>shift
+	if lo<<(64-shift) != 0 {
+		top |= 1
+	}
+	return math.Ldexp(float64(top), shift)
 }
 
 // Assortativity returns Newman's assortativity coefficient r: the Pearson

@@ -35,7 +35,8 @@ var AutoSampleThreshold = 100_000
 
 // AutoSampleSources is the BFS source budget the automatic switch uses.
 // 256 sources keep d̄ and σd within a fraction of a percent on the
-// paper-scale topologies while costing 256 BFS passes instead of N.
+// paper-scale topologies while costing four 64-source bit-parallel BFS
+// batches instead of N/64.
 const AutoSampleSources = 256
 
 // SummaryOptions tunes the potentially expensive parts of Summarize.

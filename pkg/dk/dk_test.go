@@ -108,6 +108,30 @@ func TestSessionAddCarriedHash(t *testing.T) {
 	}
 }
 
+// TestPipelineInlineEdgesCarriedHash: a pipeline source given as an
+// inline edge list is interned under the hash ParseGraph gives it, so a
+// later pipeline in the same session resolves it by that hash.
+func TestPipelineInlineEdgesCarriedHash(t *testing.T) {
+	ctx := context.Background()
+	const edges = "10 20\n20 30\n30 10\n30 40\n"
+	want := mustGraph(t, edges).Hash()
+	s := dk.NewSession()
+	out, err := s.Run(ctx, dkapi.PipelineRequest{Steps: []dkapi.PipelineStep{
+		{ID: "met", Op: dkapi.OpMetrics, Source: &dkapi.GraphRef{Edges: edges}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Result.Steps[0].Graph.Hash; got != want {
+		t.Fatalf("inline edges resolved to %s, want %s", got, want)
+	}
+	if _, err := s.Run(ctx, dkapi.PipelineRequest{Steps: []dkapi.PipelineStep{
+		{ID: "met", Op: dkapi.OpMetrics, Source: &dkapi.GraphRef{Hash: want}},
+	}}); err != nil {
+		t.Fatalf("hash of the inline edges does not resolve in the session: %v", err)
+	}
+}
+
 // TestGenerateWorkerInvariance: the ensemble is a pure function of
 // (seed, replicas) at any worker count.
 func TestGenerateWorkerInvariance(t *testing.T) {

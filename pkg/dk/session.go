@@ -91,7 +91,7 @@ func (b backend) Resolve(ref dkapi.GraphRef) (pipeline.Handle, error) {
 		if g.g.N() == 0 {
 			return nil, service.ErrEmptyEdges
 		}
-		e, _ := b.s.cache.Intern(g.g, g.labels)
+		e, _ := b.s.cache.InternHashed(g.g, g.labels, service.Hash(g.hash))
 		return handle{e}, nil
 	case ref.Dataset != "":
 		raw, err := datasetGraph(ref.Dataset, ref.Seed, ref.N)
