@@ -28,7 +28,8 @@ type RewiringCount struct {
 //	         unordered edge pairs and the two orientations.
 //	depth 2: depth-1 swaps that also preserve the JDD (dv = dy or du = dx).
 //	depth 3: depth-2 swaps whose wedge/triangle census delta is zero,
-//	         verified by applying and reverting each candidate.
+//	         read off each candidate by Tracker.SwapDelta without
+//	         touching the graph.
 //
 // Isomorphism discounting subtracts swaps whose exchanged endpoints are
 // both degree-1 (the paper reports no discount for depth 0).
@@ -54,7 +55,7 @@ func CountInitialRewirings(g *graph.CSR, depth int) (RewiringCount, error) {
 	}
 
 	deg := g.DegreeSequence()
-	// The tracker backs the depth-3 census filter only — its SwapDelta is
+	// The tracker backs the depth-3 census filter only — SwapDelta is
 	// read-only, so the enumeration never mutates (or clones) the graph;
 	// depths 1–2 decide every candidate from degrees and adjacency alone,
 	// so building it there would just add an O(n + m) allocation.
@@ -80,9 +81,9 @@ func CountInitialRewirings(g *graph.CSR, depth int) (RewiringCount, error) {
 			}
 		}
 		if depth == 3 {
-			// The depth-2 filter above guarantees a 2K-preserving
-			// orientation, so swapDelta takes the symmetric-difference walk.
-			swapDelta(tracker, td, deg, u, v, x, y)
+			// The depth-2 filter above guarantees the swap keeps the JDD,
+			// which SwapDelta requires.
+			tracker.SwapDelta(td, u, v, x, y)
 			if !td.IsZero() {
 				return false, false
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dk"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/subgraphs"
 )
 
@@ -132,7 +133,7 @@ func (o *DegreeDistObjective) Current() float64 { return sumSquares(o.gap, o.fix
 type JDDObjective struct {
 	target map[dk.DegPair]int
 	nc     int
-	cls    []int   // node → degree class, ascending in degree
+	cls    []int32 // node → degree class, ascending in degree
 	gap    []int64 // class pair a*nc+b, a ≤ b → m_cur − m_tgt
 	fixed  float64 // Σ m_tgt² over pairs with a degree no node has
 	bumps  [4]degreeBump
@@ -145,33 +146,24 @@ func NewJDDObjective(target *dk.JDD) *JDDObjective {
 
 // Init snapshots g's JDD and degree classes.
 func (o *JDDObjective) Init(g *graph.CSR) error {
-	deg := g.DegreeSequence()
-	classOf := make(map[int]int)
-	for _, d := range deg {
-		classOf[d] = 0
-	}
-	degs := make([]int, 0, len(classOf))
-	for d := range classOf {
-		degs = append(degs, d)
-	}
-	slices.Sort(degs)
-	for c, d := range degs {
-		classOf[d] = c
-	}
-	o.nc = len(degs)
-	o.cls = make([]int, len(deg))
-	for u, d := range deg {
-		o.cls[u] = classOf[d]
-	}
+	classOf, classDeg, cls := subgraphs.DegreeClasses(g.DegreeSequence())
+	o.nc = len(classDeg)
+	o.cls = cls
 	o.gap = make([]int64, o.nc*o.nc)
 	o.fixed = 0
 	for i := 0; i < g.M(); i++ {
 		e := g.EdgeAt(i)
 		o.gap[o.pair(e.U, e.V)]++
 	}
+	class := func(k int) (int, bool) {
+		if k < 0 || k >= len(classOf) || classOf[k] < 0 {
+			return 0, false
+		}
+		return int(classOf[k]), true
+	}
 	for p, t := range o.target {
-		a, okA := classOf[p.K1]
-		b, okB := classOf[p.K2]
+		a, okA := class(p.K1)
+		b, okB := class(p.K2)
 		if !okA || !okB {
 			o.fixed += float64(t) * float64(t)
 			continue
@@ -186,7 +178,7 @@ func (o *JDDObjective) Init(g *graph.CSR) error {
 
 // pair returns the table index of edge (u,v)'s degree-class pair.
 func (o *JDDObjective) pair(u, v int) int {
-	a, b := o.cls[u], o.cls[v]
+	a, b := int(o.cls[u]), int(o.cls[v])
 	if a > b {
 		a, b = b, a
 	}
@@ -214,41 +206,25 @@ func (o *JDDObjective) Current() float64 { return sumSquares(o.gap, o.fixed) }
 
 // --- D3: wedge/triangle census distance (3K-targeting, 2K-preserving) ---
 
-// swapDelta fills td with the census change of the degree-preserving
-// swap (u,v),(x,y) → (u,y),(x,v), read-only. A 2K-preserving swap takes
-// the symmetric-difference walk of SwapDeltaJDD, in whichever of its two
-// orientations applies; any other swap takes the general SwapDelta.
-func swapDelta(t *subgraphs.Tracker, td *subgraphs.TrackerDelta, deg []int, u, v, x, y int) {
-	switch {
-	case deg[v] == deg[y]:
-		t.SwapDeltaJDD(td, u, v, x, y)
-	case deg[u] == deg[x]:
-		t.SwapDeltaJDD(td, v, u, y, x)
-	default:
-		t.SwapDelta(td, u, v, x, y)
-	}
-}
-
 // censusState is the Tracker machinery shared by the census-based
 // objectives: the class tables and bitsets, and one delta buffer that
 // Score fills and Commit reuses.
 type censusState struct {
-	t   *subgraphs.Tracker
-	td  *subgraphs.TrackerDelta
-	deg []int
+	t  *subgraphs.Tracker
+	td *subgraphs.TrackerDelta
 }
 
 func (c *censusState) init(g *graph.CSR) {
-	c.deg = g.DegreeSequence()
-	c.t = subgraphs.NewTracker(g, c.deg)
+	c.t = subgraphs.NewTracker(g, g.DegreeSequence())
 	c.td = c.t.NewDelta()
 }
 
-// delta fills c.td with the census change of swap m.
-func (c *censusState) delta(m Move) { swapDelta(c.t, c.td, c.deg, m.U, m.V, m.X, m.Y) }
+// delta fills c.td with the census change of swap m, which must keep
+// the JDD (rewiring depth 2 or 3).
+func (c *censusState) delta(m Move) { c.t.SwapDelta(c.td, m.U, m.V, m.X, m.Y) }
 
 // CensusObjective tracks the paper's D3 — squared count differences over
-// wedge and triangle classes — under degree-preserving swaps, scoring
+// wedge and triangle classes — under 2K-preserving swaps, scoring
 // each swap's Tracker census delta against a class-indexed
 // current − target gap.
 type CensusObjective struct {
@@ -314,7 +290,7 @@ func (o *LikelihoodObjective) Commit(Move) {}
 
 // S2Objective scores moves by the second-order likelihood
 // S2 = Σ_{open wedges} d_end1·d_end2, via the Tracker census delta.
-// Degree-preserving swaps only.
+// 2K-preserving swaps only.
 type S2Objective struct {
 	censusState
 	sum int64
@@ -362,7 +338,6 @@ type ClusteringObjective struct {
 func (o *ClusteringObjective) Init(g *graph.CSR) error {
 	deg := g.DegreeSequence()
 	o.t = subgraphs.NewTracker(g, deg)
-	o.tri = make([]int64, g.N())
 	o.pend = make([]int64, g.N())
 	o.marked = make([]bool, g.N())
 	o.invPair = make([]float64, g.N())
@@ -381,30 +356,7 @@ func (o *ClusteringObjective) Init(g *graph.CSR) error {
 		o.bump(b, sign)
 		o.bump(w, sign)
 	}
-	// One triangle pass.
-	for u := 0; u < g.N(); u++ {
-		for _, v32 := range g.Neighbors(u) {
-			v := int(v32)
-			if v <= u {
-				continue
-			}
-			a, b := u, v
-			if g.Degree(a) > g.Degree(b) {
-				a, b = b, a
-			}
-			for _, w32 := range g.Neighbors(a) {
-				w := int(w32)
-				if w <= v {
-					continue
-				}
-				if g.HasEdge(b, w) {
-					o.tri[u]++
-					o.tri[v]++
-					o.tri[w]++
-				}
-			}
-		}
-	}
+	o.tri = metrics.Triangles(g).PerNode
 	return nil
 }
 

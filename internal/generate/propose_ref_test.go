@@ -191,7 +191,7 @@ func checkBatchedOrder(t *testing.T, name string, orig *graph.CSR, seed int64, a
 		for i := range ref {
 			m, rej := r.proposeRef(&splitMix{s: uint64(parallel.SubSeed(batchSeed, i))})
 			if rej == rejectNone {
-				swapDelta(r.tracker, td, r.deg, m.U, m.V, m.X, m.Y)
+				r.tracker.SwapDelta(td, m.U, m.V, m.X, m.Y)
 				if !td.IsZero() {
 					rej = rejectCensusChanged
 				}

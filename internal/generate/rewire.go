@@ -610,9 +610,9 @@ func (r *Rewirer) fillBatch() {
 				td = r.tracker.NewDelta()
 				r.scratch[worker] = td
 			}
-			// propose already enforced the depth-2 JDD condition, so
-			// swapDelta takes SwapDeltaJDD's symmetric-difference walk.
-			swapDelta(r.tracker, td, r.deg, m.U, m.V, m.X, m.Y)
+			// propose already enforced the depth-2 JDD condition that
+			// SwapDelta requires.
+			r.tracker.SwapDelta(td, m.U, m.V, m.X, m.Y)
 			if !td.IsZero() {
 				rej = rejectCensusChanged
 			}

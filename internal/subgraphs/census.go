@@ -234,7 +234,7 @@ func sortClasses[K ClassKey[K]](s []ClassCount[K]) {
 // Count computes the exact wedge/triangle census of s, emitting both
 // arrays directly in canonical order with no hashing and no sort.
 //
-// Node degrees are interned into a class table ascending in degree, so
+// Node degrees are interned by DegreeClasses, ascending in degree, so
 // class order is key order. Centers are visited class by class, in
 // ascending order, and each class cc accumulates into two nc² planes:
 //   - wedges (lo, hi) around centers of class cc, from each center's
@@ -246,8 +246,8 @@ func sortClasses[K ClassKey[K]](s []ClassCount[K]) {
 // Closed pairs around a center u come from its edges: for each neighbor
 // v, the common neighbors w > v are found by walking the shorter side —
 // v's window beyond v against a stamp of N(u), or, when v is a hub
-// (degree >= DefaultBitsetThreshold) with the longer window, u's window
-// beyond v against v's bitset — so no edge costs more than its shorter
+// (degree >= DefaultBitsetThreshold, with a hubBitsets bitset) with the
+// longer window, u's window beyond v against v's bitset — so no edge costs more than its shorter
 // endpoint window. When a class is done its planes' nonzero slots are
 // appended in index order, which is (KCenter, KLo, KHi) order for wedges
 // and (K1, K2, K3) order for triangles. The planes take O(nc²) = O(m)
@@ -256,36 +256,13 @@ func sortClasses[K ClassKey[K]](s []ClassCount[K]) {
 // triangles go to a growing slice.
 func Count(s *graph.CSR) *Census {
 	n := s.N()
-	deg := make([]int, n)
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		deg[u] = s.Degree(u)
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	classOf := make([]int32, maxDeg+1)
-	for i := range classOf {
-		classOf[i] = -1
-	}
-	for _, d := range deg {
-		classOf[d] = 0
-	}
-	classDeg := make([]int32, 0, 16)
-	for d, seen := range classOf {
-		if seen == 0 {
-			classOf[d] = int32(len(classDeg))
-			classDeg = append(classDeg, int32(d))
-		}
-	}
+	_, classDeg, cls := DegreeClasses(s.DegreeSequence())
 	nc := len(classDeg)
-	cls := make([]int32, n)
 	// Counting sort of the nodes by class: class c's centers are
 	// order[start[c]:start[c+1]], with start[nc] = n.
 	start := make([]int, nc+1)
-	for u := 0; u < n; u++ {
-		cls[u] = classOf[deg[u]]
-		start[cls[u]+1]++
+	for _, c := range cls {
+		start[c+1]++
 	}
 	for c := 1; c <= nc; c++ {
 		start[c] += start[c-1]
@@ -296,18 +273,7 @@ func Count(s *graph.CSR) *Census {
 		order[next[cls[u]]] = int32(u)
 		next[cls[u]]++
 	}
-	// Bitsets for hub membership probes, as in the Tracker.
-	words := (n + 63) / 64
-	bits := make([][]uint64, n)
-	for u := 0; u < n; u++ {
-		if deg[u] >= DefaultBitsetThreshold {
-			bs := make([]uint64, words)
-			for _, v := range s.Neighbors(u) {
-				bs[uint(v)>>6] |= 1 << (uint(v) & 63)
-			}
-			bits[u] = bs
-		}
-	}
+	bits := hubBitsets(s, DefaultBitsetThreshold)
 
 	c := &Census{
 		Wedges:    make([]WedgeCount, 0, wedgeClassBound(s, cls, order, start)),
@@ -458,11 +424,6 @@ func wedgeClassBound(s *graph.CSR, cls, order []int32, start []int) int {
 		clear(seen)
 	}
 	return bound
-}
-
-// bsHas probes membership of w in a node bitset.
-func bsHas(bs []uint64, w int32) bool {
-	return bs[uint(w)>>6]&(1<<(uint(w)&63)) != 0
 }
 
 // searchPast returns the index of the first element of the sorted slice a

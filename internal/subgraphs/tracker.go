@@ -1,17 +1,19 @@
 // Census tracking for the rewiring hot paths: 3K-preserving rewiring,
-// 3K targeting and the census-based exploration objectives.
+// 3K targeting, the census-based exploration objectives and the depth-3
+// rewiring count. Every move they evaluate is a double-edge swap that
+// preserves the joint degree distribution.
 //
 // A map-keyed delta pays a map-hash on every wedge/triangle class it
 // touches and a HasEdge probe per neighbor — per-proposal costs that
 // dominate rewiring, where almost every proposal is evaluated and
-// rejected. Tracker is the dense engine: degrees are interned into a
-// compact class table once, count changes accumulate in
+// rejected. Tracker is the dense engine: degrees are interned into the
+// DegreeClasses table once, count changes accumulate in
 // degree-class-indexed arrays (degree keys appear only at the Census
 // boundary, in Drain), and common-neighbor classification runs
-// directly on the CSR's sorted neighbor windows — a linear merge for
-// ordinary nodes, O(1) bitset probes for nodes above a degree threshold.
-// The CSR working representation IS the tracker's sorted adjacency; no
-// second mirror copy is maintained.
+// directly on the CSR's sorted neighbor windows, with O(1) bitset
+// probes for nodes above a degree threshold. The CSR working
+// representation IS the tracker's sorted adjacency; no second mirror
+// copy is maintained.
 //
 // Because SwapDelta is read-only (edge toggles are virtualized instead of
 // applied), many candidate swaps can be evaluated concurrently against one
@@ -26,113 +28,75 @@ import (
 	"repro/internal/graph"
 )
 
-// DefaultBitsetThreshold is the fixed degree at or above which a node
-// additionally keeps a bitset for O(1) membership probes. Below it,
-// sorted-merge and binary search win on cache locality.
-const DefaultBitsetThreshold = 64
-
 // denseLimit bounds the class-indexed accumulator size (entries per
 // shape) and the ordered class-pair lookup table (nc² entries). Dense
 // accumulators are sized by *observed* adjacent class pairs — npairs·nc
-// entries, not nc³ — so even graphs with hundreds of degree classes
-// stay on the dense path; genuinely extreme degree diversity falls back
-// to packed-key maps, trading speed for bounded memory. Variable so
-// tests can force the fallback path.
+// entries — so even graphs with hundreds of degree classes stay on the
+// dense path; genuinely extreme degree diversity falls back to
+// packed-key maps, trading speed for bounded memory. Variable so tests
+// can force the fallback path.
 var denseLimit = 1 << 20
 
 // Tracker holds the shared, read-only-during-evaluation state for dense
-// census deltas over a graph with a fixed degree sequence: the degree
-// class table, the observed class-pair index, and per-hub bitsets. The
-// degree sequence must be constant across all tracked mutations (true
-// for double-edge swaps, the only moves evaluated at depth 3), because
-// census keys of intermediate states use the fixed degrees.
+// census deltas over a graph with a fixed joint degree distribution: the
+// degree class table, the observed class-pair index, and per-hub
+// bitsets. Only swaps that keep the JDD are tracked, so census keys of
+// every state use the fixed degrees and every edge keeps a class pair
+// that the initial graph already has.
 //
 // Neighbor reads go straight to the CSR's sorted windows, so the graph
 // itself is the mirror. The bitsets are the only derived adjacency
-// state: every mutation of the underlying CSR must be paired with the
-// matching Add/Remove/ApplySwap call to keep them coherent.
+// state: every swap applied to the underlying CSR must be paired with
+// the matching ApplySwap call to keep them coherent.
 type Tracker struct {
-	g         *graph.CSR
-	nc        int        // degree class count
-	dense     bool       // pair-sized arrays fit denseLimit, else map fallback
-	cls       []int32    // node -> degree class (ascending in degree)
-	classDeg  []int32    // degree class -> degree
-	pid       []int32    // ordered class pair (a*nc+b) -> dense pair id, -1 unobserved
-	pairA     []int32    // pair id -> first class of the ordered pair
-	pairB     []int32    // pair id -> second class of the ordered pair
-	npairs    int        // ordered observed pair count
-	bits      [][]uint64 // per-node bitset for threshold-degree nodes, else nil
-	words     int        // bitset length in uint64 words
-	threshold int
+	g        *graph.CSR
+	nc       int        // degree class count
+	dense    bool       // pair-sized arrays fit denseLimit, else map fallback
+	classOf  []int32    // degree -> class, -1 where no node has the degree
+	classDeg []int32    // degree class -> degree, ascending
+	cls      []int32    // node -> degree class
+	pid      []int32    // ordered class pair (a*nc+b) -> dense pair id, -1 unobserved
+	pairA    []int32    // pair id -> first class of the ordered pair
+	pairB    []int32    // pair id -> second class of the ordered pair
+	npairs   int        // ordered observed pair count
+	bits     [][]uint64 // per-node bitset for hubs, else nil
 }
 
-// NewTracker builds a Tracker over g with the fixed degree sequence deg
-// (which must equal g.DegreeSequence()) and the default bitset threshold.
+// NewTracker builds a Tracker over g with the fixed degree sequence deg,
+// which must equal g.DegreeSequence().
 func NewTracker(g *graph.CSR, deg []int) *Tracker {
-	return NewTrackerThreshold(g, deg, DefaultBitsetThreshold)
+	return newTrackerThreshold(g, deg, DefaultBitsetThreshold)
 }
 
-// NewTrackerThreshold is NewTracker with an explicit bitset degree
-// threshold (0 or negative gives every non-isolated node a bitset).
-func NewTrackerThreshold(g *graph.CSR, deg []int, threshold int) *Tracker {
-	n := g.N()
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	classOf := make([]int32, maxDeg+1)
-	for i := range classOf {
-		classOf[i] = -1
-	}
-	for _, d := range deg {
-		classOf[d] = 0
-	}
-	classDeg := make([]int32, 0, 16)
-	for d, seen := range classOf {
-		if seen == 0 {
-			classOf[d] = int32(len(classDeg))
-			classDeg = append(classDeg, int32(d))
-		}
-	}
+// newTrackerThreshold is NewTracker with an explicit bitset degree
+// threshold, so tests can put small graphs on the bitset paths.
+func newTrackerThreshold(g *graph.CSR, deg []int, threshold int) *Tracker {
+	classOf, classDeg, cls := DegreeClasses(deg)
 	nc := len(classDeg)
 	t := &Tracker{
-		g:         g,
-		nc:        nc,
-		cls:       make([]int32, n),
-		classDeg:  classDeg,
-		bits:      make([][]uint64, n),
-		words:     (n + 63) / 64,
-		threshold: threshold,
-	}
-	for u := 0; u < n; u++ {
-		t.cls[u] = classOf[deg[u]]
-		if deg[u] >= threshold {
-			bs := make([]uint64, t.words)
-			for _, v := range g.Neighbors(u) {
-				bs[uint(v)>>6] |= 1 << (uint(v) & 63)
-			}
-			t.bits[u] = bs
-		}
+		g:        g,
+		nc:       nc,
+		classOf:  classOf,
+		classDeg: classDeg,
+		cls:      cls,
+		bits:     hubBitsets(g, threshold),
 	}
 	// Index the observed adjacent class pairs, both orders. JDD-preserving
-	// swaps can only ever create edges whose class pair is already
-	// observed, so the dense accumulators need npairs·nc entries instead
-	// of nc³; anything that does introduce a fresh pair (general swaps,
-	// Add) routes through the per-delta overflow map.
+	// swaps keep the set of adjacent class pairs, and a wedge's or a
+	// triangle's slot is keyed by one of its edges' pairs, so the dense
+	// accumulators need npairs·nc entries instead of nc³.
 	if nc*nc <= denseLimit {
 		t.pid = make([]int32, nc*nc)
 		for i := range t.pid {
 			t.pid[i] = -1
 		}
-		for u := 0; u < n; u++ {
-			cu := t.cls[u]
+		for u := 0; u < g.N(); u++ {
+			cu := cls[u]
 			for _, v := range g.Neighbors(u) {
 				if int(v) < u {
 					continue
 				}
-				cv := t.cls[v]
+				cv := cls[v]
 				t.observePair(cu, cv)
 				if cu != cv {
 					t.observePair(cv, cu)
@@ -155,17 +119,33 @@ func (t *Tracker) observePair(a, b int32) {
 	}
 }
 
+// slot returns the dense accumulator index of the observed ordered class
+// pair (a,b) and the third class c.
+func (t *Tracker) slot(a, b, c int32) int32 {
+	p := t.pid[int(a)*t.nc+int(b)]
+	if p < 0 {
+		panic("subgraphs: internal invariant violated: class pair absent from the tracked graph")
+	}
+	return p*int32(t.nc) + c
+}
+
 // adj returns u's sorted neighbor window — the CSR arena itself.
 func (t *Tracker) adj(u int) []int32 { return t.g.Neighbors(u) }
 
-// has reports adjacency, preferring a bitset probe from either side and
-// falling back to binary search in the shorter sorted window.
+// Has reports whether edge (a,b) is present — an O(1) bitset probe when
+// either endpoint is a hub, a binary search in the shorter sorted window
+// otherwise. It mirrors graph.HasEdge exactly as long as every swap
+// applied to the graph was also passed to ApplySwap.
+func (t *Tracker) Has(a, b int) bool {
+	return t.has(a, b)
+}
+
 func (t *Tracker) has(a, b int) bool {
 	if bs := t.bits[b]; bs != nil {
-		return bs[uint(a)>>6]&(1<<(uint(a)&63)) != 0
+		return bsHas(bs, int32(a))
 	}
 	if bs := t.bits[a]; bs != nil {
-		return bs[uint(b)>>6]&(1<<(uint(b)&63)) != 0
+		return bsHas(bs, int32(b))
 	}
 	s, x := t.adj(a), int32(b)
 	if sb := t.adj(b); len(sb) < len(s) {
@@ -183,35 +163,23 @@ func (t *Tracker) has(a, b int) bool {
 	return lo < len(s) && s[lo] == x
 }
 
-// Add syncs the bitsets with an insertion of edge (u,v) into the CSR.
-// The caller performs (or has performed) the matching graph mutation —
-// the windows themselves are the graph's.
-func (t *Tracker) Add(u, v int) {
-	if bs := t.bits[u]; bs != nil {
-		bs[uint(v)>>6] |= 1 << (uint(v) & 63)
-	}
-	if bs := t.bits[v]; bs != nil {
-		bs[uint(u)>>6] |= 1 << (uint(u) & 63)
-	}
-}
-
-// Remove syncs the bitsets with a deletion of edge (u,v) from the CSR.
-func (t *Tracker) Remove(u, v int) {
-	if bs := t.bits[u]; bs != nil {
-		bs[uint(v)>>6] &^= 1 << (uint(v) & 63)
-	}
-	if bs := t.bits[v]; bs != nil {
-		bs[uint(u)>>6] &^= 1 << (uint(u) & 63)
-	}
-}
-
 // ApplySwap commits the double-edge swap (u,v),(x,y) → (u,y),(x,v) to
 // the bitsets after the caller accepted it (and applied it to the CSR).
 func (t *Tracker) ApplySwap(u, v, x, y int) {
-	t.Remove(u, v)
-	t.Remove(x, y)
-	t.Add(u, y)
-	t.Add(x, v)
+	t.toggle(u, v)
+	t.toggle(x, y)
+	t.toggle(u, y)
+	t.toggle(x, v)
+}
+
+// toggle flips edge (a,b) in its endpoints' bitsets.
+func (t *Tracker) toggle(a, b int) {
+	if bs := t.bits[a]; bs != nil {
+		bs[uint(b)>>6] ^= 1 << (uint(b) & 63)
+	}
+	if bs := t.bits[b]; bs != nil {
+		bs[uint(a)>>6] ^= 1 << (uint(a) & 63)
+	}
 }
 
 // TrackerDelta accumulates signed census count changes in degree-class
@@ -226,16 +194,14 @@ type TrackerDelta struct {
 	// in the list more than once (a count that cancels to zero and is
 	// touched again re-registers); IsZero and Reset tolerate that, and
 	// every reader that sums entries (Drain, EachWedge, CensusGap) first
-	// compacts the lists so duplicates cannot double-count. Classes whose
-	// pair is not in the observed-pair index overflow into lazily
-	// allocated packed-key maps, so generality is kept without paying nc³
-	// memory.
+	// compacts the lists so duplicates cannot double-count.
 	wedges, tris   []int64
 	wTouch, tTouch []int32
-	mWedges, mTris map[uint64]int64 // fallback when !t.dense, overflow when dense
 	// wVals/tVals hold the slot values parallel to wTouch/tTouch once
 	// compact has deduplicated the touched lists.
 	wVals, tVals []int64
+	// Fallback when !t.dense: packed class keys, as packKey builds them.
+	mWedges, mTris map[uint64]int64
 }
 
 // NewDelta returns an empty accumulator bound to t.
@@ -254,37 +220,29 @@ func (t *Tracker) NewDelta() *TrackerDelta {
 
 // Reset clears the accumulator for reuse.
 func (d *TrackerDelta) Reset() {
-	if d.t.dense {
-		for _, i := range d.wTouch {
-			d.wedges[i] = 0
-		}
-		for _, i := range d.tTouch {
-			d.tris[i] = 0
-		}
-		d.wTouch = d.wTouch[:0]
-		d.tTouch = d.tTouch[:0]
+	for _, i := range d.wTouch {
+		d.wedges[i] = 0
 	}
-	if d.mWedges != nil {
-		clear(d.mWedges)
+	for _, i := range d.tTouch {
+		d.tris[i] = 0
 	}
-	if d.mTris != nil {
-		clear(d.mTris)
-	}
+	d.wTouch = d.wTouch[:0]
+	d.tTouch = d.tTouch[:0]
+	clear(d.mWedges)
+	clear(d.mTris)
 }
 
 // IsZero reports whether every accumulated count change is zero — i.e.
-// whether the recorded edge changes preserve the 3K-distribution.
+// whether the evaluated swap preserves the 3K-distribution.
 func (d *TrackerDelta) IsZero() bool {
-	if d.t.dense {
-		for _, i := range d.wTouch {
-			if d.wedges[i] != 0 {
-				return false
-			}
+	for _, i := range d.wTouch {
+		if d.wedges[i] != 0 {
+			return false
 		}
-		for _, i := range d.tTouch {
-			if d.tris[i] != 0 {
-				return false
-			}
+	}
+	for _, i := range d.tTouch {
+		if d.tris[i] != 0 {
+			return false
 		}
 	}
 	return len(d.mWedges) == 0 && len(d.mTris) == 0
@@ -298,7 +256,6 @@ func (d *TrackerDelta) Drain(c *Census) {
 	ws := make([]WedgeCount, 0, len(d.wTouch)+len(d.mWedges))
 	for j, i := range d.wTouch {
 		ws = append(ws, WedgeCount{d.t.wedgeAt(i), d.wVals[j]})
-		d.wedges[i] = 0
 	}
 	for key, v := range d.mWedges {
 		ws = append(ws, WedgeCount{d.t.packedWedge(key), v})
@@ -306,14 +263,11 @@ func (d *TrackerDelta) Drain(c *Census) {
 	ts := make([]TriangleCount, 0, len(d.tTouch)+len(d.mTris))
 	for j, i := range d.tTouch {
 		ts = append(ts, TriangleCount{d.t.triangleAt(i), d.tVals[j]})
-		d.tris[i] = 0
 	}
 	for key, v := range d.mTris {
 		ts = append(ts, TriangleCount{d.t.packedTriangle(key), v})
 	}
-	d.wTouch, d.tTouch = d.wTouch[:0], d.tTouch[:0]
-	clear(d.mWedges)
-	clear(d.mTris)
+	d.Reset()
 	c.Wedges = addClasses(c.Wedges, ws)
 	c.Triangles = addClasses(c.Triangles, ts)
 }
@@ -383,9 +337,17 @@ func (t *Tracker) triangleAt(i int32) TriangleKey {
 	return TriangleKey{t.classDeg[t.pairA[p]], t.classDeg[t.pairB[p]], t.classDeg[c3]}
 }
 
-// packedWedge decodes a packed (low end, center, high end) class key.
+// packKey packs the classes of a slot — the ordered pair (a,b) and the
+// third class c, laid out as on the dense path — into a map key.
+func packKey(a, b, c int32) uint64 {
+	return uint64(a)<<42 | uint64(b)<<21 | uint64(c)
+}
+
+const packMask = 1<<21 - 1
+
+// packedWedge decodes a packed (center, low end, high end) class key.
 func (t *Tracker) packedWedge(key uint64) WedgeKey {
-	return WedgeKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
+	return WedgeKey{t.classDeg[key>>21&packMask], t.classDeg[key>>42], t.classDeg[key&packMask]}
 }
 
 // packedTriangle decodes a packed sorted corner class key.
@@ -406,44 +368,26 @@ func (d *TrackerDelta) EachWedge(f func(k WedgeKey, v int64)) {
 	}
 }
 
-const packMask = 1<<21 - 1
-
 // addWedge accumulates a wedge class change: ends e1, e2 (canonicalized;
-// classDeg is ascending so class order is degree order), center cc. On
-// the dense path the slot is indexed by the observed ordered pair
-// (center, low end) — both of the wedge's edges have observed class
-// pairs, so the lookup only misses when an edge change introduced a
-// class pair absent from the initial graph; those overflow to the map.
+// classDeg is ascending so class order is degree order), center cc. The
+// slot is keyed by the ordered pair (center, low end), which is the class
+// pair of one of the wedge's edges.
 func (d *TrackerDelta) addWedge(e1, cc, e2 int32, sign int64) {
-	lo, hi := e1, e2
-	if lo > hi {
-		lo, hi = hi, lo
+	lo, hi := min(e1, e2), max(e1, e2)
+	if !d.t.dense {
+		addCount(d.mWedges, packKey(cc, lo, hi), sign)
+		return
 	}
-	if d.t.dense {
-		if p := d.t.pid[int(cc)*d.t.nc+int(lo)]; p >= 0 {
-			idx := p*int32(d.t.nc) + hi
-			if d.wedges[idx] == 0 {
-				d.wTouch = append(d.wTouch, idx)
-			}
-			d.wedges[idx] += sign
-			return
-		}
-		if d.mWedges == nil {
-			d.mWedges = make(map[uint64]int64)
-		}
+	i := d.t.slot(cc, lo, hi)
+	if d.wedges[i] == 0 {
+		d.wTouch = append(d.wTouch, i)
 	}
-	key := uint64(lo)<<42 | uint64(cc)<<21 | uint64(hi)
-	if v := d.mWedges[key] + sign; v == 0 {
-		delete(d.mWedges, key)
-	} else {
-		d.mWedges[key] = v
-	}
+	d.wedges[i] += sign
 }
 
 // addTriangle accumulates a triangle class change for corners a, b, c.
-// Dense slots are indexed by the observed ordered pair (a,b) of the
-// sorted corner classes; a triangle's corners are pairwise adjacent, so
-// the pair is observed unless an edge change introduced a new pair.
+// The slot is keyed by the ordered pair (a,b) of the sorted corner
+// classes; a triangle's corners are pairwise adjacent.
 func (d *TrackerDelta) addTriangle(a, b, c int32, sign int64) {
 	if a > b {
 		a, b = b, a
@@ -454,38 +398,15 @@ func (d *TrackerDelta) addTriangle(a, b, c int32, sign int64) {
 	if a > b {
 		a, b = b, a
 	}
-	if d.t.dense {
-		if p := d.t.pid[int(a)*d.t.nc+int(b)]; p >= 0 {
-			idx := p*int32(d.t.nc) + c
-			if d.tris[idx] == 0 {
-				d.tTouch = append(d.tTouch, idx)
-			}
-			d.tris[idx] += sign
-			return
-		}
-		if d.mTris == nil {
-			d.mTris = make(map[uint64]int64)
-		}
+	if !d.t.dense {
+		addCount(d.mTris, packKey(a, b, c), sign)
+		return
 	}
-	key := uint64(a)<<42 | uint64(b)<<21 | uint64(c)
-	if v := d.mTris[key] + sign; v == 0 {
-		delete(d.mTris, key)
-	} else {
-		d.mTris[key] = v
+	i := d.t.slot(a, b, c)
+	if d.tris[i] == 0 {
+		d.tTouch = append(d.tTouch, i)
 	}
-}
-
-// AddEdgeDelta accumulates the census change of inserting edge (u,v)
-// into the graph's current state ((u,v) must be absent). It does not
-// reset d first, so single-edge deltas compose by telescoping.
-func (t *Tracker) AddEdgeDelta(d *TrackerDelta, u, v int) {
-	t.edgeChange(d, u, v, +1, -1, -1)
-}
-
-// RemoveEdgeDelta accumulates the census change of deleting edge (u,v)
-// ((u,v) must be present in the graph).
-func (t *Tracker) RemoveEdgeDelta(d *TrackerDelta, u, v int) {
-	t.edgeChange(d, u, v, -1, -1, -1)
+	d.tris[i] += sign
 }
 
 // SwapDelta resets d and accumulates the exact census change of the
@@ -494,36 +415,25 @@ func (t *Tracker) RemoveEdgeDelta(d *TrackerDelta, u, v int) {
 // concurrent SwapDelta calls on one Tracker are safe (one TrackerDelta
 // per goroutine). Preconditions (the structural validity the rewiring
 // proposal already checks): u,v,x,y distinct, (u,v) and (x,y) present,
-// (u,y) and (x,v) absent.
-func (t *Tracker) SwapDelta(d *TrackerDelta, u, v, x, y int) {
-	d.Reset()
-	// Telescoped single-edge changes; each op's virtual state differs
-	// from the graph only on swap pairs, and only pairs touching the
-	// op's own endpoints matter, giving one excluded neighbor per side:
-	//   remove (u,v): graph state exactly.
-	//   remove (x,y): (u,v) gone, but it touches neither x nor y.
-	//   add (u,y):    (u,v),(x,y) gone → v not a neighbor of u, x not of y.
-	//   add (x,v):    likewise y not a neighbor of x, u not of v;
-	//                 (u,y) now present but touches neither x nor v.
-	t.edgeChange(d, u, v, -1, -1, -1)
-	t.edgeChange(d, x, y, -1, -1, -1)
-	t.edgeChange(d, u, y, +1, v, x)
-	t.edgeChange(d, x, v, +1, y, u)
-}
-
-// SwapDeltaJDD is SwapDelta specialized to the orientation in which the
-// swap trivially preserves the joint degree distribution because
-// cls[v] == cls[y] (for the other 2K-preserving orientation,
-// cls[u] == cls[x], call it with the flipped arguments (v,u,y,x) — the
-// same swap by symmetry). With the degrees of the replaced endpoints
-// equal, the four telescoped edge ops of SwapDelta cancel class-wise
+// (u,y) and (x,v) absent, and the swap keeps the joint degree
+// distribution — deg v == deg y or deg u == deg x. A swap that changes
+// it panics.
+//
+// With deg v == deg y (the other orientation is the same swap read as
+// (v,u),(y,x) → (v,x),(y,u)), the four toggles cancel class-wise
 // everywhere except on the symmetric difference of N(v) and N(y): a
 // common neighbor w sees edge w–v's and w–y's contexts trade places at
-// identical class keys, so the whole merge over N(u) and N(x) — the
-// expensive side when u or x is a hub — disappears, leaving one merged
-// walk over adj(v) and adj(y) with membership probes only on the
-// symmetric difference. Same preconditions as SwapDelta.
-func (t *Tracker) SwapDeltaJDD(d *TrackerDelta, u, v, x, y int) {
+// identical class keys, so the neighborhoods of u and x — the expensive
+// side when u or x is a hub — are never walked. What remains is one
+// merged walk over adj(v) and adj(y) with membership probes only on the
+// symmetric difference.
+func (t *Tracker) SwapDelta(d *TrackerDelta, u, v, x, y int) {
+	if t.cls[v] != t.cls[y] {
+		if t.cls[u] != t.cls[x] {
+			panic("subgraphs: internal invariant violated: SwapDelta on a swap that changes the joint degree distribution")
+		}
+		u, v, x, y = v, u, y, x
+	}
 	d.Reset()
 	a, b, c := t.cls[u], t.cls[v], t.cls[x]
 	V, Y := t.adj(v), t.adj(y)
@@ -545,9 +455,9 @@ func (t *Tracker) SwapDeltaJDD(d *TrackerDelta, u, v, x, y int) {
 		}
 		switch int(w) {
 		case u, x:
-			// u appears only on the V side (the removed edge u–v; (u,y) is
-			// absent) and x only on the Y side — both fully excluded by the
-			// ops' exclusion parameters.
+			// u appears only on the V side (edge u–v goes, u–y is absent)
+			// and x only on the Y side: they are endpoints of the toggled
+			// edges, not neighbors whose context changes.
 			continue
 		case v, y:
 			// Edge v–y exists: only the b-centered wedge ends survive.
@@ -573,107 +483,13 @@ func (t *Tracker) SwapDeltaJDD(d *TrackerDelta, u, v, x, y int) {
 	}
 }
 
-// Has reports whether edge (a,b) is present — an O(1) bitset probe when
-// either endpoint is above the degree threshold, a binary search in the
-// shorter sorted window otherwise. It mirrors graph.HasEdge exactly as
-// long as every graph mutation was paired with the matching bitset
-// update.
-func (t *Tracker) Has(a, b int) bool {
-	return t.has(a, b)
-}
-
-// edgeChange enumerates, in class space, the wedges and triangles whose
-// existence toggles with edge (a,b): triangles through common neighbors
-// (trading places with the wedge centered at the common neighbor), and
-// wedges centered at a and at b through exclusive neighbors. exA/exB
-// (-1 = none) name one node virtually not adjacent to a (resp. b), which
-// is how SwapDelta expresses intermediate states without mutating the
-// graph.
-func (t *Tracker) edgeChange(d *TrackerDelta, a, b int, sign int64, exA, exB int) {
-	if t.bits[a] == nil && t.bits[b] == nil {
-		t.mergeChange(d, a, b, sign, exA, exB)
-		return
-	}
-	ca, cb := t.cls[a], t.cls[b]
-	for _, w32 := range t.adj(a) {
-		w := int(w32)
-		if w == b || w == exA {
-			continue
-		}
-		if w != exB && t.has(w, b) {
-			d.addTriangle(ca, cb, t.cls[w], sign)
-			d.addWedge(ca, t.cls[w], cb, -sign)
-		} else {
-			d.addWedge(cb, ca, t.cls[w], sign)
-		}
-	}
-	for _, w32 := range t.adj(b) {
-		w := int(w32)
-		if w == a || w == exB {
-			continue
-		}
-		if w != exA && t.has(w, a) {
-			continue // common neighbor, handled from a's side
-		}
-		d.addWedge(ca, cb, t.cls[w], sign)
-	}
-}
-
-// mergeChange is edgeChange as a single linear merge of the two sorted
-// neighbor windows — the ordinary-degree path, with no membership probes
-// at all.
-func (t *Tracker) mergeChange(d *TrackerDelta, a, b int, sign int64, exA, exB int) {
-	ca, cb := t.cls[a], t.cls[b]
-	A, B := t.adj(a), t.adj(b)
-	i, j := 0, 0
-	for i < len(A) && j < len(B) {
-		wa, wb := int(A[i]), int(B[j])
-		switch {
-		case wa < wb:
-			i++
-			if wa != b && wa != exA {
-				d.addWedge(cb, ca, t.cls[wa], sign)
-			}
-		case wb < wa:
-			j++
-			if wb != a && wb != exB {
-				d.addWedge(ca, cb, t.cls[wb], sign)
-			}
-		default: // common neighbor
-			i++
-			j++
-			w := wa
-			aHas, bHas := w != exA, w != exB
-			switch {
-			case aHas && bHas:
-				d.addTriangle(ca, cb, t.cls[w], sign)
-				d.addWedge(ca, t.cls[w], cb, -sign)
-			case aHas:
-				d.addWedge(cb, ca, t.cls[w], sign)
-			case bHas:
-				d.addWedge(ca, cb, t.cls[w], sign)
-			}
-		}
-	}
-	for ; i < len(A); i++ {
-		if w := int(A[i]); w != b && w != exA {
-			d.addWedge(cb, ca, t.cls[w], sign)
-		}
-	}
-	for ; j < len(B); j++ {
-		if w := int(B[j]); w != a && w != exB {
-			d.addWedge(ca, cb, t.cls[w], sign)
-		}
-	}
-}
-
 // SwapTriangles reports, read-only, every triangle the double-edge swap
 // (u,v),(x,y) → (u,y),(x,v) destroys or creates: f(a, b, w, sign) with
 // (a,b) the toggled edge, w the common neighbor closing the triangle and
 // sign −1 for a lost triangle, +1 for a gained one. The four edge
 // toggles are virtualized as in SwapDelta, so summing the calls per node
-// gives each node's exact triangle change. Same preconditions as
-// SwapDelta.
+// gives each node's exact triangle change. Same structural preconditions
+// as SwapDelta, but any degree-preserving swap is allowed.
 func (t *Tracker) SwapTriangles(u, v, x, y int, f func(a, b, w, sign int)) {
 	t.commonNeighbors(u, v, -1, -1, -1, f)
 	t.commonNeighbors(x, y, -1, -1, -1, f)
@@ -719,89 +535,65 @@ func (t *Tracker) commonNeighbors(a, b, exA, exB, sign int, f func(a, b, w, sign
 // CensusGap holds the class-wise count difference current − target
 // between the tracked graph's census and a target census, in the
 // Tracker's slot layout, so that scoring or committing a TrackerDelta
-// walks only the delta's touched slots. Classes the graph cannot reach —
-// some degree is not in the class table — are a constant, folded into
-// fixed. With the Tracker's fixed degree sequence the gap is exact under
-// any committed sequence of swaps.
+// walks only the delta's touched slots. Classes no tracked swap can
+// reach — some degree is not in the class table, or on the dense path a
+// class pair the graph does not have — keep a constant gap, folded into
+// fixed. With the Tracker's fixed joint degree distribution the gap is
+// exact under any committed sequence of swaps.
 type CensusGap struct {
 	t              *Tracker
 	wedges, tris   []int64          // dense path, indexed like TrackerDelta
-	mWedges, mTris map[uint64]int64 // packed class keys: fallback, or unobserved pairs
-	fixed          float64          // Σ gap² over classes outside the class table
+	mWedges, mTris map[uint64]int64 // fallback when !t.dense, keyed like TrackerDelta
+	fixed          float64          // Σ gap² over classes no swap reaches
 }
 
 // NewCensusGap builds the gap between current, which must be the census
 // of the tracked graph, and target.
 func (t *Tracker) NewCensusGap(current, target *Census) *CensusGap {
-	g := &CensusGap{t: t, mWedges: make(map[uint64]int64), mTris: make(map[uint64]int64)}
+	g := &CensusGap{t: t}
 	if t.dense {
 		g.wedges = make([]int64, t.npairs*t.nc)
 		g.tris = make([]int64, t.npairs*t.nc)
+	} else {
+		g.mWedges = make(map[uint64]int64)
+		g.mTris = make(map[uint64]int64)
 	}
 	Join(current.Wedges, target.Wedges, func(k WedgeKey, cur, tgt int64) {
-		if v := cur - tgt; !g.addWedge(k, v) {
-			g.fixed += float64(v) * float64(v)
-		}
+		g.add(g.wedges, g.mWedges, k.KCenter, k.KLo, k.KHi, cur-tgt)
 	})
 	Join(current.Triangles, target.Triangles, func(k TriangleKey, cur, tgt int64) {
-		if v := cur - tgt; !g.addTriangle(k, v) {
-			g.fixed += float64(v) * float64(v)
-		}
+		g.add(g.tris, g.mTris, k.K1, k.K2, k.K3, cur-tgt)
 	})
 	return g
 }
 
-// classOf returns the class of degree k, or false if no node has it.
-func (t *Tracker) classOf(k int32) (int32, bool) {
-	lo, hi := 0, len(t.classDeg)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.classDeg[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
+// add adds v to the gap of the class whose slot is keyed by the degree
+// pair (ka,kb) and the third degree kc, or to fixed if no swap reaches
+// that class.
+func (g *CensusGap) add(arr []int64, m map[uint64]int64, ka, kb, kc int32, v int64) {
+	t := g.t
+	a, ok1 := t.class(ka)
+	b, ok2 := t.class(kb)
+	c, ok3 := t.class(kc)
+	if ok1 && ok2 && ok3 {
+		if !t.dense {
+			addCount(m, packKey(a, b, c), v)
+			return
+		}
+		if t.pid[int(a)*t.nc+int(b)] >= 0 {
+			arr[t.slot(a, b, c)] += v
+			return
 		}
 	}
-	return int32(lo), lo < len(t.classDeg) && t.classDeg[lo] == k
+	g.fixed += float64(v) * float64(v)
 }
 
-// addWedge adds v to wedge class k's gap, in the slot TrackerDelta uses
-// for it; false if a degree of k is not in the class table.
-func (g *CensusGap) addWedge(k WedgeKey, v int64) bool {
-	t := g.t
-	lo, ok1 := t.classOf(k.KLo)
-	cc, ok2 := t.classOf(k.KCenter)
-	hi, ok3 := t.classOf(k.KHi)
-	if !ok1 || !ok2 || !ok3 {
-		return false
+// class returns the class of degree k, or false if no node has it.
+func (t *Tracker) class(k int32) (int32, bool) {
+	if k < 0 || int(k) >= len(t.classOf) || t.classOf[k] < 0 {
+		return 0, false
 	}
-	if t.dense {
-		if p := t.pid[int(cc)*t.nc+int(lo)]; p >= 0 {
-			g.wedges[int(p)*t.nc+int(hi)] += v
-			return true
-		}
-	}
-	addCount(g.mWedges, uint64(lo)<<42|uint64(cc)<<21|uint64(hi), v)
-	return true
-}
-
-// addTriangle is addWedge for triangle classes.
-func (g *CensusGap) addTriangle(k TriangleKey, v int64) bool {
-	t := g.t
-	a, ok1 := t.classOf(k.K1)
-	b, ok2 := t.classOf(k.K2)
-	c, ok3 := t.classOf(k.K3)
-	if !ok1 || !ok2 || !ok3 {
-		return false
-	}
-	if t.dense {
-		if p := t.pid[int(a)*t.nc+int(b)]; p >= 0 {
-			g.tris[int(p)*t.nc+int(c)] += v
-			return true
-		}
-	}
-	addCount(g.mTris, uint64(a)<<42|uint64(b)<<21|uint64(c), v)
-	return true
+	return t.classOf[k], true
 }
 
 // Score returns the change in Σ gap² that committing d would make: for

@@ -2,6 +2,7 @@ package subgraphs
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,37 @@ func randomValidSwap(rng *rand.Rand, g *graph.CSR) (u, v, x, y int, ok bool) {
 	return u, v, x, y, true
 }
 
+// randomJDDSwap is randomValidSwap restricted to the swaps SwapDelta
+// takes: those that keep the joint degree distribution, deg v == deg y
+// or deg u == deg x.
+func randomJDDSwap(rng *rand.Rand, g *graph.CSR, deg []int) (u, v, x, y int, ok bool) {
+	u, v, x, y, ok = randomValidSwap(rng, g)
+	if !ok || deg[v] != deg[y] && deg[u] != deg[x] {
+		return 0, 0, 0, 0, false
+	}
+	return u, v, x, y, true
+}
+
+// orientations counts the JDD-preserving swaps a test drew by the
+// orientation SwapDelta walks: deg v == deg y as given, or only
+// deg u == deg x, which SwapDelta reads as (v,u),(y,x) → (v,x),(y,u).
+type orientations struct{ direct, flipped int }
+
+func (o *orientations) add(deg []int, v, y int) {
+	if deg[v] == deg[y] {
+		o.direct++
+	} else {
+		o.flipped++
+	}
+}
+
+func (o orientations) check(t *testing.T, min int) {
+	t.Helper()
+	if o.direct < min || o.flipped < min {
+		t.Fatalf("orientations exercised: %d direct, %d flipped; want >= %d each", o.direct, o.flipped, min)
+	}
+}
+
 // mapDeltaOfSwap computes the swap's census delta with the map-keyed
 // Delta via apply-and-revert on a clone — the reference implementation.
 func mapDeltaOfSwap(g *graph.CSR, deg []int, u, v, x, y int) *Census {
@@ -53,59 +85,74 @@ func mapDeltaOfSwap(g *graph.CSR, deg []int, u, v, x, y int) *Census {
 	return c.census()
 }
 
-func drain(t *Tracker, td *TrackerDelta) *Census {
+func drain(td *TrackerDelta) *Census {
 	c := NewCensus()
 	td.Drain(c)
 	return c
 }
 
+// pathTracker is a Tracker on one of SwapDelta's paths.
+type pathTracker struct {
+	name string
+	tr   *Tracker
+	td   *TrackerDelta
+}
+
+// pathTrackers builds Trackers over g on the three delta paths: sorted
+// window merges (default threshold), bitset probes for every node
+// (threshold 1) and the packed-map fallback (denseLimit 0).
+func pathTrackers(t *testing.T, g *graph.CSR, deg []int) []pathTracker {
+	t.Helper()
+	merge := NewTracker(g, deg)
+	bits := newTrackerThreshold(g, deg, 1)
+	old := denseLimit
+	denseLimit = 0
+	maps := NewTracker(g, deg)
+	denseLimit = old
+	if maps.dense || !merge.dense || !bits.dense {
+		t.Fatalf("dense-path selection broken: map=%v merge=%v bits=%v", maps.dense, merge.dense, bits.dense)
+	}
+	out := []pathTracker{{"merge", merge, nil}, {"bitset", bits, nil}, {"map", maps, nil}}
+	for i := range out {
+		out[i].td = out[i].tr.NewDelta()
+	}
+	return out
+}
+
+// checkSwap pins every path's SwapDelta for the swap against want.
+func checkSwap(t *testing.T, paths []pathTracker, want *Census, u, v, x, y int) bool {
+	t.Helper()
+	for _, p := range paths {
+		p.tr.SwapDelta(p.td, u, v, x, y)
+		if !drain(p.td).Equal(want) {
+			t.Logf("%s path mismatch: swap=(%d,%d)(%d,%d)", p.name, u, v, x, y)
+			return false
+		}
+	}
+	return true
+}
+
 // TestTrackerSwapDeltaMatchesDelta pits the read-only dense SwapDelta
 // against the map-keyed apply-and-revert reference on random graphs and
-// random swaps, across the merge path (default threshold), the bitset
-// path (threshold 1 puts every node behind a bitset) and the packed-map
-// fallback (denseLimit forced to 0).
+// random JDD-preserving swaps in both orientations, across the merge
+// path, the bitset path and the packed-map fallback.
 func TestTrackerSwapDeltaMatchesDelta(t *testing.T) {
-	oldLimit := denseLimit
-	defer func() { denseLimit = oldLimit }()
-
+	var seen orientations
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(24)
 		m := 4 + rng.Intn(n*(n-1)/2-3)
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-
-		cg := g.Clone()
-		denseLimit = oldLimit
-		trMerge := NewTracker(cg, deg)
-		trBits := NewTrackerThreshold(cg, deg, 1)
-		denseLimit = 0
-		trMap := NewTracker(cg, deg)
-		denseLimit = oldLimit
-		if trMap.dense || !trMerge.dense {
-			t.Fatalf("dense-path selection broken: map=%v merge=%v", trMap.dense, trMerge.dense)
-		}
-		dMerge, dBits, dMap := trMerge.NewDelta(), trBits.NewDelta(), trMap.NewDelta()
-
-		for tries := 0; tries < 30; tries++ {
-			u, v, x, y, ok := randomValidSwap(rng, g)
+		paths := pathTrackers(t, g.Clone(), deg)
+		for tries := 0; tries < 60; tries++ {
+			u, v, x, y, ok := randomJDDSwap(rng, g, deg)
 			if !ok {
 				continue
 			}
-			want := mapDeltaOfSwap(g, deg, u, v, x, y)
-			trMerge.SwapDelta(dMerge, u, v, x, y)
-			trBits.SwapDelta(dBits, u, v, x, y)
-			trMap.SwapDelta(dMap, u, v, x, y)
-			if !drain(trMerge, dMerge).Equal(want) {
-				t.Logf("merge path mismatch: seed=%d swap=(%d,%d)(%d,%d)", seed, u, v, x, y)
-				return false
-			}
-			if !drain(trBits, dBits).Equal(want) {
-				t.Logf("bitset path mismatch: seed=%d swap=(%d,%d)(%d,%d)", seed, u, v, x, y)
-				return false
-			}
-			if !drain(trMap, dMap).Equal(want) {
-				t.Logf("map fallback mismatch: seed=%d swap=(%d,%d)(%d,%d)", seed, u, v, x, y)
+			seen.add(deg, v, y)
+			if !checkSwap(t, paths, mapDeltaOfSwap(g, deg, u, v, x, y), u, v, x, y) {
+				t.Logf("seed=%d", seed)
 				return false
 			}
 		}
@@ -114,163 +161,110 @@ func TestTrackerSwapDeltaMatchesDelta(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+	seen.check(t, 20)
 }
 
-// TestTrackerSwapDeltaJDDMatchesSwapDelta pins the specialized
-// symmetric-difference walk against the generic four-op SwapDelta on
-// random JDD-matched swaps, in both 2K-preserving orientations
-// (deg v == deg y directly; deg u == deg x via the flipped call), and
-// across the merge, all-bitset, and packed-map fallback paths.
+// TestTrackerSwapDeltaJDDMatchesSwapDelta checks that a swap gives the
+// same delta whichever way its arguments name it: (u,v),(x,y) and the
+// same swap read as (v,u),(y,x). When both deg v == deg y and
+// deg u == deg x hold, the two readings walk different neighborhoods
+// (N(v) and N(y), or N(u) and N(x)); both must match the map reference,
+// on every path.
 func TestTrackerSwapDeltaJDDMatchesSwapDelta(t *testing.T) {
-	oldLimit := denseLimit
-	defer func() { denseLimit = oldLimit }()
-
 	rng := rand.New(rand.NewSource(23))
-	matched := 0
+	var seen orientations
+	both := 0
 	for round := 0; round < 200; round++ {
 		n := 6 + rng.Intn(24)
 		m := 5 + rng.Intn(n*(n-1)/2-4)
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-
-		cg := g.Clone()
-		denseLimit = oldLimit
-		trMerge := NewTracker(cg, deg)
-		trBits := NewTrackerThreshold(cg, deg, 1)
-		denseLimit = 0
-		trMap := NewTracker(cg, deg)
-		denseLimit = oldLimit
-		trackers := []*Tracker{trMerge, trBits, trMap}
-		generic := trMerge.NewDelta()
-
+		paths := pathTrackers(t, g.Clone(), deg)
 		for tries := 0; tries < 40; tries++ {
-			u, v, x, y, ok := randomValidSwap(rng, g)
+			u, v, x, y, ok := randomJDDSwap(rng, g, deg)
 			if !ok {
 				continue
 			}
-			if deg[v] != deg[y] && deg[u] != deg[x] {
-				continue // not a JDD-preserving swap; SwapDeltaJDD does not apply
+			seen.add(deg, v, y)
+			if deg[v] == deg[y] && deg[u] == deg[x] {
+				both++
 			}
-			matched++
-			trMerge.SwapDelta(generic, u, v, x, y)
-			want := drain(trMerge, generic)
-			for pi, tr := range trackers {
-				td := tr.NewDelta()
-				if deg[v] == deg[y] {
-					tr.SwapDeltaJDD(td, u, v, x, y)
-				} else {
-					tr.SwapDeltaJDD(td, v, u, y, x)
-				}
-				if !drain(tr, td).Equal(want) {
-					t.Fatalf("path=%d round=%d: SwapDeltaJDD != SwapDelta for swap (%d,%d)(%d,%d) deg=[%d %d %d %d]",
-						pi, round, u, v, x, y, deg[u], deg[v], deg[x], deg[y])
-				}
+			want := mapDeltaOfSwap(g, deg, u, v, x, y)
+			if !checkSwap(t, paths, want, u, v, x, y) || !checkSwap(t, paths, want, v, u, y, x) {
+				t.Fatalf("round=%d deg=[%d %d %d %d]", round, deg[u], deg[v], deg[x], deg[y])
 			}
 		}
 	}
-	if matched < 100 {
-		t.Fatalf("only %d JDD-matched swaps exercised — vacuous", matched)
+	seen.check(t, 50)
+	if both < 50 {
+		t.Fatalf("only %d swaps with both orientations available — vacuous", both)
 	}
 }
 
-// TestTrackerSwapDeltaMatchesComposedOps verifies the virtual-state
-// shortcut of SwapDelta (exclusion parameters instead of mirror
-// mutation) against the literal composition: four single-edge deltas
-// telescoped across actual mirror mutations, then reverted.
-func TestTrackerSwapDeltaMatchesComposedOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 40; round++ {
-		n := 6 + rng.Intn(20)
-		m := 5 + rng.Intn(n*(n-1)/2-4)
-		g := randomGraph(rng, n, m)
-		deg := g.DegreeSequence()
-		cg := g.Clone()
-		tr := NewTracker(cg, deg)
-		td := tr.NewDelta()
-		for tries := 0; tries < 20; tries++ {
-			u, v, x, y, ok := randomValidSwap(rng, g)
-			if !ok {
-				continue
-			}
-			tr.SwapDelta(td, u, v, x, y)
-			got := drain(tr, td)
-
-			td.Reset()
-			tr.RemoveEdgeDelta(td, u, v)
-			cg.RemoveEdge(u, v)
-			tr.Remove(u, v)
-			tr.RemoveEdgeDelta(td, x, y)
-			cg.RemoveEdge(x, y)
-			tr.Remove(x, y)
-			tr.AddEdgeDelta(td, u, y)
-			mustAddCSR(t, cg, u, y)
-			tr.Add(u, y)
-			tr.AddEdgeDelta(td, x, v)
-			mustAddCSR(t, cg, x, v)
-			tr.Add(x, v)
-			want := drain(tr, td)
-			// Restore the graph and bitsets for the next iteration.
-			cg.RemoveEdge(u, y)
-			cg.RemoveEdge(x, v)
-			mustAddCSR(t, cg, u, v)
-			mustAddCSR(t, cg, x, y)
-			tr.ApplySwap(u, y, x, v)
-
-			if !got.Equal(want) {
-				t.Fatalf("SwapDelta != composed ops: round=%d swap=(%d,%d)(%d,%d)", round, u, v, x, y)
-			}
+// TestTrackerSwapDeltaPanicsOnJDDChange checks that SwapDelta refuses a
+// swap that keeps neither deg v == deg y nor deg u == deg x.
+func TestTrackerSwapDeltaPanicsOnJDDChange(t *testing.T) {
+	// Node 1 has degree 3, node 5 degree 2, nodes 0 and 4 are leaves:
+	// (0,1),(5,4) → (0,4),(5,1) moves edges between degree pairs.
+	g := build(t, 7, [][2]int{{0, 1}, {1, 2}, {1, 3}, {4, 5}, {5, 6}})
+	tr := NewTracker(g, g.DegreeSequence())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "internal invariant violated") {
+			t.Fatalf("SwapDelta on a JDD-changing swap: recovered %q, want an invariant panic", msg)
 		}
-	}
+	}()
+	tr.SwapDelta(tr.NewDelta(), 0, 1, 5, 4)
 }
 
 // TestTrackerApplySwapMaintainsMirror runs a chain of accepted swaps,
-// updating graph and mirror together, and checks that SwapDelta computed
-// from the evolved mirror still matches the map-keyed reference computed
-// from the evolved graph — i.e. Add/Remove/ApplySwap keep the sorted
-// lists and bitsets coherent.
+// updating graph and bitsets together, and checks that SwapDelta
+// computed from the evolved state still matches the map-keyed reference
+// computed from the evolved graph — i.e. ApplySwap keeps the bitsets
+// coherent — on every path and at several bitset thresholds.
 func TestTrackerApplySwapMaintainsMirror(t *testing.T) {
-	for _, threshold := range []int{1, 4, DefaultBitsetThreshold} {
+	for _, threshold := range []int{4, DefaultBitsetThreshold} {
 		rng := rand.New(rand.NewSource(int64(threshold)))
 		n, m := 24, 60
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
 		cg := g.Clone()
-		tr := NewTrackerThreshold(cg, deg, threshold)
-		td := tr.NewDelta()
+		paths := append(pathTrackers(t, cg, deg), pathTracker{name: "threshold"})
+		paths[3].tr = newTrackerThreshold(cg, deg, threshold)
+		paths[3].td = paths[3].tr.NewDelta()
+		var seen orientations
 		accepted := 0
-		for tries := 0; tries < 500 && accepted < 50; tries++ {
-			u, v, x, y, ok := randomValidSwap(rng, g)
+		for tries := 0; tries < 20000 && accepted < 50; tries++ {
+			u, v, x, y, ok := randomJDDSwap(rng, g, deg)
 			if !ok {
 				continue
 			}
-			want := mapDeltaOfSwap(g, deg, u, v, x, y)
-			tr.SwapDelta(td, u, v, x, y)
-			if !drain(tr, td).Equal(want) {
+			seen.add(deg, v, y)
+			if !checkSwap(t, paths, mapDeltaOfSwap(g, deg, u, v, x, y), u, v, x, y) {
 				t.Fatalf("threshold=%d: mirror diverged after %d swaps", threshold, accepted)
 			}
-			g.RemoveEdge(u, v)
-			g.RemoveEdge(x, y)
-			if err := g.AddEdge(u, y); err != nil {
-				t.Fatal(err)
+			for _, c := range []*graph.CSR{g, cg} {
+				c.RemoveEdge(u, v)
+				c.RemoveEdge(x, y)
+				mustAddCSR(t, c, u, y)
+				mustAddCSR(t, c, x, v)
 			}
-			if err := g.AddEdge(x, v); err != nil {
-				t.Fatal(err)
+			for _, p := range paths {
+				p.tr.ApplySwap(u, v, x, y)
 			}
-			cg.RemoveEdge(u, v)
-			cg.RemoveEdge(x, y)
-			mustAddCSR(t, cg, u, y)
-			mustAddCSR(t, cg, x, v)
-			tr.ApplySwap(u, v, x, y)
 			accepted++
 		}
 		if accepted < 50 {
 			t.Fatalf("threshold=%d: only %d swaps accepted", threshold, accepted)
 		}
-		// Final coherence check: mirror adjacency == graph adjacency.
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if u != v && tr.has(u, v) != g.HasEdge(u, v) {
-					t.Fatalf("threshold=%d: mirror(%d,%d)=%v graph=%v", threshold, u, v, tr.has(u, v), g.HasEdge(u, v))
+		seen.check(t, 5)
+		// Final coherence check: tracked adjacency == graph adjacency.
+		for _, p := range paths {
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					if u != v && p.tr.has(u, v) != g.HasEdge(u, v) {
+						t.Fatalf("threshold=%d %s: has(%d,%d)=%v graph=%v", threshold, p.name, u, v, p.tr.has(u, v), g.HasEdge(u, v))
+					}
 				}
 			}
 		}
@@ -281,35 +275,39 @@ func TestTrackerApplySwapMaintainsMirror(t *testing.T) {
 // counts that cancel to zero keep IsZero true, Reset clears state, and
 // Drain leaves the accumulator empty.
 func TestTrackerDeltaResetAndZero(t *testing.T) {
-	g := build(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	deg := g.DegreeSequence()
-	tr := NewTracker(g.Clone(), deg)
+	// On C6, (0,1),(3,4) → (0,4),(3,1) splits the cycle into two
+	// triangles; (0,1),(3,2) → (0,2),(3,1) rebuilds a C6, every change it
+	// touches cancelling at the same degree classes.
+	g := build(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
+	tr := NewTracker(g, g.DegreeSequence())
 	td := tr.NewDelta()
 	if !td.IsZero() {
 		t.Fatal("fresh delta not zero")
 	}
-	tr.RemoveEdgeDelta(td, 0, 1)
+	tr.SwapDelta(td, 0, 1, 3, 4)
 	if td.IsZero() {
-		t.Fatal("delta zero after removing an edge of C5")
+		t.Fatal("delta zero for a swap that closes two triangles")
 	}
-	tr.AddEdgeDelta(td, 0, 1)
+	tr.SwapDelta(td, 0, 1, 3, 2)
+	if len(td.wTouch) == 0 {
+		t.Fatal("cancelling swap touched no slot; the check tests nothing")
+	}
 	if !td.IsZero() {
-		t.Fatal("remove+add of the same edge should cancel exactly")
+		t.Fatal("changes that cancel class-wise should leave the delta zero")
 	}
-	tr.RemoveEdgeDelta(td, 0, 1)
+	tr.SwapDelta(td, 0, 1, 3, 4)
 	td.Reset()
 	if !td.IsZero() {
 		t.Fatal("Reset did not clear the delta")
 	}
-	tr.RemoveEdgeDelta(td, 0, 1)
-	c := NewCensus()
-	td.Drain(c)
+	tr.SwapDelta(td, 0, 1, 3, 4)
+	if c := drain(td); c.TotalTriangles() != 2 {
+		t.Fatalf("drained %d triangles, want 2", c.TotalTriangles())
+	}
 	if !td.IsZero() {
 		t.Fatal("Drain did not leave the delta empty")
 	}
-	c2 := NewCensus()
-	td.Drain(c2)
-	if len(c2.Wedges) != 0 || len(c2.Triangles) != 0 {
+	if c2 := drain(td); len(c2.Wedges) != 0 || len(c2.Triangles) != 0 {
 		t.Fatal("second Drain produced counts")
 	}
 }
@@ -323,12 +321,11 @@ func mustAddCSR(t *testing.T, c *graph.CSR, u, v int) {
 }
 
 // TestTrackerObservedPairSizingStaysDense builds a graph whose degree
-// class count is far too high for the old nc³ accumulator sizing
-// (nc³ > denseLimit) but whose observed class-pair structure is sparse,
-// and checks the tracker still takes the dense path — then verifies
-// SwapDelta correctness on it against the map-keyed reference, so the
-// pair-indexed slots (and the overflow map for pairs a general swap
-// introduces) are exercised, not just selected.
+// class count is far too high for nc³ accumulator sizing (nc³ >
+// denseLimit) but whose observed class-pair structure is sparse, and
+// checks the tracker still takes the dense path — then verifies
+// SwapDelta on it against the map-keyed reference on every path, so the
+// pair-indexed slots are exercised, not just selected.
 func TestTrackerObservedPairSizingStaysDense(t *testing.T) {
 	// A chain of stars with strictly increasing arm counts: every hub is
 	// its own degree class, leaves add one more, so nc ≈ #stars while
@@ -352,30 +349,28 @@ func TestTrackerObservedPairSizingStaysDense(t *testing.T) {
 	}
 	g := build(t, n, edges)
 	deg := g.DegreeSequence()
-	cg := g.Clone()
-	tr := NewTracker(cg, deg)
+	paths := pathTrackers(t, g.Clone(), deg)
+	tr := paths[0].tr
 	if nc := tr.nc; nc*nc*nc <= denseLimit {
 		t.Fatalf("test graph too tame: nc=%d, nc³=%d <= denseLimit=%d", nc, nc*nc*nc, denseLimit)
-	}
-	if !tr.dense {
-		t.Fatalf("tracker fell back to packed maps: nc=%d npairs=%d limit=%d",
-			tr.nc, tr.npairs, denseLimit)
 	}
 	if tr.npairs*tr.nc > denseLimit {
 		t.Fatalf("pair-sized accumulators exceed the limit: npairs=%d nc=%d", tr.npairs, tr.nc)
 	}
 
+	// Every hub has its own degree, so the JDD-preserving swaps exchange
+	// leaves between hubs: deg v == deg y when the leaves are named
+	// second, deg u == deg x when they are named first.
 	rng := rand.New(rand.NewSource(3))
-	td := tr.NewDelta()
+	var seen orientations
 	checked := 0
 	for tries := 0; tries < 400 && checked < 60; tries++ {
-		u, v, x, y, ok := randomValidSwap(rng, g)
+		u, v, x, y, ok := randomJDDSwap(rng, g, deg)
 		if !ok {
 			continue
 		}
-		want := mapDeltaOfSwap(g, deg, u, v, x, y)
-		tr.SwapDelta(td, u, v, x, y)
-		if !drain(tr, td).Equal(want) {
+		seen.add(deg, v, y)
+		if !checkSwap(t, paths, mapDeltaOfSwap(g, deg, u, v, x, y), u, v, x, y) {
 			t.Fatalf("SwapDelta mismatch on pair-indexed path: swap (%d,%d)(%d,%d)", u, v, x, y)
 		}
 		checked++
@@ -383,4 +378,5 @@ func TestTrackerObservedPairSizingStaysDense(t *testing.T) {
 	if checked < 30 {
 		t.Fatalf("only %d swaps checked — vacuous", checked)
 	}
+	seen.check(t, 5)
 }
