@@ -19,12 +19,14 @@ type edgeSet struct {
 	shift uint // 64 − log2(len(slots)): home slots take the top bits
 }
 
-// edgeKey is the canonical key of the edge (u, v).
+// edgeKey is the canonical key of the edge (u, v). It is branch-free:
+// the order of a random pair is a coin flip, which a branch would
+// mispredict half the time. Node ids are non-negative, so u − v cannot
+// overflow.
 func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	d := u - v
+	d &= d >> 31 // u − v if u < v, else 0
+	return uint64(uint32(v+d))<<32 | uint64(uint32(u-d))
 }
 
 // newEdgeSet returns an empty set sized for m keys.

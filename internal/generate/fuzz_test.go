@@ -2,6 +2,7 @@ package generate
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -99,5 +100,55 @@ func FuzzRewireMoves(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzRunMatchesStep pins objective-free depth-2 Run against stepRun on
+// fuzzed graphs and stopping rules: the acceptance target, attempt
+// budget, patience and progress interval come from the fuzz input (0
+// disables each but the budget). Run draws a block of attempts ahead of
+// their checks; it must leave the same EdgeAt order, neighbor windows,
+// stats, progress samples and next random value as drawing, checking
+// and swapping one attempt at a time.
+func FuzzRunMatchesStep(f *testing.F) {
+	f.Add(int64(1), uint16(150), uint16(2000), uint8(0), uint8(0), []byte{0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 4, 5, 5, 6, 6, 4, 1, 5})
+	f.Add(int64(7), uint16(0), uint16(1001), uint8(0), uint8(7), []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(int64(-3), uint16(0), uint16(3000), uint8(70), uint8(100), []byte{1, 2, 2, 3, 3, 4, 4, 5, 5, 1, 1, 3, 2, 4, 6, 7, 7, 8})
+	f.Add(int64(11), uint16(65), uint16(129), uint8(9), uint8(64), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 12, 12, 13})
+
+	f.Fuzz(func(t *testing.T, seed int64, want, budget uint16, patience, every uint8, data []byte) {
+		n := 4 + len(data)%13
+		g := graph.NewCSR(n)
+		for i := 0; i+1 < len(data); i += 2 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u != v {
+				g.AddEdge(u, v) //nolint:errcheck // a repeated pair is skipped, as the input allows
+			}
+		}
+		if g.M() < 2 {
+			return
+		}
+		newSide := func() *Rewirer {
+			r, err := NewRewirer(g.Clone(), 2, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.RecordMoves = true
+			return r
+		}
+		run, step := newSide(), newSide()
+		w, b, p, e := int(want%512), int(budget%4096), int(patience), int(every)
+		var samples []RewireProgress
+		if e > 0 {
+			run.ProgressEvery = e
+			run.OnProgress = func(s RewireProgress) { samples = append(samples, s) }
+		}
+		if _, err := run.Run(w, b, p); err != nil {
+			t.Fatal(err)
+		}
+		if got := stepRun(t, step, w, b, p, e); !reflect.DeepEqual(samples, got) {
+			t.Fatalf("progress samples differ: Run %v, Steps %v", samples, got)
+		}
+		compareRunStep(t, run, step)
 	})
 }

@@ -135,7 +135,9 @@ type Rewirer struct {
 	// applies its swaps to the end index and its edge set only, and
 	// rebuilds G from them once, in place, when Run returns (error
 	// returns included); OnProgress callbacks of such a run see G as it
-	// was when Run began.
+	// was when Run began. Every objective-free depth-2 run draws its
+	// swaps from the end index, never from G, a block of attempts ahead
+	// of their checks (see endIndex.draw).
 	G     *graph.CSR
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
@@ -194,6 +196,12 @@ type Rewirer struct {
 	deferG    bool      // Run's loop is leaving the ends' swaps out of G
 }
 
+// endBlock is the most objective-free depth-2 attempts drawn ahead of
+// their checks (see endIndex.draw). BenchmarkRewireD2PowerLaw reads the
+// same within noise at 16, 64 and 256: a few dozen attempts in flight
+// already overlap the misses.
+const endBlock = 64
+
 // endIndex is the proposal state of objective-free depth-2 rewiring. An
 // oriented edge end a = edge<<1|side runs from its near node at[a] to its
 // far node at[a^1]. byFar lists every end grouped by the degree of its
@@ -203,12 +211,19 @@ type Rewirer struct {
 // also the edge list in slot order: edge i joins at[2i] and at[2i+1],
 // which is EdgeAt(i) up to orientation. edges answers the duplicate
 // probes. stale reports swaps not yet written back to the graph.
+//
+// drawn[next:n] are the end pairs (a, b) of attempts drawn but not yet
+// checked; sink folds the values draw touches, so those loads stay live.
 type endIndex struct {
 	at    []int32
 	byFar []uint32
 	class []int32
 	edges *edgeSet
 	stale bool
+
+	drawn   [endBlock][2]uint32
+	next, n int
+	sink    uint64
 }
 
 // newEndIndex builds the end index of g by counting sort, in O(n + m).
@@ -238,6 +253,36 @@ func newEndIndex(g *graph.CSR, deg []int) *endIndex {
 		fill[k]++
 	}
 	return ix
+}
+
+// draw draws the end pairs of the next k ≤ endBlock attempts, replacing
+// any left unchecked. Pass 1 makes exactly the rng calls k single
+// attempts would, in the same order: a = Intn(2M), then b uniform over
+// the class of deg(at[a^1]). The draws never depend on the swaps the
+// earlier attempts of the block will make: a swap exchanges far nodes of
+// equal degree, so no end's far degree changes, and neither byFar nor
+// class is ever written. Pass 2 loads the four ends of each pair and the
+// home slots of the four edge keys its check and swap probe. The loads
+// of different attempts are independent, so their cache misses overlap
+// where one attempt at a time would wait on each in turn. The values it
+// loads decide nothing: the check re-reads at, which the block's earlier
+// swaps may have changed.
+func (ix *endIndex) draw(rng *rand.Rand, deg []int, k int) {
+	for i := range k {
+		a := rng.Intn(len(ix.at))
+		d := deg[ix.at[a^1]]
+		lo, hi := ix.class[d], ix.class[d+1]
+		ix.drawn[i] = [2]uint32{uint32(a), ix.byFar[int(lo)+rng.Intn(int(hi-lo))]}
+	}
+	s := ix.edges
+	sink := ix.sink
+	for _, p := range ix.drawn[:k] {
+		u, v, x, y := ix.at[p[0]], ix.at[p[0]^1], ix.at[p[1]], ix.at[p[1]^1]
+		sink += s.slots[s.home(edgeKey(u, v))] ^ s.slots[s.home(edgeKey(x, y))] ^
+			s.slots[s.home(edgeKey(u, y))] ^ s.slots[s.home(edgeKey(x, v))]
+	}
+	ix.sink = sink
+	ix.next, ix.n = 0, k
 }
 
 // swap exchanges the far nodes of ends a and b: the 2K swap
@@ -441,23 +486,32 @@ func (r *Rewirer) Step() (bool, error) {
 	return r.finish(m)
 }
 
-// stepEnds runs one objective-free depth-2 proposal. It draws an end
-// u→v uniformly from all 2M ends, then an end x→y uniformly from the
-// ends whose far node has degree deg(v), so the swap (u,v),(x,y) →
-// (u,y),(x,v) preserves the JDD by construction. The reverse swap is
-// drawn from the same unchanged class with the same probability, so the
-// chain keeps the uniform stationary distribution of propose's moves.
-func (r *Rewirer) stepEnds() (bool, error) {
-	ix := r.ends
-	if ix == nil {
-		ix = newEndIndex(r.G, r.deg)
-		r.ends = ix
+// endsIndex returns the end index, building it on first use.
+func (r *Rewirer) endsIndex() *endIndex {
+	if r.ends == nil {
+		r.ends = newEndIndex(r.G, r.deg)
 	}
+	return r.ends
+}
+
+// stepEnds runs one objective-free depth-2 proposal. It takes an end
+// u→v uniform over all 2M ends, then an end x→y uniform over the ends
+// whose far node has degree deg(v), so the swap (u,v),(x,y) → (u,y),(x,v)
+// preserves the JDD by construction. The reverse swap is drawn from the
+// same unchanged class with the same probability, so the chain keeps the
+// uniform stationary distribution of propose's moves. The pair comes
+// from the block Run drew ahead (see endIndex.draw); with none left, as
+// for a direct Step, it draws a block of one. The checks read the ends'
+// nodes afresh from at.
+func (r *Rewirer) stepEnds() (bool, error) {
+	ix := r.endsIndex()
+	if ix.next == ix.n {
+		ix.draw(r.Rng, r.deg, 1)
+	}
+	a, b := int(ix.drawn[ix.next][0]), int(ix.drawn[ix.next][1])
+	ix.next++
 	r.Stats.Attempts++
-	a := r.Rng.Intn(len(ix.at))
 	u, v := int(ix.at[a]), int(ix.at[a^1])
-	lo, hi := ix.class[r.deg[v]], ix.class[r.deg[v]+1]
-	b := int(ix.byFar[int(lo)+r.Rng.Intn(int(hi-lo))])
 	x, y := int(ix.at[b]), int(ix.at[b^1])
 	if u == x || u == y || v == x || v == y {
 		r.Stats.Rejected.SelfLoop++
@@ -663,14 +717,16 @@ func (b RejectionBreakdown) sub(o RejectionBreakdown) RejectionBreakdown {
 // runs without PreserveConnectivity write their swaps back to r.G once,
 // on return (see Rewirer.G).
 func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, error) {
-	if r.Depth == 2 && r.Obj == nil && !r.PreserveConnectivity {
-		r.deferG = true
-		defer func() {
-			r.deferG = false
-			if r.ends != nil {
-				r.ends.sync(r.G)
-			}
-		}()
+	var ix *endIndex
+	if r.Depth == 2 && r.Obj == nil {
+		ix = r.endsIndex()
+		if !r.PreserveConnectivity {
+			r.deferG = true
+			defer func() {
+				r.deferG = false
+				ix.sync(r.G)
+			}()
+		}
 	}
 	every := r.ProgressEvery
 	if every <= 0 {
@@ -701,6 +757,22 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 	sinceAccept := 0
 	accepted := 0
 	for attempts := 0; attempts < maxAttempts; attempts++ {
+		if ix != nil && ix.next == ix.n {
+			// Draw no further than the next point where the run may stop
+			// or sample: those checks then fall only on a block's last
+			// attempt, and r.Rng ends where single draws leave it.
+			k := min(endBlock, maxAttempts-attempts)
+			if wantAccepted > 0 {
+				k = min(k, wantAccepted-accepted)
+			}
+			if patience > 0 {
+				k = min(k, patience-sinceAccept)
+			}
+			if r.OnProgress != nil {
+				k = min(k, every-(r.Stats.Attempts-last.Attempts))
+			}
+			ix.draw(r.Rng, r.deg, k)
+		}
 		ok, err := r.Step()
 		if err != nil {
 			return r.Stats, err

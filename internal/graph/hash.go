@@ -11,29 +11,42 @@ import (
 	"strconv"
 )
 
-// canonicalPairs returns g's edges as label pairs in canonical form:
-// each pair ordered a <= b, the list sorted lexicographically. This is
-// THE canonical edge list — ContentHash hashes exactly these lines and
+// canonicalPairs returns g's edges in canonical form: each edge as the
+// label pair a <= b, the list sorted lexicographically by (a, b). This
+// is THE canonical edge list — ContentHash hashes exactly these lines and
 // WriteCanonicalEdgeList emits them, so the two can never drift apart.
-func canonicalPairs(g *CSR, labels []int) [][2]int {
-	pairs := make([][2]int, 0, g.M())
-	for _, e := range g.edges {
-		a, b := int(e.U), int(e.V)
-		if labels != nil {
-			a, b = labels[a], labels[b]
-		}
-		if a > b {
-			a, b = b, a
-		}
-		pairs = append(pairs, [2]int{a, b})
+//
+// Nodes are ranked by label once (rank = id when labels is nil; equal
+// labels share a rank), so an edge packs into one key rank_lo<<32|rank_hi
+// whose integer order is the (a, b) order. Edge i is the label pair
+// (byRank[keys[i]>>32], byRank[uint32(keys[i])]).
+func canonicalPairs(g *CSR, labels []int) (keys []uint64, byRank []int) {
+	order := make([]int32, g.N())
+	for i := range order {
+		order[i] = int32(i)
 	}
-	slices.SortFunc(pairs, func(x, y [2]int) int {
-		if c := cmp.Compare(x[0], y[0]); c != 0 {
-			return c
+	if labels != nil {
+		slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(labels[x], labels[y]) })
+	}
+	rank := make([]uint32, g.N())
+	byRank = make([]int, 0, g.N())
+	for _, id := range order {
+		l := int(id)
+		if labels != nil {
+			l = labels[id]
 		}
-		return cmp.Compare(x[1], y[1])
-	})
-	return pairs
+		if len(byRank) == 0 || byRank[len(byRank)-1] != l {
+			byRank = append(byRank, l)
+		}
+		rank[id] = uint32(len(byRank) - 1)
+	}
+	keys = make([]uint64, len(g.edges))
+	for i, e := range g.edges {
+		a, b := rank[e.U], rank[e.V]
+		keys[i] = uint64(min(a, b))<<32 | uint64(max(a, b))
+	}
+	slices.Sort(keys)
+	return keys, byRank
 }
 
 // ContentHash computes the content address of a graph: "sha256:" plus the
@@ -48,16 +61,21 @@ func canonicalPairs(g *CSR, labels []int) [][2]int {
 // persistent artifact store (internal/store) uses it as the on-disk name
 // of every graph and profile artifact.
 func ContentHash(g *CSR, labels []int) string {
+	const chunk = 64 << 10
 	h := sha256.New()
-	var buf [32]byte
-	for _, p := range canonicalPairs(g, labels) {
-		line := buf[:0]
-		line = strconv.AppendInt(line, int64(p[0]), 10)
-		line = append(line, ' ')
-		line = strconv.AppendInt(line, int64(p[1]), 10)
-		line = append(line, '\n')
-		h.Write(line)
+	buf := make([]byte, 0, chunk)
+	keys, byRank := canonicalPairs(g, labels)
+	for _, k := range keys {
+		if len(buf) > chunk-64 { // room for one line of two int64s
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = strconv.AppendInt(buf, int64(byRank[k>>32]), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(byRank[uint32(k)]), 10)
+		buf = append(buf, '\n')
 	}
+	h.Write(buf)
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
@@ -71,8 +89,9 @@ func WriteCanonicalEdgeList(w io.Writer, g *CSR, labels []int) error {
 	if _, err := fmt.Fprintf(bw, "# nodes=%d edges=%d\n", g.N(), g.M()); err != nil {
 		return err
 	}
-	for _, p := range canonicalPairs(g, labels) {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", p[0], p[1]); err != nil {
+	keys, byRank := canonicalPairs(g, labels)
+	for _, k := range keys {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", byRank[k>>32], byRank[uint32(k)]); err != nil {
 			return err
 		}
 	}
