@@ -3,6 +3,7 @@ package dk
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -247,6 +248,38 @@ func TestGraphicalKnownCases(t *testing.T) {
 	for _, tc := range cases {
 		if got := Graphical(tc.seq); got != tc.want {
 			t.Errorf("Graphical(%v) = %v, want %v", tc.seq, got, tc.want)
+		}
+	}
+}
+
+func TestGraphicalJDD(t *testing.T) {
+	cases := []struct {
+		name  string
+		pairs [][3]int // k1, k2, m(k1,k2)
+		want  string   // substring of the error; "" for graphical
+	}{
+		{"triangle", [][3]int{{2, 2, 3}}, ""},
+		{"path", [][3]int{{1, 2, 2}}, ""},
+		{"K_{2,3}", [][3]int{{2, 3, 6}}, ""},
+		{"paw", [][3]int{{1, 3, 1}, {2, 3, 2}, {2, 2, 1}}, ""},
+		{"row not divisible", [][3]int{{1, 2, 1}}, "degree class 2 has 1 endpoints"},
+		{"cross pair over n_k·n_k′", [][3]int{{2, 4, 4}}, "class pair (2,4) has 4 edges"},
+		{"same-class pair over n_k(n_k−1)/2", [][3]int{{2, 2, 2}}, "class pair (2,2) has 2 edges"},
+		{"first pair in order named", [][3]int{{5, 5, 5}, {2, 2, 2}}, "class pair (2,2)"},
+		{"degree zero", [][3]int{{0, 1, 1}}, "class pair (0,1) has degree 0"},
+		{"negative count", [][3]int{{1, 1, -1}}, "negative count"},
+	}
+	for _, tc := range cases {
+		j := NewJDD()
+		for _, p := range tc.pairs {
+			j.Add(p[0], p[1], p[2])
+		}
+		err := GraphicalJDD(j)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: GraphicalJDD = %v; want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: GraphicalJDD = %v; want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -5,8 +5,9 @@
 //     hidden-variable class-pair construction for 2K;
 //   - pseudograph (configuration): stub matching for 1K (PLRG) and the
 //     paper's new edge-end grouping algorithm for 2K;
-//   - matching: loop-avoiding stub matching for 1K and 2K with
-//     deadlock resolution by edge re-breaking;
+//   - matching: loop-avoiding stub matching for 1K with deadlock
+//     resolution by edge re-breaking, and for 2K an exact balanced
+//     realization of the JDD randomized by JDD-preserving swaps;
 //   - rewiring: dK-preserving randomizing rewiring for d = 0..3;
 //   - targeting: dK-targeting d′K-preserving rewiring (Metropolis
 //     dynamics) with zero-temperature, fixed-temperature and annealed
@@ -32,8 +33,9 @@ import (
 type Options struct {
 	// Rng is the random source; required by every generator.
 	Rng *rand.Rand
-	// MaxAttempts bounds retry loops (stub pairing, swap candidate
-	// search). Zero selects a generator-specific default.
+	// MaxAttempts bounds Matching1K's stub-pairing retries and edge
+	// re-breaking probes; no other generator reads it. Zero selects the
+	// default of 200.
 	MaxAttempts int
 }
 

@@ -379,15 +379,14 @@ func TestMatching2KExactJDD(t *testing.T) {
 		}
 		g, err := Matching2K(p.Joint, Options{Rng: rng})
 		if err != nil {
-			// Deadlock resolution can fail on contrived inputs; tolerate
-			// rare failures but not systematically.
-			return true
+			t.Log(err)
+			return false
 		}
 		q, err := dk.Extract(g, 2)
 		if err != nil {
 			return false
 		}
-		return dk.D2(p.Joint, q.Joint) == 0
+		return g.M() == p.M && dk.D2(p.Joint, q.Joint) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

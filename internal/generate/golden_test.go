@@ -41,8 +41,8 @@ func checkGolden(t *testing.T, name, got, want string) {
 
 // TestGenerationGolden pins, for fixed seeds, the exact output of every
 // path that runs objective-driven rewiring: targeting through
-// FromProfile at d=1, 2 and 3 (one input takes the 2K matching →
-// pseudograph fallback), Explore for each metric, TargetRewire with
+// FromProfile at d=1, 2 and 3 (plus one input the earlier 2K matching
+// failed on), Explore for each metric, TargetRewire with
 // Metropolis acceptance and annealing, and the Skitter and HOT dataset
 // generators (Skitter runs Explore internally). Any change to an RNG
 // stream, an acceptance decision or the edge-list order shows up here.
@@ -70,7 +70,7 @@ func TestGenerationGolden(t *testing.T) {
 	}{
 		{1, "n=247 m=357 content=bed7fbeed69f27cf order=65d928520b39d240"},
 		{2, "n=247 m=370 content=82d33e440568b602 order=51d7584a1ebd5745"},
-		{3, "n=247 m=370 content=043d13b6b3c4badf order=fcb6c029b53c1a53"},
+		{3, "n=247 m=370 content=7ece088be5df2b7f order=1d1da8dd396700cc"},
 	}
 	for _, tc := range targeting {
 		g, err := generate.FromProfile(p, tc.d, generate.MethodTargeting, goldenRng(int64(tc.d)))
@@ -80,8 +80,10 @@ func TestGenerationGolden(t *testing.T) {
 		checkGolden(t, fmt.Sprintf("targeting d=%d", tc.d), replicaDigest(g), tc.want)
 	}
 
-	// An input whose 2K matching deadlocks, so 3K targeting starts from
-	// the full pseudograph.
+	// An input on which the earlier repair-and-restart 2K matching
+	// deadlocked, so 3K targeting silently started from the simplified
+	// pseudograph with 662 of the target's 692 edges. Now it keeps them,
+	// and the JDD with them.
 	fb, err := datasets.Skitter(datasets.SkitterConfig{N: 400, Seed: 26})
 	if err != nil {
 		t.Fatal(err)
@@ -90,15 +92,19 @@ func TestGenerationGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := generate.Matching2K(pfb.Joint, generate.Options{Rng: goldenRng(1)}); err == nil {
-		t.Fatal("fallback input no longer makes 2K matching fail")
-	}
 	g, err := generate.FromProfile(pfb, 3, generate.MethodTargeting, goldenRng(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "targeting d=3 fallback", replicaDigest(g),
-		"n=356 m=662 content=39e735ccb66d4861 order=ad1a3be9a7ae69e7")
+	q, err := dk.Extract(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != 692 || dk.D2(pfb.Joint, q.Joint) != 0 {
+		t.Errorf("targeting d=3 from the Skitter N=400 seed 26 profile: m=%d D2=%v; want m=692 D2=0", g.M(), dk.D2(pfb.Joint, q.Joint))
+	}
+	checkGolden(t, "targeting d=3 no fallback", replicaDigest(g),
+		"n=356 m=692 content=ce39ddc9c5ab075a order=5eeb022d6701176b")
 
 	explore := []struct {
 		metric   generate.ExploreMetric
@@ -128,7 +134,7 @@ func TestGenerationGolden(t *testing.T) {
 	}
 	metropolis := map[int]string{
 		2: "n=247 m=370 content=53afc269d1bfd0d5 order=6365fe4667b9bfb7 D=2238→20 T=0.006189700196426911 stats={Attempts:11100 Accepted:2164 Reverted:7682 Rejected:{SelfLoop:535 DuplicateEdge:719 JDDMismatch:0 CensusChanged:0 Objective:7682 Disconnected:0}}",
-		3: "n=247 m=370 content=8bf455e1fefdfdc0 order=59e95a82ce36c893 D=1094→532 T=0.006189700196426911 stats={Attempts:11100 Accepted:869 Reverted:460 Rejected:{SelfLoop:530 DuplicateEdge:44 JDDMismatch:9197 CensusChanged:0 Objective:460 Disconnected:0}}",
+		3: "n=247 m=370 content=dc74799eaca8b1f4 order=0b3d5f8a990126ef D=1060→598 T=0.006189700196426911 stats={Attempts:11100 Accepted:883 Reverted:425 Rejected:{SelfLoop:513 DuplicateEdge:56 JDDMismatch:9223 CensusChanged:0 Objective:425 Disconnected:0}}",
 	}
 	for _, d := range []int{2, 3} {
 		from := start

@@ -3,6 +3,8 @@ package generate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
@@ -86,8 +88,8 @@ func Matching1K(dd *dk.DegreeDist, opt Options) (*graph.CSR, error) {
 // first; when every probe collides — on large hub-heavy sequences the
 // pairing tail is dominated by one hub adjacent to a large fraction of
 // the graph — a deterministic scan over the edge list finds a legal
-// split if one exists, mirroring repairDefect in the 2K path.
-func rebreak(g *graph.CSR, rng randIntn, u, v int, maxAttempts int) error {
+// split if one exists.
+func rebreak(g *graph.CSR, rng intner, u, v int, maxAttempts int) error {
 	legal := func(a, b int) bool {
 		return a != u && b != v && !g.HasEdge(u, a) && !g.HasEdge(v, b)
 	}
@@ -123,115 +125,125 @@ func rebreak(g *graph.CSR, rng randIntn, u, v int, maxAttempts int) error {
 	return fmt.Errorf("generate: matching deadlock unresolved after %d attempts", maxAttempts)
 }
 
-type randIntn interface{ Intn(int) int }
-
-// Matching2K extends the matching approach to the 2K case: it realizes
-// the joint degree distribution exactly as a simple graph. The
-// construction lays out the same labeled edge-end grouping as the 2K
-// pseudograph, but instead of discarding the self-loops and duplicate
-// edges, it repairs each one with a JDD-preserving double-edge swap
-// against a random legal partner edge (the "additional techniques" of
-// Section 4.1.3). Deadlocked repairs trigger a full restart with a fresh
-// shuffle; node degrees and the JDD match the target exactly on success.
+// Matching2K extends the matching approach to the 2K case: it returns a
+// random simple graph, node ids dense in ascending class-degree order,
+// that realizes the JDD exactly, or an error naming the class pair that
+// dk.GraphicalJDD finds unrealizable. realizeJDD builds one realization;
+// JDD-preserving swaps connect all of them (Bassler et al.), and exactly
+// 10·M depth-2 swap attempts follow. A stop counting accepted swaps or
+// rejections, as Randomize's does, would favor realizations with more
+// valid swaps (TestMatching2KUniform).
 func Matching2K(jdd *dk.JDD, opt Options) (*graph.CSR, error) {
 	rng, err := opt.rng()
 	if err != nil {
 		return nil, err
 	}
-	const restarts = 8
-	var lastErr error
-	for attempt := 0; attempt < restarts; attempt++ {
-		g, err := matching2KOnce(jdd, rng, opt.MaxAttempts)
-		if err == nil {
-			return g, nil
-		}
-		lastErr = err
+	if jdd.M == 0 {
+		return nil, fmt.Errorf("generate: empty JDD")
 	}
-	return nil, lastErr
-}
-
-func matching2KOnce(jdd *dk.JDD, rng *rand.Rand, maxAttempts int) (*graph.CSR, error) {
-	if maxAttempts == 0 {
-		maxAttempts = 400
+	if err := dk.GraphicalJDD(jdd); err != nil {
+		return nil, fmt.Errorf("generate: %w", err)
 	}
-	endpoints, labels, n, _, err := build2KEndpoints(jdd, rng)
-	if err != nil {
-		return nil, err
-	}
-	g := graph.NewCSR(n)
-	// Lay down the clean edges; queue loops and duplicates as defects.
-	var defects [][2]int
-	for _, ep := range endpoints {
-		u, v := ep[0], ep[1]
-		if u != v && !g.HasEdge(u, v) {
-			mustAdd(g, u, v)
-		} else {
-			defects = append(defects, ep)
+	g := realizeJDD(jdd, rng)
+	if r, err := NewRewirer(g, 2, rng); err == nil { // else M < 2: one realization
+		if _, err := r.Run(0, 10*g.M(), 0); err != nil {
+			return nil, err
 		}
-	}
-	// Repair passes: each defect (u,v) — a stub pair that cannot be laid
-	// down directly — is resolved against an existing edge (a,b) by
-	// replacing it with (u,b) and (a,v). Degrees gain exactly the missing
-	// stubs, and the JDD is preserved when label(b) = label(v) or
-	// label(a) = label(u); legality needs both new edges absent. Defects
-	// that fail this round are retried after the graph has changed.
-	stall := 0
-	for len(defects) > 0 {
-		var remaining [][2]int
-		for _, d := range defects {
-			if !repairDefect(g, rng, labels, d[0], d[1], maxAttempts) {
-				remaining = append(remaining, d)
-			}
-		}
-		if len(remaining) == len(defects) {
-			stall++
-			if stall > 3 {
-				return nil, fmt.Errorf("generate: 2K matching stuck with %d unrepaired defects", len(remaining))
-			}
-		} else {
-			stall = 0
-		}
-		defects = remaining
 	}
 	return g, nil
 }
 
-// repairDefect inserts the stub pair (u,v) by splitting an existing edge
-// (a,b): remove (a,b), add (u,b) and (a,v). It tries random partner
-// edges first and falls back to an exhaustive scan.
-func repairDefect(g *graph.CSR, rng randIntn, labels []int, u, v, maxAttempts int) bool {
-	ku, kv := labels[u], labels[v]
-	try := func(a, b int) bool {
-		// Orientation (a,b): requires label match for JDD preservation.
-		if labels[b] != kv && labels[a] != ku {
+// realizeJDD builds one realization of a graphical JDD, after Stanton
+// and Pinar. Each class shuffles its ids and deals its stubs round-robin
+// over the class pairs in Pairs order, so a node gets ⌊c/n_k⌋ or ⌈c/n_k⌉
+// of a pair's c stubs. A cross pair joins one side's stubs in dealing
+// order to the other's grouped by node: a run of ⌈m/n_k′⌉ ≤ n_k stubs
+// meets distinct nodes. havelHakimi realizes a same-class pair, whose
+// degrees are at most ⌈2m/n_k⌉ ≤ n_k − 1.
+func realizeJDD(jdd *dk.JDD, rng *rand.Rand) *graph.CSR {
+	dd, _ := jdd.DegreeDist() // GraphicalJDD has checked it
+	class, dealt := make(map[int][]int32), make(map[int]int)
+	var n int32
+	for _, k := range dd.Degrees() {
+		ids := make([]int32, dd.Count[k])
+		for i := range ids {
+			ids[i], n = n, n+1
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		class[k] = ids
+	}
+	// deal hands out class k's next c stubs: the t-th goes to node(t).
+	deal := func(k, c int) (node func(t int) int32) {
+		ids, o := class[k], dealt[k]
+		dealt[k] += c
+		return func(t int) int32 { return ids[(o+t)%len(ids)] }
+	}
+	ends := make([]int32, 0, 2*jdd.M)
+	for _, p := range jdd.Pairs() {
+		m := jdd.Count[p]
+		if p.K1 != p.K2 {
+			a, b, nb := deal(p.K1, m), deal(p.K2, m), len(class[p.K2])
+			i := 0
+			for t := range min(m, nb) {
+				for range (m - t + nb - 1) / nb { // b's stubs t, t+nb, …
+					ends = append(ends, a(i), b(t))
+					i++
+				}
+			}
+			continue
+		}
+		c, nk := 2*m, len(class[p.K1])
+		a := deal(p.K1, c)
+		deg := make([]int, min(c, nk))
+		for t := range deg {
+			deg[t] = (c - t + nk - 1) / nk
+		}
+		if !havelHakimi(deg, func(x, y int) { ends = append(ends, a(x), a(y)) }) {
+			panic(fmt.Sprintf("generate: internal invariant violated: class pair (%d,%d) of a graphical JDD has no realization", p.K1, p.K2))
+		}
+	}
+	g := graph.NewCSR(int(n))
+	g.RebuildEdges(ends)
+	return g
+}
+
+// havelHakimi realizes the degree sequence deg on nodes 0..len(deg)−1,
+// passing each edge to emit (some may precede a false return), and
+// reports whether deg is graphical. The node of largest residual degree
+// d joins the next d. One array keeps the nodes sorted in buckets of
+// equal residual; a step takes whole buckets plus the far end of the
+// last, so its decrements keep the array sorted. O(m + n log n).
+func havelHakimi(deg []int, emit func(u, v int)) bool {
+	n := len(deg)
+	order := make([]int, n)
+	for u, d := range deg {
+		if d < 0 || d >= n {
 			return false
 		}
-		// u == b or a == v would create self-loops; a == u or b == v
-		// degenerates to inserting the defect pair itself, which is
-		// illegal by definition.
-		if a == u || a == v || b == u || b == v {
+		order[u] = u
+	}
+	res := slices.Clone(deg)
+	slices.SortStableFunc(order, func(u, v int) int { return res[v] - res[u] })
+	at := func(p int) int { return res[order[p]] }
+	for lo := 0; lo < n && at(lo) > 0; lo++ {
+		u, last := order[lo], lo+at(lo) // last: the d-th partner
+		if last >= n || at(last) == 0 {
 			return false
 		}
-		if g.HasEdge(u, b) || g.HasEdge(a, v) {
-			return false
+		// The bucket of residual x = at(last) spans s..e.
+		x := at(last)
+		s := lo + 1 + sort.Search(last-lo, func(i int) bool { return at(lo+1+i) <= x })
+		e := last + sort.Search(n-last, func(i int) bool { return at(last+i) < x }) - 1
+		join := func(vs []int) {
+			for _, v := range vs {
+				emit(u, v)
+				res[v]--
+			}
 		}
-		g.RemoveEdge(a, b)
-		mustAdd(g, u, b)
-		mustAdd(g, a, v)
-		return true
+		join(order[lo+1 : s])
+		join(order[e-(last-s) : e+1])
 	}
-	for attempt := 0; attempt < maxAttempts && g.M() > 0; attempt++ {
-		e := g.EdgeAt(rng.Intn(g.M()))
-		if try(e.U, e.V) || try(e.V, e.U) {
-			return true
-		}
-	}
-	for _, e := range g.Edges() {
-		if try(e.U, e.V) || try(e.V, e.U) {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 func mustAdd(g *graph.CSR, u, v int) {

@@ -116,14 +116,11 @@ func FromProfile(p *dk.Profile, d int, method Method, rng *rand.Rand) (*graph.CS
 		return target(start, p, 2, rng)
 	case d == 3 && method == MethodTargeting:
 		// Paper §5.1: 2K-random bootstrap, then 3K-targeting
-		// 2K-preserving rewiring. Matching realizes the JDD exactly.
+		// 2K-preserving rewiring. Matching realizes the JDD exactly, or
+		// errors on a JDD no graph realizes.
 		start, err := Matching2K(p.Joint, opt)
 		if err != nil {
-			res, err2 := Pseudograph2K(p.Joint, opt)
-			if err2 != nil {
-				return nil, err
-			}
-			start = res.Full
+			return nil, err
 		}
 		return target(start, p, 3, rng)
 	default:

@@ -2,7 +2,7 @@ package generate
 
 import (
 	"fmt"
-	"math/rand"
+	"maps"
 	"slices"
 
 	"repro/internal/dk"
@@ -90,23 +90,8 @@ func Pseudograph2K(jdd *dk.JDD, opt Options) (*PseudographResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	endpoints, labels, node, adjusted, err := build2KEndpoints(jdd, rng)
-	if err != nil {
-		return nil, err
-	}
-	mg := graph.NewMultigraph(node)
-	for _, ep := range endpoints {
-		mg.AddEdge(ep[0], ep[1])
-	}
-	return finishPseudograph(mg, adjusted, labels), nil
-}
-
-// build2KEndpoints realizes a JDD as a labeled pseudograph: it returns
-// the per-edge node assignments, each node's degree label, the node
-// count, and the number of trimmed nodes (non-divisible endpoint totals).
-func build2KEndpoints(jdd *dk.JDD, rng *rand.Rand) (endpoints [][2]int, labels []int, node, adjusted int, err error) {
 	if jdd.M == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("generate: empty JDD")
+		return nil, fmt.Errorf("generate: empty JDD")
 	}
 	// Edge ends, grouped by degree label. ends[k] holds edge indices; an
 	// edge of class (k,k) contributes its index twice.
@@ -123,14 +108,11 @@ func build2KEndpoints(jdd *dk.JDD, rng *rand.Rand) (endpoints [][2]int, labels [
 			m++
 		}
 	}
-	endpoints = make([][2]int, m) // node assignment per edge side
-	degrees := make([]int, 0, len(ends))
-	for k := range ends {
-		degrees = append(degrees, k)
-	}
+	endpoints := make([][2]int, m) // node assignment per edge side
+	var labels []int
+	node, adjusted := 0, 0
 	// Deterministic class order (map iteration would change node ids).
-	slices.Sort(degrees)
-	for _, k := range degrees {
+	for _, k := range slices.Sorted(maps.Keys(ends)) {
 		pool := ends[k]
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		for off := 0; off < len(pool); off += k {
@@ -146,7 +128,11 @@ func build2KEndpoints(jdd *dk.JDD, rng *rand.Rand) (endpoints [][2]int, labels [
 			node++
 		}
 	}
-	return endpoints, labels, node, adjusted, nil
+	mg := graph.NewMultigraph(node)
+	for _, ep := range endpoints {
+		mg.AddEdge(ep[0], ep[1])
+	}
+	return finishPseudograph(mg, adjusted, labels), nil
 }
 
 func finishPseudograph(mg *graph.Multigraph, adjusted int, labels []int) *PseudographResult {
