@@ -72,13 +72,13 @@ func CountInitialRewirings(g *graph.CSR, depth int) (RewiringCount, error) {
 		if u == x || u == y || v == x || v == y {
 			return false, false
 		}
-		if g.HasEdge(u, y) || g.HasEdge(x, v) {
+		// Four degree loads before the two window searches, as in
+		// Rewirer.propose: most candidates fail the JDD test.
+		if depth >= 2 && deg[v] != deg[y] && deg[u] != deg[x] {
 			return false, false
 		}
-		if depth >= 2 {
-			if deg[v] != deg[y] && deg[u] != deg[x] {
-				return false, false
-			}
+		if g.HasEdge(u, y) || g.HasEdge(x, v) {
+			return false, false
 		}
 		if depth == 3 {
 			// The depth-2 filter above guarantees the swap keeps the JDD,

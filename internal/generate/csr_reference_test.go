@@ -27,10 +27,10 @@ func profileBytes(t *testing.T, p *dk.Profile) []byte {
 // one and adding an edge appends, as the map graph did. The CSR must
 // leave the same edge-index stream (the RNG-stream contract the uniform
 // edge draw EdgeAt ∘ Intn depends on), and a CSR rebuilt from the slots
-// must have the same content hash and profile. Objective-free depth 2
-// swaps in place instead, each edge keeping its slot, so its stream is
-// checked against that slot model; a zero-score objective keeps a second
-// depth-2 run on the remove-and-add path.
+// must have the same content hash and profile. Objective-free depths 2
+// and 3 swap in place instead, each edge keeping its slot, so their
+// streams are checked against that slot model; a zero-score objective
+// keeps a second depth-2 run on the remove-and-add path.
 func TestCSRMatchesMapReference(t *testing.T) {
 	for _, fam := range diffFamilies {
 		for _, seed := range []int64{7, 23} {
@@ -53,7 +53,7 @@ func TestCSRMatchesMapReference(t *testing.T) {
 					}
 				}
 				slots := c.Edges()
-				inPlace := depth == 2 && run.obj == nil
+				inPlace := depth >= 2 && run.obj == nil
 				remove := func(e graph.Edge) {
 					i := slices.Index(slots, e.Canon())
 					if i < 0 {

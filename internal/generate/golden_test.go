@@ -168,7 +168,7 @@ func TestRandomizeGolden(t *testing.T) {
 		0: "n=247 m=370 content=6cffa496b9d1240a order=65005af712de6252 stats={Attempts:3769 Accepted:3700 Reverted:0 Rejected:{SelfLoop:16 DuplicateEdge:53 JDDMismatch:0 CensusChanged:0 Objective:0 Disconnected:0}}",
 		1: "n=247 m=370 content=ffb44093cf3b6864 order=ce5d29a1dedfb22e stats={Attempts:4631 Accepted:3700 Reverted:0 Rejected:{SelfLoop:247 DuplicateEdge:684 JDDMismatch:0 CensusChanged:0 Objective:0 Disconnected:0}}",
 		2: "n=247 m=370 content=89c97adc3e50dc95 order=b0f9fd2822321ad1 stats={Attempts:6483 Accepted:3700 Reverted:0 Rejected:{SelfLoop:2543 DuplicateEdge:240 JDDMismatch:0 CensusChanged:0 Objective:0 Disconnected:0}}",
-		3: "n=247 m=370 content=dac2294783adaead order=13dcec2aca055ac2 stats={Attempts:148000 Accepted:2956 Reverted:0 Rejected:{SelfLoop:7528 DuplicateEdge:693 JDDMismatch:130224 CensusChanged:6599 Objective:0 Disconnected:0}}",
+		3: "n=247 m=370 content=e91ef67ca214781a order=6bf60e6f97035fa0 stats={Attempts:9933 Accepted:3700 Reverted:0 Rejected:{SelfLoop:2162 DuplicateEdge:270 JDDMismatch:0 CensusChanged:3801 Objective:0 Disconnected:0}}",
 	}
 	for d, w := range want {
 		g, st, err := generate.Randomize(src, d, generate.RandomizeOptions{Rng: goldenRng(int64(40 + d))})

@@ -89,7 +89,7 @@ func Matching1K(dd *dk.DegreeDist, opt Options) (*graph.CSR, error) {
 // pairing tail is dominated by one hub adjacent to a large fraction of
 // the graph — a deterministic scan over the edge list finds a legal
 // split if one exists.
-func rebreak(g *graph.CSR, rng intner, u, v int, maxAttempts int) error {
+func rebreak(g *graph.CSR, rng *rand.Rand, u, v int, maxAttempts int) error {
 	legal := func(a, b int) bool {
 		return a != u && b != v && !g.HasEdge(u, a) && !g.HasEdge(v, b)
 	}

@@ -1,19 +1,20 @@
 package generate
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
+	"repro/internal/subgraphs"
 )
 
 // proposeRef is Rewirer.propose with its checks in the order they ran
 // before the JDD test moved ahead of the duplicate probe: self-loop →
 // duplicate edge → JDD mismatch. TestProposeCheckOrderMatchesReference
 // pins the production order against it.
-func (r *Rewirer) proposeRef(rng intner) (Move, rejectReason) {
+func (r *Rewirer) proposeRef(rng *rand.Rand) (Move, rejectReason) {
 	g := r.G
 	if r.Depth == 0 {
 		e := g.EdgeAt(rng.Intn(g.M()))
@@ -40,11 +41,7 @@ func (r *Rewirer) proposeRef(rng intner) (Move, rejectReason) {
 	if u == x || u == y || v == x || v == y {
 		return Move{}, rejectSelfLoop
 	}
-	if r.tracker != nil {
-		if r.tracker.Has(u, y) || r.tracker.Has(x, v) {
-			return Move{}, rejectDuplicateEdge
-		}
-	} else if g.HasEdge(u, y) || g.HasEdge(x, v) {
+	if g.HasEdge(u, y) || g.HasEdge(x, v) {
 		return Move{}, rejectDuplicateEdge
 	}
 	if r.Depth >= 2 {
@@ -63,29 +60,14 @@ func sameOutcome(got, want rejectReason) bool {
 	return got == want || (want == rejectDuplicateEdge && got == rejectJDDMismatch)
 }
 
-// drawHook passes a rand.Source through, handing each value to onDraw
-// before returning it. fillBatch draws its batch seed first, so the hook
-// sees the graph the batch is evaluated against.
-type drawHook struct {
-	rand.Source
-	onDraw func(int64)
-}
-
-func (s *drawHook) Int63() int64 {
-	v := s.Source.Int63()
-	s.onDraw(v)
-	return v
-}
-
 // TestProposeCheckOrderMatchesReference checks that running the JDD
 // test before the duplicate probe changes nothing but the reason a
 // rejection counts under: on the differential suite's graph families,
 // every proposal yields the same Move and the same accept/reject
 // outcome as proposeRef, and a reason differs only as duplicate edge →
-// JDD mismatch. Depths 1 and 2 run the sequential path, depth 3 the
-// batched one at one and four workers.
+// JDD mismatch. Depths 1 and 2 run propose; objective-free depth 3 is
+// pinned move by move against depth3Ref.
 func TestProposeCheckOrderMatchesReference(t *testing.T) {
-	defer parallel.SetWorkers(0)
 	const attempts = 20000
 	shifted := 0
 	for _, fam := range diffFamilies {
@@ -94,10 +76,7 @@ func TestProposeCheckOrderMatchesReference(t *testing.T) {
 			for _, depth := range []int{1, 2} {
 				shifted += checkSequentialOrder(t, fam.name, orig, depth, seed, attempts)
 			}
-			for _, workers := range []int{1, 4} {
-				parallel.SetWorkers(workers)
-				shifted += checkBatchedOrder(t, fam.name, orig, seed, attempts)
-			}
+			checkDepth3Moves(t, fam.name, orig, seed, attempts/4)
 		}
 	}
 	if shifted == 0 {
@@ -172,51 +151,113 @@ func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int,
 	return shifted
 }
 
-// checkBatchedOrder drives a depth-3 Rewirer through Step and, for every
-// batch it fills, compares the evaluated candidates with a reference
-// batch built by proposeRef from the same batch seed on the same graph.
-// It returns the number of reasons that moved to JDD mismatch.
-func checkBatchedOrder(t *testing.T, name string, orig *graph.CSR, seed int64, attempts int) int {
+// depth3Ref is objective-free depth-3 rewiring written out directly:
+// the ends as a plain list of (near, far) nodes in edge-slot order, the
+// classes as lists of ends by far degree, the class picked by a linear
+// scan, the duplicate probe on the graph and the census check by a full
+// recount of the swapped graph.
+type depth3Ref struct {
+	g       *graph.CSR
+	at      []int // end 2i+side; edge i joins at[2i] and at[2i+1]
+	classes [][]int
+	census  *subgraphs.Census
+}
+
+func newDepth3Ref(g *graph.CSR) *depth3Ref {
+	ref := &depth3Ref{g: g, census: subgraphs.Count(g)}
+	deg := g.DegreeSequence()
+	byDeg := map[int][]int{}
+	for i := 0; i < g.M(); i++ {
+		e := g.EdgeAt(i)
+		ref.at = append(ref.at, e.U, e.V)
+		byDeg[deg[e.V]] = append(byDeg[deg[e.V]], 2*i)
+		byDeg[deg[e.U]] = append(byDeg[deg[e.U]], 2*i+1)
+	}
+	for _, d := range slices.Sorted(maps.Keys(byDeg)) {
+		ref.classes = append(ref.classes, byDeg[d]) // ends in ascending order, as in byFar
+	}
+	return ref
+}
+
+// step runs one attempt and returns its move and outcome.
+func (ref *depth3Ref) step(rng *rand.Rand) (Move, rejectReason) {
+	total := int64(0)
+	for _, c := range ref.classes {
+		total += int64(len(c) * len(c))
+	}
+	t := rng.Int63n(total)
+	var c []int
+	for _, c = range ref.classes {
+		if n := int64(len(c) * len(c)); t >= n {
+			t -= n
+			continue
+		}
+		break
+	}
+	a, b := c[t/int64(len(c))], c[t%int64(len(c))]
+	m := Move{U: ref.at[a], V: ref.at[a^1], X: ref.at[b], Y: ref.at[b^1], Depth: 3}
+	if m.U == m.X || m.U == m.Y || m.V == m.X || m.V == m.Y {
+		return m, rejectSelfLoop
+	}
+	if ref.g.HasEdge(m.U, m.Y) || ref.g.HasEdge(m.X, m.V) {
+		return m, rejectDuplicateEdge
+	}
+	swapped := ref.g.Clone()
+	if err := swapped.SwapEnds(m.U, m.V, m.X, m.Y); err != nil {
+		panic(err)
+	}
+	if !subgraphs.Count(swapped).Equal(ref.census) {
+		return m, rejectCensusChanged
+	}
+	ref.g = swapped
+	ref.at[a^1], ref.at[b^1] = m.Y, m.V
+	return m, rejectNone
+}
+
+// checkDepth3Moves runs objective-free depth-3 Step and depth3Ref from
+// the same seed and requires every attempt to end the same way: the
+// same rejection reason, or the same accepted move. The two graphs must
+// then agree edge slot by edge slot.
+func checkDepth3Moves(t *testing.T, name string, orig *graph.CSR, seed int64, attempts int) {
 	t.Helper()
-	src := &drawHook{Source: rand.NewSource(seed * 31)}
-	r, err := NewRewirer(orig.Clone(), 3, rand.New(src))
+	r, err := NewRewirer(orig.Clone(), 3, newRng(seed*31))
 	if err != nil {
 		t.Fatalf("%s/d3: %v", name, err)
 	}
-	r.BatchSize = 16
-	td := r.tracker.NewDelta()
-	var ref []candidate
-	src.onDraw = func(batchSeed int64) {
-		ref = make([]candidate, r.BatchSize)
-		for i := range ref {
-			m, rej := r.proposeRef(&splitMix{s: uint64(parallel.SubSeed(batchSeed, i))})
-			if rej == rejectNone {
-				r.tracker.SwapDelta(td, m.U, m.V, m.X, m.Y)
-				if !td.IsZero() {
-					rej = rejectCensusChanged
-				}
-			}
-			ref[i] = candidate{m: m, reject: rej}
-		}
-	}
-	shifted := 0
+	r.RecordMoves = true
+	ref, refRng := newDepth3Ref(orig.Clone()), newRng(seed*31)
 	for i := 0; i < attempts; i++ {
-		if _, err := r.Step(); err != nil {
+		before := r.Stats
+		ok, err := r.Step()
+		if err != nil {
 			t.Fatalf("%s/d3: Step: %v", name, err)
 		}
-		if ref == nil {
-			continue
-		}
-		for j, c := range r.queue {
-			if c.m != ref[j].m || !sameOutcome(c.reject, ref[j].reject) {
-				t.Fatalf("%s/d3 seed=%d workers=%d attempt %d candidate %d: got %+v, reference %+v",
-					name, seed, parallel.Workers(), i, j, c, ref[j])
+		mr, rejr := ref.step(refRng)
+		got := rejectNone
+		switch st := r.Stats.Rejected.sub(before.Rejected); {
+		case ok:
+			if m := r.AcceptedMoves()[len(r.AcceptedMoves())-1]; m != mr {
+				t.Fatalf("%s/d3 seed=%d attempt %d: accepted %+v, reference %+v", name, seed, i, m, mr)
 			}
-			if c.reject != ref[j].reject {
-				shifted++
-			}
+		case st.SelfLoop == 1:
+			got = rejectSelfLoop
+		case st.DuplicateEdge == 1:
+			got = rejectDuplicateEdge
+		case st.CensusChanged == 1:
+			got = rejectCensusChanged
+		default:
+			t.Fatalf("%s/d3 seed=%d attempt %d: rejected as %+v", name, seed, i, st)
 		}
-		ref = nil
+		if got != rejr {
+			t.Fatalf("%s/d3 seed=%d attempt %d: reason %d, reference %d (move %+v)", name, seed, i, got, rejr, mr)
+		}
 	}
-	return shifted
+	if r.Stats.Accepted == 0 || r.Stats.Rejected.CensusChanged == 0 {
+		t.Fatalf("%s/d3 seed=%d: stats %+v; want accepted moves and census rejections", name, seed, r.Stats)
+	}
+	for i := 0; i < orig.M(); i++ {
+		if r.G.EdgeAt(i) != ref.g.EdgeAt(i) {
+			t.Fatalf("%s/d3 seed=%d: EdgeAt(%d) = %v, reference %v", name, seed, i, r.G.EdgeAt(i), ref.g.EdgeAt(i))
+		}
+	}
 }

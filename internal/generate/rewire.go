@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/subgraphs"
 )
 
@@ -19,9 +19,10 @@ import (
 // For depth 2 the proposal additionally requires deg(V) = deg(Y) or
 // deg(U) = deg(X) (Figure 4 of the paper), which preserves the JDD; for
 // depth 3 the engine also verifies that the wedge/triangle census is
-// unchanged. Objective-free depth-2 rewiring draws Y from the ends whose
-// far node has degree deg(V), so its moves satisfy deg(V) = deg(Y) by
-// construction and none fails the JDD test.
+// unchanged. Objective-free rewiring at depths 2 and 3 draws V and Y as
+// the far nodes of two ends whose far nodes have equal degree, so its
+// moves satisfy deg(V) = deg(Y) by construction and none fails the JDD
+// test.
 type Move struct {
 	U, V, X, Y int
 	Depth      int
@@ -50,8 +51,9 @@ const (
 // reasons and the objective are decided before the move touches the
 // graph; connectivity rejections apply the move first and roll it back.
 // Objective and connectivity rejections also count in
-// RewireStats.Reverted. Objective-free depth-2 rewiring proposes only
-// JDD-preserving swaps, so it never counts a JDDMismatch.
+// RewireStats.Reverted. Objective-free rewiring at depths 2 and 3
+// proposes only JDD-preserving swaps, so it never counts a JDDMismatch;
+// at depth 3 its checks run self-loop → duplicate edge → census change.
 type RejectionBreakdown struct {
 	SelfLoop      int
 	DuplicateEdge int
@@ -96,34 +98,6 @@ type RewireStats struct {
 	Rejected RejectionBreakdown
 }
 
-// DefaultBatchSize is the number of depth-3 candidate proposals drawn and
-// evaluated per parallel batch (see Rewirer.BatchSize). Sized so one
-// batch amortizes the pool dispatch: most candidates die in the cheap
-// structural checks, and only the survivors pay for a census delta.
-const DefaultBatchSize = 256
-
-// splitMix is the candidate-draw generator of the batched proposer: a
-// SplitMix64 stream, ~free to seed — candidates are drawn by the
-// thousand per accepted move, and seeding a rand.Rand (607-word state)
-// per candidate would cost more than the checks it feeds. Modulo
-// reduction gives Intn a bias of n/2⁶⁴, irrelevant here: the contract
-// is determinism of the (seed, BatchSize) → stream function, not
-// perfect uniformity.
-type splitMix struct{ s uint64 }
-
-func (r *splitMix) Intn(n int) int {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int(z % uint64(n))
-}
-
-// intner is the candidate-draw interface shared by the sequential path
-// (*rand.Rand) and the batched path (*splitMix).
-type intner interface{ Intn(n int) int }
-
 // Rewirer performs dK-preserving rewiring on a mutable graph with an
 // optional Objective scoring each candidate move and an acceptance Policy
 // deciding from the objective delta. A nil objective with the default
@@ -135,9 +109,11 @@ type Rewirer struct {
 	// applies its swaps to the end index and its edge set only, and
 	// rebuilds G from them once, in place, when Run returns (error
 	// returns included); OnProgress callbacks of such a run see G as it
-	// was when Run began. Every objective-free depth-2 run draws its
-	// swaps from the end index, never from G, a block of attempts ahead
-	// of their checks (see endIndex.draw).
+	// was when Run began. Objective-free runs at depths 2 and 3 draw
+	// their swaps from the end index, never from G: depth 2 a block of
+	// attempts ahead of their checks (see endIndex.draw), depth 3 one at
+	// a time (see endIndex.drawPair), applying each accepted swap to G in
+	// place, because the census tracker reads G's neighbor windows.
 	G     *graph.CSR
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
@@ -152,12 +128,6 @@ type Rewirer struct {
 	// (checked by BFS after each accepted move — expensive; the paper
 	// itself does not check and extracts GCCs afterwards).
 	PreserveConnectivity bool
-	// BatchSize is the number of depth-3 candidates drawn and evaluated
-	// per parallel batch (default DefaultBatchSize; 1 degenerates to a
-	// serial loop with the same accepted-move stream). The stream is a
-	// pure function of (seed, BatchSize) — it never depends on the
-	// worker count.
-	BatchSize int
 	// RecordMoves appends every accepted move to the log returned by
 	// AcceptedMoves — the differential test harness replays it.
 	RecordMoves bool
@@ -180,20 +150,11 @@ type Rewirer struct {
 	objSum float64
 
 	deg     []int
-	tracker *subgraphs.Tracker // depth-3 census machinery, else nil
-	scratch []*subgraphs.TrackerDelta
-	queue   []candidate
-	qPos    int
-	// Dirty-node filter: accepting a move changes only its four
-	// endpoints' neighborhoods, so queued candidates sharing none of
-	// those nodes remain exactly valid (structural checks and census
-	// delta alike) and keep being consumed; candidates touching a dirty
-	// node are skipped. dirtyList clears the array at the next refill.
-	dirty     []bool
-	dirtyList []int
-	moves     []Move
-	ends      *endIndex // objective-free depth-2 proposer, built by the first Step
-	deferG    bool      // Run's loop is leaving the ends' swaps out of G
+	tracker *subgraphs.Tracker      // depth-3 census machinery, else nil
+	td      *subgraphs.TrackerDelta // the census delta of the swap being checked
+	moves   []Move
+	ends    *endIndex // objective-free depth-2 and depth-3 proposer, built by the first Step
+	deferG  bool      // Run's loop is leaving the ends' swaps out of G
 }
 
 // endBlock is the most objective-free depth-2 attempts drawn ahead of
@@ -202,15 +163,17 @@ type Rewirer struct {
 // already overlap the misses.
 const endBlock = 64
 
-// endIndex is the proposal state of objective-free depth-2 rewiring. An
-// oriented edge end a = edge<<1|side runs from its near node at[a] to its
-// far node at[a^1]. byFar lists every end grouped by the degree of its
-// far node: class k is byFar[class[k]:class[k+1]]. A 2K swap exchanges
-// the far nodes of two ends in one class, which moves no end to another
-// class, so only the two far entries of at change. Read in pairs, at is
-// also the edge list in slot order: edge i joins at[2i] and at[2i+1],
-// which is EdgeAt(i) up to orientation. edges answers the duplicate
-// probes. stale reports swaps not yet written back to the graph.
+// endIndex is the proposal state of objective-free rewiring at depths 2
+// and 3. An oriented edge end a = edge<<1|side runs from its near node
+// at[a] to its far node at[a^1]. byFar lists every end grouped by the
+// degree of its far node: class k is byFar[class[k]:class[k+1]]. A 2K
+// swap exchanges the far nodes of two ends in one class, which moves no
+// end to another class, so only the two far entries of at change. Read
+// in pairs, at is also the edge list in slot order: edge i joins at[2i]
+// and at[2i+1], which is EdgeAt(i) up to orientation. edges answers the
+// duplicate probes. stale reports swaps not yet written back to the
+// graph. pairCum[i] counts the ordered end pairs |C|² of the non-empty
+// classes pairDeg[0..i], in ascending degree: drawPair's class table.
 //
 // drawn[next:n] are the end pairs (a, b) of attempts drawn but not yet
 // checked; sink folds the values draw touches, so those loads stay live.
@@ -220,6 +183,9 @@ type endIndex struct {
 	class []int32
 	edges *edgeSet
 	stale bool
+
+	pairDeg []int32
+	pairCum []int64
 
 	drawn   [endBlock][2]uint32
 	next, n int
@@ -243,7 +209,13 @@ func newEndIndex(g *graph.CSR, deg []int) *endIndex {
 		ix.class[deg[e.U]+1]++
 		ix.class[deg[e.V]+1]++
 	}
+	total := int64(0)
 	for k := 1; k < len(ix.class); k++ {
+		if c := int64(ix.class[k]); c > 0 {
+			total += c * c
+			ix.pairDeg = append(ix.pairDeg, int32(k-1))
+			ix.pairCum = append(ix.pairCum, total)
+		}
 		ix.class[k] += ix.class[k-1]
 	}
 	fill := append([]int32(nil), ix.class...)
@@ -285,6 +257,27 @@ func (ix *endIndex) draw(rng *rand.Rand, deg []int, k int) {
 	ix.next, ix.n = 0, k
 }
 
+// drawPair draws the end pair of one objective-free depth-3 attempt,
+// uniform over the ordered pairs of ends in one class: one value t
+// below Σ|C|² picks a class with probability ∝ |C|², and its offset r
+// in that class gives a = r / |C| and b = r mod |C|. Swapping a pair
+// leaves every class as it was, so the reverse swap has the same
+// probability and the chain keeps its uniform stationary law. (draw's
+// uniform first end lands on the one-node class of a hub of unique
+// degree as often as the hub has ends, and every pair in that class is
+// a self-loop; at depth 3 that draw ran slower on Skitter inputs.)
+func (ix *endIndex) drawPair(rng *rand.Rand) (a, b int) {
+	cum := ix.pairCum
+	t := rng.Int63n(cum[len(cum)-1])
+	i := sort.Search(len(cum), func(i int) bool { return cum[i] > t })
+	if i > 0 {
+		t -= cum[i-1]
+	}
+	d := ix.pairDeg[i]
+	lo, n := int64(ix.class[d]), int64(ix.class[d+1]-ix.class[d])
+	return int(ix.byFar[lo+t/n]), int(ix.byFar[lo+t%n])
+}
+
 // swap exchanges the far nodes of ends a and b: the 2K swap
 // (u,v),(x,y) → (u,y),(x,v). It updates the edge set, and g in place
 // unless g is nil; then g falls behind until sync. It is its own
@@ -310,13 +303,6 @@ func (ix *endIndex) sync(g *graph.CSR) {
 		g.RebuildEdges(ix.at)
 		ix.stale = false
 	}
-}
-
-// candidate is one speculatively drawn and structurally evaluated
-// depth-3 proposal, produced by fillBatch and consumed in index order.
-type candidate struct {
-	m      Move
-	reject rejectReason
 }
 
 // Policy maps an objective delta to an accept/reject decision.
@@ -362,6 +348,7 @@ func NewRewirer(g *graph.CSR, depth int, rng *rand.Rand) (*Rewirer, error) {
 	r.deg = g.DegreeSequence()
 	if depth == 3 {
 		r.tracker = subgraphs.NewTracker(g, r.deg)
+		r.td = r.tracker.NewDelta()
 	}
 	return r, nil
 }
@@ -371,11 +358,11 @@ func NewRewirer(g *graph.CSR, depth int, rng *rand.Rand) (*Rewirer, error) {
 func (r *Rewirer) AcceptedMoves() []Move { return r.moves }
 
 // propose draws one candidate move for the configured depth from rng and
-// checks its structural constraints up to depth 2 (the depth-3 census
-// check is separate — it is the expensive one and runs batched). Every
-// draw happens before any check, and the checks run cheapest first, so
-// the order decides only which reason a rejection counts under.
-func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
+// checks its structural constraints up to depth 2 (Step runs the depth-3
+// census check after it). Every draw happens before any check, and the
+// checks run cheapest first, so the order decides only which reason a
+// rejection counts under.
+func (r *Rewirer) propose(rng *rand.Rand) (Move, rejectReason) {
 	g := r.G
 	if r.Depth == 0 {
 		e := g.EdgeAt(rng.Intn(g.M()))
@@ -411,14 +398,7 @@ func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 			return Move{}, rejectJDDMismatch
 		}
 	}
-	if r.tracker != nil {
-		// Depth 3: probe the tracker mirror — O(1) bitset hits on hubs
-		// instead of hashing into their adjacency maps; proposals are drawn
-		// by the thousand per accepted move, so this is hot.
-		if r.tracker.Has(u, y) || r.tracker.Has(x, v) {
-			return Move{}, rejectDuplicateEdge
-		}
-	} else if g.HasEdge(u, y) || g.HasEdge(x, v) {
+	if g.HasEdge(u, y) || g.HasEdge(x, v) {
 		return Move{}, rejectDuplicateEdge
 	}
 	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
@@ -467,23 +447,30 @@ func (r *Rewirer) revert(m Move) {
 
 // Step proposes and evaluates one candidate move, updating r.Stats. It
 // reports whether a move was accepted; attempts that fail structural
-// constraints return (false, nil). At depth 3 proposals come from the
-// batched parallel pipeline; objective-free depth 2 draws from the end
-// index; other runs draw directly from r.Rng through propose.
+// constraints return (false, nil). Objective-free runs at depths 2 and 3
+// draw from the end index; other runs draw directly from r.Rng through
+// propose.
 func (r *Rewirer) Step() (bool, error) {
-	switch {
-	case r.Depth == 3:
-		return r.stepBatched()
-	case r.Depth == 2 && r.Obj == nil:
+	if r.Depth >= 2 && r.Obj == nil {
 		return r.stepEnds()
 	}
 	r.Stats.Attempts++
 	m, rej := r.propose(r.Rng)
+	if rej == rejectNone && r.tracker != nil && !r.censusKept(m.U, m.V, m.X, m.Y) {
+		rej = rejectCensusChanged
+	}
 	if rej != rejectNone {
 		r.Stats.Rejected.count(rej)
 		return false, nil
 	}
 	return r.finish(m)
+}
+
+// censusKept reports whether the JDD-preserving swap
+// (u,v),(x,y) → (u,y),(x,v) leaves the wedge/triangle census unchanged.
+func (r *Rewirer) censusKept(u, v, x, y int) bool {
+	r.tracker.SwapDelta(r.td, u, v, x, y)
+	return r.td.IsZero()
 }
 
 // endsIndex returns the end index, building it on first use.
@@ -494,22 +481,31 @@ func (r *Rewirer) endsIndex() *endIndex {
 	return r.ends
 }
 
-// stepEnds runs one objective-free depth-2 proposal. It takes an end
-// u→v uniform over all 2M ends, then an end x→y uniform over the ends
-// whose far node has degree deg(v), so the swap (u,v),(x,y) → (u,y),(x,v)
-// preserves the JDD by construction. The reverse swap is drawn from the
-// same unchanged class with the same probability, so the chain keeps the
-// uniform stationary distribution of propose's moves. The pair comes
-// from the block Run drew ahead (see endIndex.draw); with none left, as
-// for a direct Step, it draws a block of one. The checks read the ends'
-// nodes afresh from at.
+// stepEnds runs one objective-free proposal at depth 2 or 3: a swap
+// (u,v),(x,y) → (u,y),(x,v) of two ends u→v and x→y whose far nodes have
+// equal degree, so it preserves the JDD by construction. Depth 2 takes
+// u→v uniform over all 2M ends, then x→y uniform over the ends whose far
+// node has degree deg(v); the pair comes from the block Run drew ahead
+// (see endIndex.draw), and with none left, as for a direct Step, it
+// draws a block of one. Depth 3 draws the pair uniform over all ordered
+// same-class pairs (see endIndex.drawPair) and computes the census delta
+// of the swaps that pass the structural checks, and only of those. Both
+// draws pick the reverse swap from the same unchanged classes with the
+// same probability, so the chain keeps the uniform stationary
+// distribution of propose's moves. The checks read the ends' nodes
+// afresh from at.
 func (r *Rewirer) stepEnds() (bool, error) {
 	ix := r.endsIndex()
-	if ix.next == ix.n {
-		ix.draw(r.Rng, r.deg, 1)
+	var a, b int
+	if r.tracker != nil {
+		a, b = ix.drawPair(r.Rng)
+	} else {
+		if ix.next == ix.n {
+			ix.draw(r.Rng, r.deg, 1)
+		}
+		a, b = int(ix.drawn[ix.next][0]), int(ix.drawn[ix.next][1])
+		ix.next++
 	}
-	a, b := int(ix.drawn[ix.next][0]), int(ix.drawn[ix.next][1])
-	ix.next++
 	r.Stats.Attempts++
 	u, v := int(ix.at[a]), int(ix.at[a^1])
 	x, y := int(ix.at[b]), int(ix.at[b^1])
@@ -519,6 +515,10 @@ func (r *Rewirer) stepEnds() (bool, error) {
 	}
 	if ix.edges.has(edgeKey(int32(u), int32(y))) || ix.edges.has(edgeKey(int32(x), int32(v))) {
 		r.Stats.Rejected.DuplicateEdge++
+		return false, nil
+	}
+	if r.tracker != nil && !r.censusKept(u, v, x, y) {
+		r.Stats.Rejected.CensusChanged++
 		return false, nil
 	}
 	if r.deferG {
@@ -532,45 +532,14 @@ func (r *Rewirer) stepEnds() (bool, error) {
 		r.Stats.Reverted++
 		return false, nil
 	}
+	if r.tracker != nil {
+		r.tracker.ApplySwap(u, v, x, y)
+	}
 	if r.RecordMoves {
-		r.moves = append(r.moves, Move{U: u, V: v, X: x, Y: y, Depth: 2})
+		r.moves = append(r.moves, Move{U: u, V: v, X: x, Y: y, Depth: r.Depth})
 	}
 	r.Stats.Accepted++
 	return true, nil
-}
-
-// stepBatched consumes one pre-evaluated depth-3 candidate, refilling the
-// batch when it runs dry. Candidates whose endpoints overlap a move
-// accepted since the batch was evaluated are skipped (their checks are
-// stale); all others are exactly as valid as at evaluation time, because
-// an accepted swap changes only its own four endpoints' neighborhoods.
-// Rejected moves leave the graph unchanged and invalidate nothing.
-func (r *Rewirer) stepBatched() (bool, error) {
-	for {
-		if r.qPos >= len(r.queue) {
-			r.fillBatch()
-		}
-		c := r.queue[r.qPos]
-		r.qPos++
-		if len(r.dirtyList) > 0 && (r.dirty[c.m.U] || r.dirty[c.m.V] || r.dirty[c.m.X] || r.dirty[c.m.Y]) {
-			continue
-		}
-		r.Stats.Attempts++
-		if c.reject != rejectNone {
-			r.Stats.Rejected.count(c.reject)
-			return false, nil
-		}
-		accepted, err := r.finish(c.m)
-		if accepted {
-			for _, node := range [4]int{c.m.U, c.m.V, c.m.X, c.m.Y} {
-				if !r.dirty[node] {
-					r.dirty[node] = true
-					r.dirtyList = append(r.dirtyList, node)
-				}
-			}
-		}
-		return accepted, err
-	}
 }
 
 // finish runs the acceptance pipeline on a structurally valid move:
@@ -617,62 +586,6 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 	}
 	r.Stats.Accepted++
 	return true, nil
-}
-
-// fillBatch speculatively draws BatchSize depth-3 candidates and runs
-// their structural and census checks in parallel, read-only against the
-// current graph. Determinism: one batch seed is drawn from r.Rng, each
-// candidate i derives its own SplitMix64 stream via
-// parallel.SubSeed(batchSeed, i), and every check is a pure function of
-// (graph, candidate) — so the evaluated batch, and therefore the
-// accepted-move stream, is bit-identical at any worker count. Workers
-// reuse per-worker TrackerDelta scratch (stable worker ids from
-// parallel.ForWorkers), allocated lazily so nested parallelism that
-// degrades to one inline worker pays for one scratch, not Workers() of
-// them.
-func (r *Rewirer) fillBatch() {
-	k := r.BatchSize
-	if k <= 0 {
-		k = DefaultBatchSize
-	}
-	batchSeed := r.Rng.Int63()
-	if cap(r.queue) < k {
-		r.queue = make([]candidate, k)
-	}
-	r.queue = r.queue[:k]
-	r.qPos = 0
-	if r.dirty == nil {
-		r.dirty = make([]bool, r.G.N())
-	}
-	for _, node := range r.dirtyList {
-		r.dirty[node] = false
-	}
-	r.dirtyList = r.dirtyList[:0]
-	w := parallel.Workers()
-	if w > k {
-		w = k
-	}
-	for len(r.scratch) < w {
-		r.scratch = append(r.scratch, nil)
-	}
-	parallel.ForWorkers(w, k, func(worker, i int) {
-		rng := &splitMix{s: uint64(parallel.SubSeed(batchSeed, i))}
-		m, rej := r.propose(rng)
-		if rej == rejectNone {
-			td := r.scratch[worker]
-			if td == nil {
-				td = r.tracker.NewDelta()
-				r.scratch[worker] = td
-			}
-			// propose already enforced the depth-2 JDD condition that
-			// SwapDelta requires.
-			r.tracker.SwapDelta(td, m.U, m.V, m.X, m.Y)
-			if !td.IsZero() {
-				rej = rejectCensusChanged
-			}
-		}
-		r.queue[i] = candidate{m: m, reject: rej}
-	})
 }
 
 // RewireProgress is one periodic convergence sample of a rewiring run —
@@ -807,18 +720,14 @@ type RandomizeOptions struct {
 	// O(m) mixing result it cites).
 	SwapFactor int
 	// AttemptFactor scales the proposal budget: AttemptFactor·M proposals
-	// (default 40·SwapFactor for depth 3 — whose acceptance rate is tiny
-	// by design — and 10·SwapFactor otherwise).
+	// (default 40·SwapFactor for depth 3, where census changes reject
+	// most JDD-preserving swaps, and 10·SwapFactor otherwise).
 	AttemptFactor int
 	// PatienceFactor stops the run after PatienceFactor·M consecutive
 	// rejected proposals (default 10; negative disables). Depth-3 runs on
 	// heavily constrained graphs converge by exhausting their tiny set of
 	// census-preserving swaps, which this bounds cleanly.
 	PatienceFactor int
-	// BatchSize overrides the depth-3 candidate batch size (default
-	// DefaultBatchSize). Part of the RNG-stream contract: changing it
-	// changes which moves are accepted, worker count never does.
-	BatchSize int
 	// PreserveConnectivity rejects disconnecting moves (expensive).
 	PreserveConnectivity bool
 	// OnProgress and ProgressEvery mirror the Rewirer fields: periodic
@@ -839,7 +748,6 @@ func Randomize(g *graph.CSR, depth int, opt RandomizeOptions) (*graph.CSR, Rewir
 		return nil, RewireStats{}, err
 	}
 	r.PreserveConnectivity = opt.PreserveConnectivity
-	r.BatchSize = opt.BatchSize
 	r.OnProgress = opt.OnProgress
 	r.ProgressEvery = opt.ProgressEvery
 	swapFactor := opt.SwapFactor

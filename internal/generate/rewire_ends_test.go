@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/subgraphs"
 )
 
 // zeroObjective scores every move 0. Setting it on a Rewirer changes no
@@ -31,7 +32,36 @@ func edgeMask(n int, edges []graph.Edge) uint64 {
 // realizations2K enumerates, by breadth-first search over every valid 2K
 // swap, the edge sets reachable from g's: the state space of depth-2
 // randomizing rewiring started at g. It returns each state's index.
-func realizations2K(g *graph.CSR) map[uint64]int {
+func realizations2K(g *graph.CSR) map[uint64]int { return swapRealizations(g, nil) }
+
+// realizations3K is realizations2K restricted to swaps that keep g's
+// wedge/triangle census: the state space of depth-3 randomizing
+// rewiring started at g.
+func realizations3K(g *graph.CSR) map[uint64]int {
+	census := subgraphs.Count(g)
+	return swapRealizations(g, func(n int, s uint64) bool {
+		return subgraphs.Count(maskGraph(n, s)).Equal(census)
+	})
+}
+
+// maskGraph builds the graph on n nodes whose edge set edgeMask encodes
+// as s.
+func maskGraph(n int, s uint64) *graph.CSR {
+	var edges []graph.Edge
+	for m := s; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		edges = append(edges, graph.Edge{U: b / n, V: b % n})
+	}
+	g, err := graph.NewCSRFromEdges(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// swapRealizations enumerates the edge sets reachable from g's by valid
+// 2K swaps whose result keep accepts (every result when keep is nil).
+func swapRealizations(g *graph.CSR, keep func(n int, s uint64) bool) map[uint64]int {
 	n, deg := g.N(), g.DegreeSequence()
 	start := edgeMask(n, g.Edges())
 	bit := func(a, b int) uint64 {
@@ -63,7 +93,7 @@ func realizations2K(g *graph.CSR) map[uint64]int {
 					continue
 				}
 				t := s&^(bit(u, v)|bit(x, y)) | bit(u, y) | bit(x, v)
-				if _, ok := index[t]; !ok {
+				if _, ok := index[t]; !ok && (keep == nil || keep(n, t)) {
 					index[t] = len(index)
 					queue = append(queue, t)
 				}
@@ -71,6 +101,13 @@ func realizations2K(g *graph.CSR) map[uint64]int {
 		}
 	}
 	return index
+}
+
+// uniformCase is a tiny graph whose realizations an enumeration lists.
+type uniformCase struct {
+	name  string
+	n     int
+	edges [][2]int
 }
 
 // TestRewireD2Uniform is the uniformity gate of depth-2 randomizing
@@ -81,15 +118,29 @@ func realizations2K(g *graph.CSR) map[uint64]int {
 // attempts, and requires both visit-frequency histograms to pass a χ²
 // test against uniform at the 0.001 level.
 func TestRewireD2Uniform(t *testing.T) {
-	graphs := []struct {
-		name  string
-		n     int
-		edges [][2]int
-	}{
+	checkUniform(t, 2, realizations2K, []uniformCase{
 		{"n6", 6, [][2]int{{2, 4}, {2, 5}, {0, 1}, {0, 3}, {1, 5}, {4, 5}}},
 		{"n7", 7, [][2]int{{0, 6}, {0, 5}, {3, 5}, {2, 4}, {4, 6}, {3, 4}, {1, 4}, {2, 5}, {3, 6}, {0, 1}}},
 		{"n8", 8, [][2]int{{0, 6}, {2, 7}, {2, 5}, {0, 5}, {0, 4}, {4, 5}, {1, 7}, {4, 7}, {0, 3}, {0, 7}, {4, 6}}},
-	}
+	})
+}
+
+// TestRewireD3Uniform is TestRewireD2Uniform at depth 3, over the 3K
+// realizations reachable by census-preserving swaps. Each graph has at
+// least five of them and several times as many 2K realizations, so the
+// census check decides which swaps the chain may take.
+func TestRewireD3Uniform(t *testing.T) {
+	checkUniform(t, 3, realizations3K, []uniformCase{
+		{"n8m10", 8, [][2]int{{0, 3}, {2, 6}, {6, 7}, {1, 7}, {1, 5}, {1, 3}, {2, 3}, {0, 6}, {4, 7}, {5, 6}}},
+		{"n8m14", 8, [][2]int{{1, 6}, {3, 7}, {1, 7}, {5, 7}, {0, 6}, {0, 3}, {4, 6}, {6, 7}, {5, 6}, {0, 1}, {2, 4}, {0, 2}, {1, 2}, {1, 5}}},
+		{"n7m13", 7, [][2]int{{1, 3}, {2, 6}, {0, 6}, {1, 6}, {3, 5}, {1, 4}, {0, 3}, {0, 4}, {5, 6}, {2, 4}, {2, 3}, {1, 5}, {0, 5}}},
+	})
+}
+
+// checkUniform runs the χ² gate of TestRewireD2Uniform at depth over
+// the states enumerate lists for each graph.
+func checkUniform(t *testing.T, depth int, enumerate func(*graph.CSR) map[uint64]int, graphs []uniformCase) {
+	t.Helper()
 	const perState = 150
 	for _, tc := range graphs {
 		edges := make([]graph.Edge, len(tc.edges))
@@ -100,7 +151,7 @@ func TestRewireD2Uniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states := realizations2K(g)
+		states := enumerate(g)
 		samples := perState * len(states)
 		// Wilson–Hilferty approximation of the χ² quantile at p = 0.001.
 		df := float64(len(states) - 1)
@@ -109,7 +160,7 @@ func TestRewireD2Uniform(t *testing.T) {
 			name string
 			obj  Objective
 		}{{"ends", nil}, {"propose", zeroObjective{}}} {
-			r, err := NewRewirer(g.Clone(), 2, newRng(17))
+			r, err := NewRewirer(g.Clone(), depth, newRng(17))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +174,7 @@ func TestRewireD2Uniform(t *testing.T) {
 				}
 				s, ok := states[edgeMask(tc.n, r.G.Edges())]
 				if !ok {
-					t.Fatalf("%s/%s: chain left the enumerated 2K state space", tc.name, p.name)
+					t.Fatalf("%s/%s: chain left the enumerated %dK state space", tc.name, p.name, depth)
 				}
 				counts[s]++
 			}

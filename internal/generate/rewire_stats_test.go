@@ -159,8 +159,9 @@ func TestRewireStatsBreakdown(t *testing.T) {
 	t.Run("disconnected", func(t *testing.T) {
 		// C12: some swaps split the cycle into two smaller cycles; with
 		// connectivity preservation those must be counted and reverted.
-		// Depth 2 reverts through the in-place swap.
-		for _, depth := range []int{1, 2} {
+		// Depths 2 and 3 revert through the in-place swap; a cycle's
+		// split keeps its census, so depth 3 reaches the veto too.
+		for _, depth := range []int{1, 2, 3} {
 			g := graph.NewCSR(12)
 			for i := 0; i < 12; i++ {
 				if err := g.AddEdge(i, (i+1)%12); err != nil {

@@ -17,9 +17,8 @@
 //
 // Because SwapDelta is read-only (edge toggles are virtualized instead of
 // applied), many candidate swaps can be evaluated concurrently against one
-// Tracker, each into its own TrackerDelta — the foundation of the batched
-// parallel proposal loop in internal/generate — and a rewiring objective
-// can score a move before the move touches the graph. CensusGap holds a
+// Tracker, each into its own TrackerDelta, and a rewiring objective can
+// score a move before the move touches the graph. CensusGap holds a
 // target census in the same class layout, so scoring a delta against it
 // is a walk over the delta's touched slots.
 package subgraphs
@@ -132,14 +131,10 @@ func (t *Tracker) slot(a, b, c int32) int32 {
 // adj returns u's sorted neighbor window — the CSR arena itself.
 func (t *Tracker) adj(u int) []int32 { return t.g.Neighbors(u) }
 
-// Has reports whether edge (a,b) is present — an O(1) bitset probe when
+// has reports whether edge (a,b) is present — an O(1) bitset probe when
 // either endpoint is a hub, a binary search in the shorter sorted window
 // otherwise. It mirrors graph.HasEdge exactly as long as every swap
 // applied to the graph was also passed to ApplySwap.
-func (t *Tracker) Has(a, b int) bool {
-	return t.has(a, b)
-}
-
 func (t *Tracker) has(a, b int) bool {
 	if bs := t.bits[b]; bs != nil {
 		return bsHas(bs, int32(a))
