@@ -73,7 +73,7 @@ func CountInitialRewirings(g *graph.CSR, depth int) (RewiringCount, error) {
 			return false, false
 		}
 		// Four degree loads before the two window searches, as in
-		// Rewirer.propose: most candidates fail the JDD test.
+		// Rewirer.drawMove: most candidates fail the JDD test.
 		if depth >= 2 && deg[v] != deg[y] && deg[u] != deg[x] {
 			return false, false
 		}

@@ -52,6 +52,7 @@ func TestCSRMatchesMapReference(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				r.sync() // scored Steps leave EdgeAt order to the write-back
 				slots := c.Edges()
 				inPlace := depth >= 2 && run.obj == nil
 				remove := func(e graph.Edge) {

@@ -2,8 +2,8 @@ package generate
 
 import "math/bits"
 
-// edgeSet is the duplicate-edge index of objective-free depth-2
-// rewiring: the canonical keys lo<<32|hi of the current edges in an
+// edgeSet is the duplicate-edge index of rewiring (see endIndex): the
+// canonical keys lo<<32|hi of the current edges in an
 // open-addressing table with linear probing. Key 0 marks an empty slot;
 // it would be the self-loop (0,0), which never occurs. The capacity is
 // the next power of two ≥ 2·M, so the load stays ≤ ½: rewiring never

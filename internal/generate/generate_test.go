@@ -3,6 +3,7 @@ package generate
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -692,6 +693,34 @@ func TestTargetRewireStopZero(t *testing.T) {
 	}
 	if res.Stats.Attempts >= 200*start.M() {
 		t.Fatalf("stopped at zero only after the full budget: %d attempts", res.Stats.Attempts)
+	}
+}
+
+// TestTargetRewireStopZeroAtStart checks that a StopAtZero run whose
+// start already has its target's distribution, at d=2 and d=3, returns
+// before its first proposal: Stop = StopZero, no attempt, no draw from
+// the random source, and a clone of the start in its EdgeAt order.
+func TestTargetRewireStopZeroAtStart(t *testing.T) {
+	g := connectedRandom(newRng(4), 60, 90)
+	p, err := dk.Extract(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{2, 3} {
+		rng := newRng(9)
+		res, err := TargetRewire(g, p, d, TargetOptions{Rng: rng, StopAtZero: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stop != StopZero || res.InitialD != 0 || res.FinalD != 0 || res.Stats != (RewireStats{}) {
+			t.Fatalf("d=%d: Stop = %v, D %v → %v, stats %+v; want zero at once", d, res.Stop, res.InitialD, res.FinalD, res.Stats)
+		}
+		if res.FinalGraph == g || !reflect.DeepEqual(res.FinalGraph.Edges(), g.Edges()) {
+			t.Fatalf("d=%d: FinalGraph is not an unchanged clone of the start", d)
+		}
+		if rng.Int63() != newRng(9).Int63() {
+			t.Fatalf("d=%d: the run drew from its random source", d)
+		}
 	}
 }
 

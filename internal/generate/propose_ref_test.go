@@ -10,22 +10,24 @@ import (
 	"repro/internal/subgraphs"
 )
 
-// proposeRef is Rewirer.propose with its checks in the order they ran
-// before the JDD test moved ahead of the duplicate probe: self-loop →
-// duplicate edge → JDD mismatch. TestProposeCheckOrderMatchesReference
-// pins the production order against it.
+// proposeRef is the retired per-move proposer (see propose) with its
+// checks in the order they ran before the JDD test moved ahead of the
+// duplicate probe: self-loop → duplicate edge → JDD mismatch. It returns
+// the drawn move whether or not a check rejects it, as drawMove does.
+// TestProposeCheckOrderMatchesReference pins drawMove against it.
 func (r *Rewirer) proposeRef(rng *rand.Rand) (Move, rejectReason) {
 	g := r.G
 	if r.Depth == 0 {
 		e := g.EdgeAt(rng.Intn(g.M()))
 		x, y := rng.Intn(g.N()), rng.Intn(g.N())
+		m := Move{U: e.U, V: e.V, X: x, Y: y, Depth: 0}
 		if x == y {
-			return Move{}, rejectSelfLoop
+			return m, rejectSelfLoop
 		}
 		if g.HasEdge(x, y) {
-			return Move{}, rejectDuplicateEdge
+			return m, rejectDuplicateEdge
 		}
-		return Move{U: e.U, V: e.V, X: x, Y: y, Depth: 0}, rejectNone
+		return m, rejectNone
 	}
 	e1 := g.EdgeAt(rng.Intn(g.M()))
 	e2 := g.EdgeAt(rng.Intn(g.M()))
@@ -38,18 +40,19 @@ func (r *Rewirer) proposeRef(rng *rand.Rand) (Move, rejectReason) {
 		x, y = y, x
 	}
 	// Candidate swap: (u,v),(x,y) → (u,y),(x,v).
+	m := Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}
 	if u == x || u == y || v == x || v == y {
-		return Move{}, rejectSelfLoop
+		return m, rejectSelfLoop
 	}
 	if g.HasEdge(u, y) || g.HasEdge(x, v) {
-		return Move{}, rejectDuplicateEdge
+		return m, rejectDuplicateEdge
 	}
 	if r.Depth >= 2 {
 		if r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x] {
-			return Move{}, rejectJDDMismatch
+			return m, rejectJDDMismatch
 		}
 	}
-	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
+	return m, rejectNone
 }
 
 // sameOutcome reports whether the production reason got is one the
@@ -60,12 +63,13 @@ func sameOutcome(got, want rejectReason) bool {
 	return got == want || (want == rejectDuplicateEdge && got == rejectJDDMismatch)
 }
 
-// TestProposeCheckOrderMatchesReference checks that running the JDD
-// test before the duplicate probe changes nothing but the reason a
-// rejection counts under: on the differential suite's graph families,
-// every proposal yields the same Move and the same accept/reject
-// outcome as proposeRef, and a reason differs only as duplicate edge →
-// JDD mismatch. Depths 1 and 2 run propose; objective-free depth 3 is
+// TestProposeCheckOrderMatchesReference checks that the scored proposer
+// on the end index, drawMove, with the JDD test before the duplicate
+// probe, changes nothing but the reason a rejection counts under: on the
+// differential suite's graph families, every proposal yields the same
+// Move and the same accept/reject outcome as proposeRef on the graph's
+// own edge list, and a reason differs only as duplicate edge → JDD
+// mismatch. Depths 0, 1 and 2 run drawMove; objective-free depth 3 is
 // pinned move by move against depth3Ref.
 func TestProposeCheckOrderMatchesReference(t *testing.T) {
 	const attempts = 20000
@@ -73,7 +77,7 @@ func TestProposeCheckOrderMatchesReference(t *testing.T) {
 	for _, fam := range diffFamilies {
 		for _, seed := range []int64{11, 42} {
 			orig := fam.build(newRng(seed))
-			for _, depth := range []int{1, 2} {
+			for _, depth := range []int{0, 1, 2} {
 				shifted += checkSequentialOrder(t, fam.name, orig, depth, seed, attempts)
 			}
 			checkDepth3Moves(t, fam.name, orig, seed, attempts/4)
@@ -84,12 +88,14 @@ func TestProposeCheckOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// checkSequentialOrder compares propose with proposeRef proposal by
-// proposal on two rewirers fed the same stream, then checks that Step
-// reproduces the reference run's accepted moves, edge order and stats.
-// It returns the number of reasons that moved to JDD mismatch. At depth
-// 2 the rewirers carry a zero-score objective: objective-free depth 2
-// draws from the end index and never calls propose.
+// checkSequentialOrder compares drawMove with proposeRef proposal by
+// proposal on two rewirers fed the same stream, settling the moves that
+// pass on each side's own path (settle, and the retired finish), then
+// checks that the drawMove side and a run of Steps reproduce the
+// reference run's accepted moves, edge order once written back, and
+// stats. It returns the number of reasons that moved to JDD mismatch.
+// At depth 2 the rewirers carry a zero-score objective: objective-free
+// depth 2 draws same-class end pairs and never calls drawMove.
 func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int, seed int64, attempts int) int {
 	t.Helper()
 	newR := func() *Rewirer {
@@ -106,7 +112,7 @@ func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int,
 	got, ref := newR(), newR()
 	shifted := 0
 	for i := 0; i < attempts; i++ {
-		m, rej := got.propose(got.Rng)
+		m, si, sj, rej := got.drawMove()
 		mr, rejr := ref.proposeRef(ref.Rng)
 		if m != mr || !sameOutcome(rej, rejr) {
 			t.Fatalf("%s/d%d seed=%d proposal %d: got %+v reason %d, reference %+v reason %d",
@@ -120,11 +126,11 @@ func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int,
 			ref.Stats.Rejected.count(rejr)
 			continue
 		}
-		okGot, errGot := got.finish(m)
+		okGot := got.settle(m, si, sj)
 		okRef, errRef := ref.finish(mr)
-		if errGot != nil || errRef != nil || okGot != okRef {
-			t.Fatalf("%s/d%d seed=%d proposal %d: accepted %v (%v), reference %v (%v)",
-				name, depth, seed, i, okGot, errGot, okRef, errRef)
+		if errRef != nil || okGot != okRef {
+			t.Fatalf("%s/d%d seed=%d proposal %d: accepted %v, reference %v (%v)",
+				name, depth, seed, i, okGot, okRef, errRef)
 		}
 	}
 
@@ -134,12 +140,16 @@ func checkSequentialOrder(t *testing.T, name string, orig *graph.CSR, depth int,
 			t.Fatalf("%s/d%d: Step: %v", name, depth, err)
 		}
 	}
-	if !slices.Equal(step.AcceptedMoves(), ref.AcceptedMoves()) {
-		t.Fatalf("%s/d%d seed=%d: Step accepted a different move sequence", name, depth, seed)
-	}
-	for i := 0; i < ref.G.M(); i++ {
-		if step.G.EdgeAt(i) != ref.G.EdgeAt(i) {
-			t.Fatalf("%s/d%d seed=%d: EdgeAt(%d) = %v, reference %v", name, depth, seed, i, step.G.EdgeAt(i), ref.G.EdgeAt(i))
+	got.sync()
+	step.sync()
+	for _, side := range []*Rewirer{got, step} {
+		if !slices.Equal(side.AcceptedMoves(), ref.AcceptedMoves()) {
+			t.Fatalf("%s/d%d seed=%d: accepted a different move sequence", name, depth, seed)
+		}
+		for i := 0; i < ref.G.M(); i++ {
+			if side.G.EdgeAt(i) != ref.G.EdgeAt(i) {
+				t.Fatalf("%s/d%d seed=%d: EdgeAt(%d) = %v, reference %v", name, depth, seed, i, side.G.EdgeAt(i), ref.G.EdgeAt(i))
+			}
 		}
 	}
 	want := ref.Stats

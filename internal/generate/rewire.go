@@ -46,14 +46,15 @@ const (
 // self-loop → JDD mismatch (depth ≥ 2) → duplicate edge → census change
 // (depth 3) → objective → disconnected. The JDD test precedes the
 // duplicate probe because it costs four degree loads where the probe
-// searches two adjacency windows, so a proposal that is both a
-// duplicate and a JDD mismatch counts as JDDMismatch. The structural
-// reasons and the objective are decided before the move touches the
-// graph; connectivity rejections apply the move first and roll it back.
-// Objective and connectivity rejections also count in
-// RewireStats.Reverted. Objective-free rewiring at depths 2 and 3
-// proposes only JDD-preserving swaps, so it never counts a JDDMismatch;
-// at depth 3 its checks run self-loop → duplicate edge → census change.
+// makes two edge-set hash lookups, likely cache misses on a large graph,
+// so a proposal that is both a duplicate and a JDD mismatch counts as
+// JDDMismatch. The structural reasons and the objective are decided
+// before the move touches the graph; connectivity rejections apply the
+// move first and roll it back. Objective and connectivity rejections
+// also count in RewireStats.Reverted. Objective-free rewiring at depths
+// 2 and 3 proposes only JDD-preserving swaps, so it never counts a
+// JDDMismatch; at depth 3 its checks run self-loop → duplicate edge →
+// census change.
 type RejectionBreakdown struct {
 	SelfLoop      int
 	DuplicateEdge int
@@ -103,24 +104,21 @@ type RewireStats struct {
 // deciding from the objective delta. A nil objective with the default
 // policy yields pure dK-randomizing rewiring.
 type Rewirer struct {
-	// G is the graph being rewired. It holds every accepted move
-	// whenever neither Step nor Run is executing. Inside Run's own loop,
-	// objective-free depth-2 rewiring without PreserveConnectivity
-	// applies its swaps to the end index and its edge set only, and
-	// rebuilds G from them once, in place, when Run returns (error
-	// returns included); OnProgress callbacks of such a run see G as it
-	// was when Run began. Objective-free runs at depths 2 and 3 draw
-	// their swaps from the end index, never from G: depth 2 a block of
-	// attempts ahead of their checks (see endIndex.draw), depth 3 one at
-	// a time (see endIndex.drawPair), applying each accepted swap to G in
-	// place, because the census tracker reads G's neighbor windows.
+	// G is the graph being rewired; moves draw their edges from the end
+	// index, never from G. After every Step, G's edge set is current, as
+	// objectives, the census tracker and PreserveConnectivity need, and
+	// its EdgeAt order is current once Run, TargetRewire or Explore
+	// returns (error returns included): they write the index's slot
+	// order back once, in place. Objective-free Steps at depths 2 and 3
+	// keep the order current too. Inside Run's own loop, objective-free
+	// moves at depths 0–2 without PreserveConnectivity leave G untouched
+	// until Run returns, so OnProgress callbacks see G as Run began.
 	G     *graph.CSR
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
 	// Obj scores candidate moves; nil accepts unconditionally (subject to
 	// the structural constraints of Depth). Set it before the first Step:
-	// at depth 2 it selects the proposer, and the objective-free one keeps
-	// an index of the edges that only its own moves update.
+	// at depths 2 and 3 it selects the proposer.
 	Obj Objective
 	// Accept decides from the objective delta; nil accepts everything.
 	Accept Policy
@@ -153,8 +151,8 @@ type Rewirer struct {
 	tracker *subgraphs.Tracker      // depth-3 census machinery, else nil
 	td      *subgraphs.TrackerDelta // the census delta of the swap being checked
 	moves   []Move
-	ends    *endIndex // objective-free depth-2 and depth-3 proposer, built by the first Step
-	deferG  bool      // Run's loop is leaving the ends' swaps out of G
+	ends    *endIndex // every move's proposal state, built by the first Step
+	deferG  bool      // Run's loop is leaving objective-free moves out of G
 }
 
 // endBlock is the most objective-free depth-2 attempts drawn ahead of
@@ -163,17 +161,18 @@ type Rewirer struct {
 // already overlap the misses.
 const endBlock = 64
 
-// endIndex is the proposal state of objective-free rewiring at depths 2
-// and 3. An oriented edge end a = edge<<1|side runs from its near node
-// at[a] to its far node at[a^1]. byFar lists every end grouped by the
-// degree of its far node: class k is byFar[class[k]:class[k+1]]. A 2K
-// swap exchanges the far nodes of two ends in one class, which moves no
-// end to another class, so only the two far entries of at change. Read
-// in pairs, at is also the edge list in slot order: edge i joins at[2i]
-// and at[2i+1], which is EdgeAt(i) up to orientation. edges answers the
-// duplicate probes. stale reports swaps not yet written back to the
-// graph. pairCum[i] counts the ordered end pairs |C|² of the non-empty
-// classes pairDeg[0..i], in ascending degree: drawPair's class table.
+// endIndex is the proposal state of rewiring. An oriented edge end
+// a = edge<<1|side runs from its near node at[a] to its far node
+// at[a^1]. Read in pairs, at is the edge list in slot order: edge i
+// joins at[2i] and at[2i+1], which is EdgeAt(i) up to orientation.
+// edges answers the duplicate probes. stale reports changes not yet
+// written back to the graph. Scored moves use only these three. byFar
+// lists every end grouped by the degree of its far node: class k is
+// byFar[class[k]:class[k+1]]. A 2K swap exchanges the far nodes of two
+// ends in one class, which moves no end to another class, so only the
+// two far entries of at change. pairCum[i] counts the ordered end pairs
+// |C|² of the non-empty classes pairDeg[0..i], in ascending degree:
+// drawPair's class table.
 //
 // drawn[next:n] are the end pairs (a, b) of attempts drawn but not yet
 // checked; sink folds the values draw touches, so those loads stay live.
@@ -280,28 +279,69 @@ func (ix *endIndex) drawPair(rng *rand.Rand) (a, b int) {
 
 // swap exchanges the far nodes of ends a and b: the 2K swap
 // (u,v),(x,y) → (u,y),(x,v). It updates the edge set, and g in place
-// unless g is nil; then g falls behind until sync. It is its own
+// unless g is nil; then g falls behind until Rewirer.sync. It is its own
 // inverse.
 func (ix *endIndex) swap(g *graph.CSR, a, b int) {
 	u, v, x, y := ix.at[a], ix.at[a^1], ix.at[b], ix.at[b^1]
-	if !ix.edges.remove(edgeKey(u, v)) || !ix.edges.remove(edgeKey(x, y)) ||
-		!ix.edges.insert(edgeKey(u, y)) || !ix.edges.insert(edgeKey(x, v)) {
-		panic(fmt.Sprintf("generate: internal invariant violated: swap (%d,%d),(%d,%d) disagrees with the edge set", u, v, x, y))
-	}
+	ix.rekey(u, v, u, y)
+	ix.rekey(x, y, x, v)
 	if g == nil {
 		ix.stale = true
-	} else if err := g.SwapEnds(int(u), int(v), int(x), int(y)); err != nil {
-		panic("generate: internal invariant violated: " + err.Error())
+	} else {
+		mustSwap(g, int(u), int(v), int(x), int(y))
 	}
 	ix.at[a^1], ix.at[b^1] = y, v
 }
 
-// sync writes the swaps left out of g back to it: one in-place rebuild
-// from the edge list at holds in slot order.
-func (ix *endIndex) sync(g *graph.CSR) {
-	if ix.stale {
-		g.RebuildEdges(ix.at)
-		ix.stale = false
+// rekey replaces the edge (u,v) by (x,y) in the edge set.
+func (ix *endIndex) rekey(u, v, x, y int32) {
+	if !ix.edges.remove(edgeKey(u, v)) || !ix.edges.insert(edgeKey(x, y)) {
+		panic(fmt.Sprintf("generate: internal invariant violated: edge (%d,%d) → (%d,%d) disagrees with the edge set", u, v, x, y))
+	}
+}
+
+// edge returns the edge in slot i, oriented as EdgeAt(i) orients it.
+func (ix *endIndex) edge(i int) (u, v int) {
+	a, b := ix.at[2*i], ix.at[2*i+1]
+	return int(min(a, b)), int(max(a, b))
+}
+
+// cut removes the edge in slot i as CSR.RemoveEdge does: the last edge
+// moves into its slot.
+func (ix *endIndex) cut(i int) {
+	last := len(ix.at) - 2
+	ix.at[2*i], ix.at[2*i+1] = ix.at[last], ix.at[last+1]
+	ix.at = ix.at[:last]
+}
+
+// requeue records a scored move m drawn from slots i and j (i alone at
+// depth 0) that passed the structural checks: it cuts the removed edges
+// in draw order and appends m's added edges if kept, else its removed
+// ones in reverse order. That is the EdgeAt order RemoveEdge and AddEdge
+// leave when m is applied and, unless kept, rolled back.
+func (ix *endIndex) requeue(m Move, i, j int, kept bool) {
+	u, v, x, y := int32(m.U), int32(m.V), int32(m.X), int32(m.Y)
+	ix.stale = true
+	ix.cut(i)
+	if m.Depth == 0 {
+		if kept {
+			ix.rekey(u, v, x, y)
+			ix.at = append(ix.at, x, y)
+		} else {
+			ix.at = append(ix.at, u, v)
+		}
+		return
+	}
+	if j == len(ix.at)/2 {
+		j = i // j was the last slot, which moved into i
+	}
+	ix.cut(j)
+	if kept {
+		ix.rekey(u, v, u, y)
+		ix.rekey(x, y, x, v)
+		ix.at = append(ix.at, u, y, x, v)
+	} else {
+		ix.at = append(ix.at, x, y, u, v)
 	}
 }
 
@@ -357,105 +397,17 @@ func NewRewirer(g *graph.CSR, depth int, rng *rand.Rand) (*Rewirer, error) {
 // is set, in acceptance order.
 func (r *Rewirer) AcceptedMoves() []Move { return r.moves }
 
-// propose draws one candidate move for the configured depth from rng and
-// checks its structural constraints up to depth 2 (Step runs the depth-3
-// census check after it). Every draw happens before any check, and the
-// checks run cheapest first, so the order decides only which reason a
-// rejection counts under.
-func (r *Rewirer) propose(rng *rand.Rand) (Move, rejectReason) {
-	g := r.G
-	if r.Depth == 0 {
-		e := g.EdgeAt(rng.Intn(g.M()))
-		x, y := rng.Intn(g.N()), rng.Intn(g.N())
-		if x == y {
-			return Move{}, rejectSelfLoop
-		}
-		if g.HasEdge(x, y) {
-			return Move{}, rejectDuplicateEdge
-		}
-		return Move{U: e.U, V: e.V, X: x, Y: y, Depth: 0}, rejectNone
-	}
-	e1 := g.EdgeAt(rng.Intn(g.M()))
-	e2 := g.EdgeAt(rng.Intn(g.M()))
-	u, v := e1.U, e1.V
-	x, y := e2.U, e2.V
-	if rng.Intn(2) == 0 {
-		u, v = v, u
-	}
-	if rng.Intn(2) == 0 {
-		x, y = y, x
-	}
-	// Candidate swap: (u,v),(x,y) → (u,y),(x,v).
-	if u == x || u == y || v == x || v == y {
-		return Move{}, rejectSelfLoop
-	}
-	if r.Depth >= 2 {
-		// JDD preservation: the multiset {(du,dv),(dx,dy)} must equal
-		// {(du,dy),(dx,dv)}, which holds iff dv = dy or du = dx. Four
-		// degree loads, ahead of the duplicate probe's window searches:
-		// most proposals fail here.
-		if r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x] {
-			return Move{}, rejectJDDMismatch
-		}
-	}
-	if g.HasEdge(u, y) || g.HasEdge(x, v) {
-		return Move{}, rejectDuplicateEdge
-	}
-	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
-}
-
-// apply performs the move's edge operations.
-func (r *Rewirer) apply(m Move) {
-	g := r.G
-	if m.Depth == 0 {
-		g.RemoveEdge(m.U, m.V)
-		mustAdd(g, m.X, m.Y)
-		return
-	}
-	g.RemoveEdge(m.U, m.V)
-	g.RemoveEdge(m.X, m.Y)
-	mustAdd(g, m.U, m.Y)
-	mustAdd(g, m.X, m.V)
-}
-
-// decline leaves the edge list exactly as apply followed by revert
-// would, without touching the adjacency: EdgeAt draws after an
-// objective rejection, and so every seed's output, do not depend on
-// whether the rejected move was ever applied.
-func (r *Rewirer) decline(m Move) {
-	if m.Depth == 0 {
-		r.G.RequeueEdges(graph.Edge{U: m.U, V: m.V})
-		return
-	}
-	r.G.RequeueEdges(graph.Edge{U: m.U, V: m.V}, graph.Edge{U: m.X, V: m.Y})
-}
-
-// revert undoes a move applied by apply (inverse operations in reverse
-// order).
-func (r *Rewirer) revert(m Move) {
-	g := r.G
-	if m.Depth == 0 {
-		g.RemoveEdge(m.X, m.Y)
-		mustAdd(g, m.U, m.V)
-		return
-	}
-	g.RemoveEdge(m.X, m.V)
-	g.RemoveEdge(m.U, m.Y)
-	mustAdd(g, m.X, m.Y)
-	mustAdd(g, m.U, m.V)
-}
-
 // Step proposes and evaluates one candidate move, updating r.Stats. It
 // reports whether a move was accepted; attempts that fail structural
 // constraints return (false, nil). Objective-free runs at depths 2 and 3
-// draw from the end index; other runs draw directly from r.Rng through
-// propose.
+// draw same-class end pairs (see stepEnds); other runs draw scored moves
+// by edge slot (see drawMove).
 func (r *Rewirer) Step() (bool, error) {
 	if r.Depth >= 2 && r.Obj == nil {
 		return r.stepEnds()
 	}
 	r.Stats.Attempts++
-	m, rej := r.propose(r.Rng)
+	m, i, j, rej := r.drawMove()
 	if rej == rejectNone && r.tracker != nil && !r.censusKept(m.U, m.V, m.X, m.Y) {
 		rej = rejectCensusChanged
 	}
@@ -463,7 +415,136 @@ func (r *Rewirer) Step() (bool, error) {
 		r.Stats.Rejected.count(rej)
 		return false, nil
 	}
-	return r.finish(m)
+	return r.settle(m, i, j), nil
+}
+
+// drawMove draws one scored candidate move for the configured depth
+// from r.Rng and checks its structural constraints up to depth 2 (Step
+// runs the depth-3 census check after it). Each edge is the end index's
+// slot Intn(M), oriented as EdgeAt orients it; depth 0 then draws X and
+// Y, depth 1+ a second edge and one orientation flip each. Every draw
+// happens before any check, and the checks run cheapest first, so the
+// order decides only which reason a rejection counts under.
+func (r *Rewirer) drawMove() (m Move, i, j int, rej rejectReason) {
+	ix, rng := r.endsIndex(), r.Rng
+	i = rng.Intn(len(ix.at) / 2)
+	m.U, m.V = ix.edge(i)
+	if r.Depth == 0 {
+		m.X, m.Y = rng.Intn(r.G.N()), rng.Intn(r.G.N())
+		switch {
+		case m.X == m.Y:
+			rej = rejectSelfLoop
+		case ix.edges.has(edgeKey(int32(m.X), int32(m.Y))):
+			rej = rejectDuplicateEdge
+		}
+		return m, i, 0, rej
+	}
+	j = rng.Intn(len(ix.at) / 2)
+	m.X, m.Y = ix.edge(j)
+	if rng.Intn(2) == 0 {
+		m.U, m.V = m.V, m.U
+	}
+	if rng.Intn(2) == 0 {
+		m.X, m.Y = m.Y, m.X
+	}
+	m.Depth = r.Depth
+	// Candidate swap: (u,v),(x,y) → (u,y),(x,v).
+	u, v, x, y := m.U, m.V, m.X, m.Y
+	switch {
+	case u == x || u == y || v == x || v == y:
+		rej = rejectSelfLoop
+	case r.Depth >= 2 && r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x]:
+		// JDD preservation: the multiset {(du,dv),(dx,dy)} must equal
+		// {(du,dy),(dx,dv)}, which holds iff dv = dy or du = dx. Four
+		// degree loads, ahead of the duplicate probe's two hash lookups:
+		// most proposals fail here.
+		rej = rejectJDDMismatch
+	case ix.edges.has(edgeKey(int32(u), int32(y))) || ix.edges.has(edgeKey(int32(x), int32(v))):
+		rej = rejectDuplicateEdge
+	}
+	return m, i, j, rej
+}
+
+// settle runs the acceptance pipeline on a scored move drawn from slots
+// i and j that passed the structural checks: objective score and policy
+// (before the move touches the graph), the move on G's windows, the
+// connectivity veto, and the commit. The end index records the outcome
+// either way (see endIndex.requeue).
+func (r *Rewirer) settle(m Move, i, j int) bool {
+	kept := true
+	var delta float64
+	if r.Obj != nil {
+		delta = r.Obj.Score(m)
+		if r.Accept != nil && !r.Accept(r.Rng, delta) {
+			kept = false
+			r.Stats.Rejected.Objective++
+		}
+	}
+	if kept && !r.deferG {
+		r.edit(m, false)
+		if r.PreserveConnectivity && !graph.IsConnected(r.G) {
+			r.edit(m, true)
+			kept = false
+			r.Stats.Rejected.Disconnected++
+		}
+	}
+	r.ends.requeue(m, i, j, kept)
+	if !kept {
+		r.Stats.Reverted++
+		return false
+	}
+	if r.Obj != nil {
+		r.Obj.Commit(m)
+		r.objSum += delta
+	}
+	if r.tracker != nil {
+		r.tracker.ApplySwap(m.U, m.V, m.X, m.Y)
+	}
+	// Depth-0 moves change degrees; keep the cache honest.
+	if m.Depth == 0 {
+		r.deg[m.U]--
+		r.deg[m.V]--
+		r.deg[m.X]++
+		r.deg[m.Y]++
+	}
+	if r.RecordMoves {
+		r.moves = append(r.moves, m)
+	}
+	r.Stats.Accepted++
+	return true
+}
+
+// edit applies m to G's neighbor windows, or with undo takes it back: a
+// swap rewrites both edges in place, a depth-0 move removes one edge and
+// adds another.
+func (r *Rewirer) edit(m Move, undo bool) {
+	if m.Depth == 0 {
+		if undo {
+			m.U, m.V, m.X, m.Y = m.X, m.Y, m.U, m.V
+		}
+		r.G.RemoveEdge(m.U, m.V)
+		mustAdd(r.G, m.X, m.Y)
+	} else if undo {
+		mustSwap(r.G, m.U, m.Y, m.X, m.V)
+	} else {
+		mustSwap(r.G, m.U, m.V, m.X, m.Y)
+	}
+}
+
+// mustSwap is CSR.SwapEnds of a swap that passed the structural checks.
+func mustSwap(g *graph.CSR, u, v, x, y int) {
+	if err := g.SwapEnds(u, v, x, y); err != nil {
+		panic("generate: internal invariant violated: " + err.Error())
+	}
+}
+
+// sync writes the edge list of the end index back to G if G has fallen
+// behind it (see Rewirer.G): one in-place rebuild from at, in slot order.
+func (r *Rewirer) sync() {
+	if ix := r.ends; ix != nil && ix.stale {
+		r.G.RebuildEdges(ix.at)
+		ix.stale = false
+	}
 }
 
 // censusKept reports whether the JDD-preserving swap
@@ -492,7 +573,7 @@ func (r *Rewirer) endsIndex() *endIndex {
 // of the swaps that pass the structural checks, and only of those. Both
 // draws pick the reverse swap from the same unchanged classes with the
 // same probability, so the chain keeps the uniform stationary
-// distribution of propose's moves. The checks read the ends' nodes
+// distribution of drawMove's swaps. The checks read the ends' nodes
 // afresh from at.
 func (r *Rewirer) stepEnds() (bool, error) {
 	ix := r.endsIndex()
@@ -542,52 +623,6 @@ func (r *Rewirer) stepEnds() (bool, error) {
 	return true, nil
 }
 
-// finish runs the acceptance pipeline on a structurally valid move:
-// objective score and policy (before the move touches the graph), apply,
-// connectivity veto, commit.
-func (r *Rewirer) finish(m Move) (bool, error) {
-	var delta float64
-	if r.Obj != nil {
-		delta = r.Obj.Score(m)
-		accept := r.Accept
-		if accept == nil {
-			accept = PolicyAlways
-		}
-		if !accept(r.Rng, delta) {
-			r.decline(m)
-			r.Stats.Rejected.Objective++
-			r.Stats.Reverted++
-			return false, nil
-		}
-	}
-	r.apply(m)
-	if r.PreserveConnectivity && !graph.IsConnected(r.G) {
-		r.revert(m)
-		r.Stats.Rejected.Disconnected++
-		r.Stats.Reverted++
-		return false, nil
-	}
-	if r.Obj != nil {
-		r.Obj.Commit(m)
-		r.objSum += delta
-	}
-	if r.tracker != nil {
-		r.tracker.ApplySwap(m.U, m.V, m.X, m.Y)
-	}
-	// Depth-0 moves change degrees; keep the cache honest.
-	if m.Depth == 0 {
-		r.deg[m.U]--
-		r.deg[m.V]--
-		r.deg[m.X]++
-		r.deg[m.Y]++
-	}
-	if r.RecordMoves {
-		r.moves = append(r.moves, m)
-	}
-	r.Stats.Accepted++
-	return true, nil
-}
-
 // RewireProgress is one periodic convergence sample of a rewiring run —
 // the practical mixing evidence for an MCMC process with no a-priori
 // mixing guarantee. Window fields cover the attempts since the previous
@@ -626,20 +661,17 @@ func (b RejectionBreakdown) sub(o RejectionBreakdown) RejectionBreakdown {
 // returned stats are the Rewirer's cumulative r.Stats (identical to the
 // run's own when the Rewirer is fresh). With OnProgress set, Run emits a
 // convergence sample every ProgressEvery attempts and a final one at
-// whatever attempt count the run stopped on. Objective-free depth-2
-// runs without PreserveConnectivity write their swaps back to r.G once,
-// on return (see Rewirer.G).
+// whatever attempt count the run stopped on. On return, r.G holds the
+// EdgeAt order of the run's moves (see Rewirer.G).
 func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, error) {
+	defer r.sync()
 	var ix *endIndex
 	if r.Depth == 2 && r.Obj == nil {
 		ix = r.endsIndex()
-		if !r.PreserveConnectivity {
-			r.deferG = true
-			defer func() {
-				r.deferG = false
-				ix.sync(r.G)
-			}()
-		}
+	}
+	if r.Obj == nil && r.Depth < 3 && !r.PreserveConnectivity {
+		r.deferG = true
+		defer func() { r.deferG = false }()
 	}
 	every := r.ProgressEvery
 	if every <= 0 {

@@ -10,8 +10,9 @@ import (
 )
 
 // zeroObjective scores every move 0. Setting it on a Rewirer changes no
-// acceptance decision, but keeps a depth-2 run on propose instead of the
-// objective-free end-index proposer.
+// acceptance decision, but keeps a depth-2 or depth-3 run on the scored
+// proposer, drawMove, instead of the same-class end pairs of
+// objective-free rewiring.
 type zeroObjective struct{}
 
 func (zeroObjective) Init(*graph.CSR) error { return nil }
@@ -113,10 +114,10 @@ type uniformCase struct {
 // TestRewireD2Uniform is the uniformity gate of depth-2 randomizing
 // rewiring, a local stand-in for an exact sampler. On tiny graphs whose
 // 2K realizations reachable by swaps are enumerated exhaustively, it
-// runs a long chain with the end-index proposer and with propose (kept
-// on that path by a zero-score objective), samples the state every 10·M
-// attempts, and requires both visit-frequency histograms to pass a χ²
-// test against uniform at the 0.001 level.
+// runs a long chain with the same-class end-pair proposer and with
+// drawMove (kept on that path by a zero-score objective), samples the
+// state every 10·M attempts, and requires both visit-frequency
+// histograms to pass a χ² test against uniform at the 0.001 level.
 func TestRewireD2Uniform(t *testing.T) {
 	checkUniform(t, 2, realizations2K, []uniformCase{
 		{"n6", 6, [][2]int{{2, 4}, {2, 5}, {0, 1}, {0, 3}, {1, 5}, {4, 5}}},
@@ -159,7 +160,7 @@ func checkUniform(t *testing.T, depth int, enumerate func(*graph.CSR) map[uint64
 		for _, p := range []struct {
 			name string
 			obj  Objective
-		}{{"ends", nil}, {"propose", zeroObjective{}}} {
+		}{{"ends", nil}, {"scored", zeroObjective{}}} {
 			r, err := NewRewirer(g.Clone(), depth, newRng(17))
 			if err != nil {
 				t.Fatal(err)

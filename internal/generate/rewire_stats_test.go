@@ -80,7 +80,7 @@ func TestRewireStatsBreakdown(t *testing.T) {
 	t.Run("jdd-mismatch", func(t *testing.T) {
 		// Heterogeneous degrees make most depth-2 proposals fail the
 		// dv = dy or du = dx condition. Only objective-driven depth-2 runs
-		// propose through that test; objective-free ones draw JDD-preserving
+		// draw through that test; objective-free ones draw JDD-preserving
 		// swaps from the end index and must never count a mismatch.
 		g := connectedRandom(newRng(8), 30, 25)
 		r, err := NewRewirer(g.Clone(), 2, newRng(9))

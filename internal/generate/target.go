@@ -22,7 +22,8 @@ type TargetOptions struct {
 	Anneal float64
 	// MaxAttempts bounds the number of proposals (default 200·M).
 	MaxAttempts int
-	// StopAtZero stops as soon as the distance reaches zero.
+	// StopAtZero stops as soon as the distance reaches zero, or before
+	// the first proposal if it starts there.
 	StopAtZero bool
 	// Patience aborts after this many consecutive proposals without an
 	// accepted move (default 20·M); zero-temperature greedy search stalls
@@ -78,7 +79,8 @@ type targetObjective interface {
 // 1K-preserving, 3K-targeting 2K-preserving). The distance driven to zero
 // is the corresponding D_d. The run tracks D_d as InitialD plus the
 // committed objective deltas; FinalD is read from the objective once, at
-// the end.
+// the end. With StopAtZero, a start already at distance zero returns at
+// once: no attempt, Stop = StopZero, and FinalGraph an unchanged clone.
 func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*TargetResult, error) {
 	if opt.Rng == nil {
 		return nil, fmt.Errorf("generate: TargetRewire requires Rng")
@@ -119,6 +121,9 @@ func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*
 		patience = 20 * g.M()
 	}
 	res := &TargetResult{InitialD: obj.Current(), FinalGraph: out, Stop: StopMaxAttempts}
+	if opt.StopAtZero && res.InitialD == 0 {
+		maxAttempts, res.Stop = 0, StopZero
+	}
 
 	sinceAccept := 0
 	annealEvery := g.M()
@@ -145,6 +150,7 @@ func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*
 			}
 		}
 	}
+	r.sync()
 	res.Stats = r.Stats
 	res.FinalD = obj.Current()
 	res.TemperatureAt = temp
@@ -184,7 +190,7 @@ type ExploreOptions struct {
 	// MaxAttempts bounds proposals (default 200·M).
 	MaxAttempts int
 	// Patience stops after this many consecutive rejections
-	// (default 20·M).
+	// (default 20·M; negative disables).
 	Patience int
 }
 
@@ -197,7 +203,7 @@ type ExploreResult struct {
 // Explore performs the paper's dK-space exploration on a copy of g:
 // dK-preserving rewiring accepting only moves that push the chosen scalar
 // metric in the requested direction, producing extreme (non-random)
-// dK-graphs.
+// dK-graphs. It is one Run with no acceptance target.
 func Explore(g *graph.CSR, metric ExploreMetric, opt ExploreOptions) (*ExploreResult, error) {
 	if opt.Rng == nil {
 		return nil, fmt.Errorf("generate: Explore requires Rng")
@@ -235,22 +241,9 @@ func Explore(g *graph.CSR, metric ExploreMetric, opt ExploreOptions) (*ExploreRe
 	if patience == 0 {
 		patience = 20 * g.M()
 	}
-	res := &ExploreResult{FinalGraph: out}
-	sinceAccept := 0
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		ok, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			sinceAccept = 0
-		} else {
-			sinceAccept++
-			if sinceAccept >= patience {
-				break
-			}
-		}
+	st, err := r.Run(0, maxAttempts, patience)
+	if err != nil {
+		return nil, err
 	}
-	res.Stats = r.Stats
-	return res, nil
+	return &ExploreResult{Stats: st, FinalGraph: out}, nil
 }

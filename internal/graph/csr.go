@@ -493,31 +493,6 @@ func (c *CSR) rotate(u, p int, w, e int32) {
 	nb[p], ep[p] = w, e
 }
 
-// RequeueEdges leaves the edge list exactly as removing the given edges
-// one after another with RemoveEdge and then adding them back in reverse
-// order would, without touching the neighbor windows. A move that is
-// scored, rejected and never applied therefore leaves the same EdgeAt
-// order as one applied and reverted. Every edge must be present.
-func (c *CSR) RequeueEdges(es ...Edge) {
-	for _, e := range es {
-		a, b := e.U, e.V
-		if c.deg[b] < c.deg[a] {
-			a, b = b, a
-		}
-		p, _ := c.find(a, b)
-		eidx := int(c.epos[int(c.start[a])+p])
-		last := len(c.edges) - 1
-		if eidx != last {
-			c.setEdge(eidx, c.edges[last])
-		}
-		c.edges = c.edges[:last]
-	}
-	for i := len(es) - 1; i >= 0; i-- {
-		c.edges = append(c.edges, edge32{})
-		c.setEdge(len(c.edges)-1, pack(es[i].Canon()))
-	}
-}
-
 // setEdge stores e at index i of the edge list and points both of its
 // window slots at i.
 func (c *CSR) setEdge(i int, e edge32) {

@@ -207,69 +207,6 @@ func sameState(t *testing.T, got, want *CSR) {
 	}
 }
 
-// TestRequeueEdgesMatchesApplyRevert checks that RequeueEdges leaves a
-// graph exactly as applying a rewiring move and reverting it would: for
-// a depth-0 move (remove one edge, add another) and for a double-edge
-// swap (depth >= 1). Each trial continues from the previous result, and
-// Clone's slack-free windows make the depth-0 insert relocate.
-func TestRequeueEdgesMatchesApplyRevert(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 30
-	c := NewCSR(n)
-	for c.M() < 70 {
-		c.AddEdge(rng.Intn(n), rng.Intn(n))
-	}
-	mustAdd := func(g *CSR, u, v int) {
-		if err := g.AddEdge(u, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	swaps, singles := 0, 0
-	for trial := 0; trial < 2000; trial++ {
-		e1 := c.EdgeAt(rng.Intn(c.M()))
-		ref, got := c.Clone(), c.Clone()
-		if trial%2 == 0 {
-			x, y := rng.Intn(n), rng.Intn(n)
-			if x == y || c.HasEdge(x, y) {
-				continue
-			}
-			ref.RemoveEdge(e1.U, e1.V)
-			mustAdd(ref, x, y)
-			ref.RemoveEdge(x, y)
-			mustAdd(ref, e1.U, e1.V)
-			got.RequeueEdges(e1)
-			singles++
-		} else {
-			e2 := c.EdgeAt(rng.Intn(c.M()))
-			u, v, x, y := e1.U, e1.V, e2.U, e2.V
-			if rng.Intn(2) == 0 {
-				u, v = v, u
-			}
-			if rng.Intn(2) == 0 {
-				x, y = y, x
-			}
-			if u == x || u == y || v == x || v == y || c.HasEdge(u, y) || c.HasEdge(x, v) {
-				continue
-			}
-			ref.RemoveEdge(u, v)
-			ref.RemoveEdge(x, y)
-			mustAdd(ref, u, y)
-			mustAdd(ref, x, v)
-			ref.RemoveEdge(x, v)
-			ref.RemoveEdge(u, y)
-			mustAdd(ref, x, y)
-			mustAdd(ref, u, v)
-			got.RequeueEdges(Edge{u, v}, Edge{x, y})
-			swaps++
-		}
-		sameState(t, got, ref)
-		c = got
-	}
-	if swaps < 100 || singles < 100 {
-		t.Fatalf("too few valid moves: %d swaps, %d single-edge moves", swaps, singles)
-	}
-}
-
 // endsOf returns the edge list of c in slot order, as RebuildEdges
 // takes it, with every other edge reversed.
 func endsOf(c *CSR) []int32 {
