@@ -22,6 +22,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/subgraphs"
 )
 
 // benchLab builds a fresh small-scale lab per benchmark (datasets are
@@ -350,6 +351,22 @@ func BenchmarkEdgeBetweennessWorkers(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			metrics.EdgeBetweenness(sk)
+		}
+	})
+}
+
+// BenchmarkCensusWorkers measures the class-parallel 3K census on the
+// paper-scale skitter-like graph (9204 nodes), which is well above the
+// neighbor-pair cutoff under which subgraphs.Count stays on one worker.
+func BenchmarkCensusWorkers(b *testing.B) {
+	sk, err := datasets.Skitter(datasets.PaperScaleSkitter(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchWorkers(b, func(b *testing.B) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			subgraphs.Count(sk)
 		}
 	})
 }

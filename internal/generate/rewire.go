@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -166,7 +167,8 @@ const endBlock = 64
 // at[a^1]. Read in pairs, at is the edge list in slot order: edge i
 // joins at[2i] and at[2i+1], which is EdgeAt(i) up to orientation.
 // edges answers the duplicate probes. stale reports changes not yet
-// written back to the graph. Scored moves use only these three. byFar
+// written back to the graph. Scored moves use only these three, so the
+// rest is built by the first draw or drawPair (see sortEnds). byFar
 // lists every end grouped by the degree of its far node: class k is
 // byFar[class[k]:class[k+1]]. A 2K swap exchanges the far nodes of two
 // ends in one class, which moves no end to another class, so only the
@@ -191,22 +193,30 @@ type endIndex struct {
 	sink    uint64
 }
 
-// newEndIndex builds the end index of g by counting sort, in O(n + m).
-func newEndIndex(g *graph.CSR, deg []int) *endIndex {
+// newEndIndex builds the end list and edge set of g, in O(m).
+func newEndIndex(g *graph.CSR) *endIndex {
 	m := g.M()
-	ix := &endIndex{
-		at:    make([]int32, 2*m),
-		byFar: make([]uint32, 2*m),
-		class: make([]int32, g.MaxDegree()+2),
-		edges: newEdgeSet(m),
-	}
+	ix := &endIndex{at: make([]int32, 2*m), edges: newEdgeSet(m)}
 	for i := 0; i < m; i++ {
 		e := g.EdgeAt(i)
 		u, v := int32(e.U), int32(e.V)
 		ix.at[2*i], ix.at[2*i+1] = u, v
 		ix.edges.insert(edgeKey(u, v))
-		ix.class[deg[e.U]+1]++
-		ix.class[deg[e.V]+1]++
+	}
+	return ix
+}
+
+// sortEnds builds byFar, class and drawPair's class table from at by
+// counting sort of the ends by far degree, in O(n + m), unless it has
+// built them already.
+func (ix *endIndex) sortEnds(deg []int) {
+	if ix.byFar != nil {
+		return
+	}
+	ix.byFar = make([]uint32, len(ix.at))
+	ix.class = make([]int32, slices.Max(deg)+2)
+	for _, v := range ix.at {
+		ix.class[deg[v]+1]++
 	}
 	total := int64(0)
 	for k := 1; k < len(ix.class); k++ {
@@ -223,7 +233,6 @@ func newEndIndex(g *graph.CSR, deg []int) *endIndex {
 		ix.byFar[fill[k]] = uint32(a)
 		fill[k]++
 	}
-	return ix
 }
 
 // draw draws the end pairs of the next k ≤ endBlock attempts, replacing
@@ -239,6 +248,7 @@ func newEndIndex(g *graph.CSR, deg []int) *endIndex {
 // loads decide nothing: the check re-reads at, which the block's earlier
 // swaps may have changed.
 func (ix *endIndex) draw(rng *rand.Rand, deg []int, k int) {
+	ix.sortEnds(deg)
 	for i := range k {
 		a := rng.Intn(len(ix.at))
 		d := deg[ix.at[a^1]]
@@ -265,7 +275,8 @@ func (ix *endIndex) draw(rng *rand.Rand, deg []int, k int) {
 // uniform first end lands on the one-node class of a hub of unique
 // degree as often as the hub has ends, and every pair in that class is
 // a self-loop; at depth 3 that draw ran slower on Skitter inputs.)
-func (ix *endIndex) drawPair(rng *rand.Rand) (a, b int) {
+func (ix *endIndex) drawPair(rng *rand.Rand, deg []int) (a, b int) {
+	ix.sortEnds(deg)
 	cum := ix.pairCum
 	t := rng.Int63n(cum[len(cum)-1])
 	i := sort.Search(len(cum), func(i int) bool { return cum[i] > t })
@@ -557,7 +568,7 @@ func (r *Rewirer) censusKept(u, v, x, y int) bool {
 // endsIndex returns the end index, building it on first use.
 func (r *Rewirer) endsIndex() *endIndex {
 	if r.ends == nil {
-		r.ends = newEndIndex(r.G, r.deg)
+		r.ends = newEndIndex(r.G)
 	}
 	return r.ends
 }
@@ -579,7 +590,7 @@ func (r *Rewirer) stepEnds() (bool, error) {
 	ix := r.endsIndex()
 	var a, b int
 	if r.tracker != nil {
-		a, b = ix.drawPair(r.Rng)
+		a, b = ix.drawPair(r.Rng, r.deg)
 	} else {
 		if ix.next == ix.n {
 			ix.draw(r.Rng, r.deg, 1)

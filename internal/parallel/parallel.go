@@ -3,9 +3,11 @@
 // evaluation (Section 5) recomputes expensive whole-graph metrics —
 // Brandes betweenness, distance distributions, spectral bounds — per
 // topology and per averaging seed, and all of those loops are
-// embarrassingly parallel across BFS sources and replicas. This package
-// lets internal/metrics, internal/experiments and internal/generate fan
-// that work out without each re-inventing goroutine plumbing.
+// embarrassingly parallel across BFS sources and replicas, and the 3K
+// census is parallel across center degree classes. This package lets
+// internal/metrics, internal/experiments, internal/generate and
+// internal/subgraphs fan that work out without each re-inventing
+// goroutine plumbing.
 //
 // Determinism is the design constraint, not an afterthought. Two rules
 // make every parallel computation in this repository bit-identical to its

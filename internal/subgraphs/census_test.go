@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func build(t *testing.T, n int, edges [][2]int) *graph.CSR {
@@ -358,7 +359,10 @@ func TestCountMatchesReferenceMegaHub(t *testing.T) {
 // 0 joined to the first data[1] mod n nodes, which reaches the bitset
 // threshold, plus one edge per later byte pair — and checks Count
 // against the pair-enumeration reference and the P3→P2 identity
-// Σ_v C(deg v, 2) = wedges + 3·triangles.
+// Σ_v C(deg v, 2) = wedges + 3·triangles. It also counts the graph on
+// 4 workers with the parallel cutoff at zero, so class offsets, the
+// move over the slack and the triangle gather meet odd class layouts,
+// and checks that census against the serial one.
 func FuzzCountMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 0, 1, 2, 2, 3, 3, 1, 4, 5})
 	f.Add([]byte{97, 80, 1, 2, 3, 4, 5, 6, 7, 8, 1, 9, 1, 10, 1, 11})
@@ -385,6 +389,13 @@ func FuzzCountMatchesReference(f *testing.F) {
 		c := Count(s)
 		if !c.Equal(countReference(s).census()) {
 			t.Fatalf("census disagrees with reference on n=%d, m=%d", n, s.M())
+		}
+		parallel.SetWorkers(4)
+		var par *Census
+		WithParallelPairs(0, func() { par = Count(s) })
+		parallel.SetWorkers(0)
+		if !par.Equal(c) || cap(par.Wedges) != cap(c.Wedges) {
+			t.Fatalf("census at 4 workers differs from the serial one on n=%d, m=%d", n, s.M())
 		}
 		var pairs int64
 		for u := 0; u < n; u++ {

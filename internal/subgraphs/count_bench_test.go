@@ -10,6 +10,7 @@ import (
 	"repro/internal/dk"
 	"repro/internal/generate"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/subgraphs"
 )
@@ -65,26 +66,35 @@ func TestCensusEntrySize(t *testing.T) {
 
 // TestCountAllocBudget bounds what Count allocates per census class on
 // powerLawGraph, measured as the TotalAlloc delta of one Count. With
-// K = 1.45 M keys (69 k of them triangles):
+// K = 1.45 M keys (T = 69 k of them triangles):
 //
-//	B/key ≈ (24·W + 24·T″ + tables) / K
-//	      ≈ 25.2 + 2.4 + 3.3 = 30.9
+//	B/key ≈ (24·W + 24·T″ + tables) / K ≈ 25.2 + 2.4 + 3.2 = 30.8   (one worker)
+//	B/key ≈ (24·W + 48·T  + tables) / K ≈ 25.2 + 2.3 + 3.5 = 31.0   (two workers)
 //
-// where W = 1.52 M is the wedge array's pre-pass capacity (10 % above
-// the 1.38 M wedge classes), T″ the triangle capacities the doubling
-// slice allocates on its way to its final 78 k (under twice that), and
-// tables the planes, hub bitsets and per-node arrays. The budget is
-// 1.3 × the measured 30.9: 40 B/key. 32-byte entries with a slot log
-// read 51.5.
+// where W = 1.52 M is the wedge array's capacity, the sum of the
+// per-class bounds (10 % above the 1.38 M wedge classes); T″ the
+// triangle capacities the one-worker doubling slice allocates on its
+// way to its final 78 k (under twice that); 48·T the per-class triangle
+// copies of the parallel path and the array they are concatenated
+// into; and tables the hub bitsets, per-node arrays and, per worker,
+// the packed planes and stamp (0.4 B/key for each worker after the
+// first). The test counts at one and at two workers, so what it reads
+// does not depend on the machine's core count. The budget is 1.3 × the
+// 30.9 measured before the planes were packed: 40 B/key. 32-byte
+// entries with a slot log read 51.5.
 func TestCountAllocBudget(t *testing.T) {
 	const budget = 40.0 // B/key
 	g := powerLawGraph(t)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := subgraphs.Count(g)
-	runtime.ReadMemStats(&after)
-	keys := len(c.Wedges) + len(c.Triangles)
-	if perKey := float64(after.TotalAlloc-before.TotalAlloc) / float64(keys); perKey > budget {
-		t.Errorf("Count allocated %.1f B per census class (%d classes), budget %.0f", perKey, keys, budget)
+	for _, w := range []int{1, 2} {
+		parallel.SetWorkers(w)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := subgraphs.Count(g)
+		runtime.ReadMemStats(&after)
+		parallel.SetWorkers(0)
+		keys := len(c.Wedges) + len(c.Triangles)
+		if perKey := float64(after.TotalAlloc-before.TotalAlloc) / float64(keys); perKey > budget {
+			t.Errorf("Count at %d workers allocated %.1f B per census class (%d classes), budget %.0f", w, perKey, keys, budget)
+		}
 	}
 }
