@@ -110,8 +110,8 @@ func BenchmarkAblationSwapBudget(b *testing.B) {
 }
 
 // BenchmarkAblationTemperature compares zero-temperature targeting with
-// fixed-temperature and annealed Metropolis runs (paper §4.1.4: T = 0
-// sufficed in all their experiments).
+// a fixed-temperature Metropolis run (paper §4.1.4: T = 0 sufficed in
+// all their experiments).
 func BenchmarkAblationTemperature(b *testing.B) {
 	lab := benchLab(b)
 	sk, err := lab.Skitter()
@@ -134,7 +134,6 @@ func BenchmarkAblationTemperature(b *testing.B) {
 	}{
 		{"T0", generate.TargetOptions{}, 60 * start.M()},
 		{"T100", generate.TargetOptions{Temperature: 100}, 60 * start.M()},
-		{"annealed", generate.TargetOptions{Temperature: 100, Anneal: 0.7}, 60 * start.M()},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -402,7 +401,11 @@ func BenchmarkRandomizeReplicasWorkers(b *testing.B) {
 	benchWorkers(b, func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := generate.RandomizeReplicas(sk, 2, 8, int64(i), generate.RandomizeOptions{SwapFactor: 2}); err != nil {
+			_, err := generate.Replicas(8, int64(i), func(_ int, rng *rand.Rand) (*graph.CSR, error) {
+				out, _, err := generate.Randomize(sk, 2, generate.RandomizeOptions{Rng: rng, SwapFactor: 2})
+				return out, err
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,14 +10,13 @@
 //     realization of the JDD randomized by JDD-preserving swaps;
 //   - rewiring: dK-preserving randomizing rewiring for d = 0..3;
 //   - targeting: dK-targeting d′K-preserving rewiring (Metropolis
-//     dynamics) with zero-temperature, fixed-temperature and annealed
-//     acceptance;
+//     dynamics) with zero-temperature or fixed-temperature acceptance;
 //   - exploration: dK-space exploration by maximizing/minimizing scalar
 //     metrics (S, S2, C̄) under dK-preserving rewiring.
 //
 // All generators are deterministic given the caller-supplied *rand.Rand,
 // and each runs single-threaded; ensemble workloads parallelize across
-// replicas instead (Replicas, RandomizeReplicas), with one seed-derived
+// replicas instead (Replicas), with one seed-derived
 // RNG stream per replica so results are worker-count independent.
 package generate
 

@@ -492,7 +492,6 @@ func TestJDDObjectiveTracksD2Property(t *testing.T) {
 			return false
 		}
 		r.Obj = obj
-		r.Accept = PolicyAlways
 		if _, err := r.Run(50, 5000, 0); err != nil {
 			return false
 		}
@@ -526,7 +525,6 @@ func TestCensusObjectiveTracksD3Property(t *testing.T) {
 			return false
 		}
 		r.Obj = obj
-		r.Accept = PolicyAlways
 		if _, err := r.Run(30, 5000, 0); err != nil {
 			return false
 		}
@@ -559,7 +557,6 @@ func TestDegreeDistObjectiveTracksD1Property(t *testing.T) {
 			return false
 		}
 		r.Obj = obj
-		r.Accept = PolicyAlways
 		if _, err := r.Run(50, 5000, 0); err != nil {
 			return false
 		}
@@ -747,31 +744,6 @@ func TestTargetRewireStopMaxAttempts(t *testing.T) {
 	}
 	if res.Stop.String() != "max_attempts" || StopZero.String() != "zero" || StopPatience.String() != "patience" {
 		t.Fatal("stop reason names changed")
-	}
-}
-
-func TestTargetRewireAnnealedBeatsOrMatchesGreedy(t *testing.T) {
-	// Smoke test of the temperature machinery: annealed runs must remain
-	// valid and end with finite distance; the ergodicity experiment
-	// itself lives in the benchmark harness.
-	rng := newRng(15)
-	src := connectedRandom(rng, 60, 120)
-	tgt, _ := dk.Extract(src, 2)
-	start, _, err := Randomize(src, 1, RandomizeOptions{Rng: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := TargetRewire(start, tgt, 2, TargetOptions{
-		Rng: rng, Temperature: 50, Anneal: 0.8, MaxAttempts: 40000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalD > res.InitialD {
-		t.Errorf("annealed run diverged: %v → %v", res.InitialD, res.FinalD)
-	}
-	if res.TemperatureAt >= 50 {
-		t.Errorf("temperature never cooled: %v", res.TemperatureAt)
 	}
 }
 

@@ -43,7 +43,7 @@ func checkGolden(t *testing.T, name, got, want string) {
 // path that runs objective-driven rewiring: targeting through
 // FromProfile at d=1, 2 and 3 (plus one input the earlier 2K matching
 // failed on), Explore for each metric, TargetRewire with
-// Metropolis acceptance and annealing, and the Skitter and HOT dataset
+// fixed-temperature Metropolis acceptance, and the Skitter and HOT dataset
 // generators (Skitter runs Explore internally). Any change to an RNG
 // stream, an acceptance decision or the edge-list order shows up here.
 func TestGenerationGolden(t *testing.T) {
@@ -126,15 +126,15 @@ func TestGenerationGolden(t *testing.T) {
 		checkGolden(t, fmt.Sprintf("explore metric=%d", tc.metric), got, tc.want)
 	}
 
-	// Metropolis acceptance with annealing: worsening moves pass with an
-	// RNG draw, so the acceptance stream itself is pinned.
+	// Metropolis acceptance at a fixed temperature: worsening moves pass
+	// with an RNG draw, so the acceptance stream itself is pinned.
 	start, err := generate.Matching1K(p.Degrees, generate.Options{Rng: goldenRng(20)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	metropolis := map[int]string{
-		2: "n=247 m=370 content=53afc269d1bfd0d5 order=6365fe4667b9bfb7 D=2238→20 T=0.006189700196426911 stats={Attempts:11100 Accepted:2164 Reverted:7682 Rejected:{SelfLoop:535 DuplicateEdge:719 JDDMismatch:0 CensusChanged:0 Objective:7682 Disconnected:0}}",
-		3: "n=247 m=370 content=dc74799eaca8b1f4 order=0b3d5f8a990126ef D=1060→598 T=0.006189700196426911 stats={Attempts:11100 Accepted:883 Reverted:425 Rejected:{SelfLoop:513 DuplicateEdge:56 JDDMismatch:9223 CensusChanged:0 Objective:425 Disconnected:0}}",
+		2: "n=247 m=370 content=301158522327f5ed order=87bf343897586529 D=2238→294 stats={Attempts:11100 Accepted:4477 Reverted:5030 Rejected:{SelfLoop:545 DuplicateEdge:1048 JDDMismatch:0 CensusChanged:0 Objective:5030 Disconnected:0}} stop=max_attempts",
+		3: "n=247 m=370 content=4aa85f66fcbec278 order=f2d0542f3b8502a5 D=1060→624 stats={Attempts:11100 Accepted:1019 Reverted:295 Rejected:{SelfLoop:520 DuplicateEdge:46 JDDMismatch:9220 CensusChanged:0 Objective:295 Disconnected:0}} stop=max_attempts",
 	}
 	for _, d := range []int{2, 3} {
 		from := start
@@ -144,12 +144,12 @@ func TestGenerationGolden(t *testing.T) {
 			}
 		}
 		res, err := generate.TargetRewire(from, p, d, generate.TargetOptions{
-			Rng: goldenRng(int64(30 + d)), Temperature: 4, Anneal: 0.8, MaxAttempts: 30 * from.M(),
+			Rng: goldenRng(int64(30 + d)), Temperature: 4, MaxAttempts: 30 * from.M(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := fmt.Sprintf("%s D=%v→%v T=%v stats=%+v", replicaDigest(res.FinalGraph), res.InitialD, res.FinalD, res.TemperatureAt, res.Stats)
+		got := fmt.Sprintf("%s D=%v→%v stats=%+v stop=%v", replicaDigest(res.FinalGraph), res.InitialD, res.FinalD, res.Stats, res.Stop)
 		checkGolden(t, fmt.Sprintf("metropolis d=%d", d), got, metropolis[d])
 	}
 }

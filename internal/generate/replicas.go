@@ -32,26 +32,3 @@ func Replicas(n int, baseSeed int64, build func(i int, rng *rand.Rand) (*graph.C
 	}
 	return out, nil
 }
-
-// RandomizeReplicas produces n independent dK-randomized counterparts of
-// g at the given depth, one single-threaded rewiring run per replica,
-// fanned out over the worker pool. opt.Rng is ignored; every replica gets
-// its own stream derived from baseSeed. Stats are returned per replica in
-// the same order as the graphs.
-func RandomizeReplicas(g *graph.CSR, depth, n int, baseSeed int64, opt RandomizeOptions) ([]*graph.CSR, []RewireStats, error) {
-	stats := make([]RewireStats, n)
-	graphs, err := Replicas(n, baseSeed, func(i int, rng *rand.Rand) (*graph.CSR, error) {
-		o := opt
-		o.Rng = rng
-		out, st, err := Randomize(g, depth, o)
-		if err != nil {
-			return nil, err
-		}
-		stats[i] = st
-		return out, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return graphs, stats, nil
-}

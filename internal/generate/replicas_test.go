@@ -42,7 +42,12 @@ func TestRandomizeReplicasDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []*graph.CSR {
 		parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(0)
-		out, stats, err := RandomizeReplicas(g, 1, reps, 123, RandomizeOptions{SwapFactor: 3})
+		stats := make([]RewireStats, reps)
+		out, err := Replicas(reps, 123, func(i int, rng *rand.Rand) (*graph.CSR, error) {
+			out, st, err := Randomize(g, 1, RandomizeOptions{Rng: rng, SwapFactor: 3})
+			stats[i] = st
+			return out, err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,12 +108,12 @@ type Rewirer struct {
 	// G is the graph being rewired; moves draw their edges from the end
 	// index, never from G. After every Step, G's edge set is current, as
 	// objectives, the census tracker and PreserveConnectivity need, and
-	// its EdgeAt order is current once Run, TargetRewire or Explore
-	// returns (error returns included): they write the index's slot
-	// order back once, in place. Objective-free Steps at depths 2 and 3
-	// keep the order current too. Inside Run's own loop, objective-free
-	// moves at depths 0–2 without PreserveConnectivity leave G untouched
-	// until Run returns, so OnProgress callbacks see G as Run began.
+	// its EdgeAt order is current once Run returns (error returns
+	// included): Run writes the index's slot order back once, in place.
+	// Objective-free Steps at depths 2 and 3 keep the order current too.
+	// Inside Run's own loop, objective-free moves at depths 0–2 without
+	// PreserveConnectivity leave G untouched until Run returns, so
+	// OnProgress callbacks see G as Run began.
 	G     *graph.CSR
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
@@ -147,6 +147,14 @@ type Rewirer struct {
 	// change since the run began — for convergence samples and
 	// TargetRewire's running distance.
 	objSum float64
+	// With stopAtZero, Run stops once the objective, zeroAt + objSum,
+	// is zero: before its first proposal or after an accepted move.
+	// TargetRewire sets zeroAt to the objective's initial value.
+	stopAtZero bool
+	zeroAt     float64
+	// stop is why the last Run ended. Reaching its acceptance target,
+	// which targeting never sets, counts as StopMaxAttempts.
+	stop StopReason
 
 	deg     []int
 	tracker *subgraphs.Tracker      // depth-3 census machinery, else nil
@@ -358,9 +366,6 @@ func (ix *endIndex) requeue(m Move, i, j int, kept bool) {
 
 // Policy maps an objective delta to an accept/reject decision.
 type Policy func(rng *rand.Rand, delta float64) bool
-
-// PolicyAlways accepts every structurally valid move (randomizing).
-func PolicyAlways(*rand.Rand, float64) bool { return true }
 
 // PolicyMinimize accepts strictly improving (negative-delta) moves.
 func PolicyMinimize(_ *rand.Rand, d float64) bool { return d < 0 }
@@ -667,8 +672,9 @@ func (b RejectionBreakdown) sub(o RejectionBreakdown) RejectionBreakdown {
 }
 
 // Run performs up to maxAttempts proposals, stopping early after accepted
-// moves reach wantAccepted (0 means no acceptance target) or after
-// patience consecutive rejections (0 means unlimited patience). The
+// moves reach wantAccepted (0 means no acceptance target), after
+// patience consecutive rejections (0 or negative means unlimited
+// patience), or at zero objective when the Rewirer stops there. The
 // returned stats are the Rewirer's cumulative r.Stats (identical to the
 // run's own when the Rewirer is fresh). With OnProgress set, Run emits a
 // convergence sample every ProgressEvery attempts and a final one at
@@ -687,6 +693,10 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 	every := r.ProgressEvery
 	if every <= 0 {
 		every = r.G.M() // one sample per sweep (M proposals)
+	}
+	r.stop = StopMaxAttempts
+	if r.atZero() {
+		r.stop, maxAttempts = StopZero, 0
 	}
 	last := r.Stats
 	sweep := 0
@@ -739,12 +749,17 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 		if ok {
 			accepted++
 			sinceAccept = 0
+			if r.atZero() {
+				r.stop = StopZero
+				break
+			}
 			if wantAccepted > 0 && accepted >= wantAccepted {
 				break
 			}
 		} else {
 			sinceAccept++
 			if patience > 0 && sinceAccept >= patience {
+				r.stop = StopPatience
 				break
 			}
 		}
@@ -755,22 +770,32 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 	return r.Stats, nil
 }
 
+// atZero reports whether Run stops at zero objective and is there.
+func (r *Rewirer) atZero() bool {
+	return r.stopAtZero && r.zeroAt+r.objSum == 0
+}
+
+// The budget of a Randomize run, in multiples of M: at most
+// randomizeAttempts proposals per wanted swap (randomizeAttempts3K at
+// depth 3, where census changes reject most JDD-preserving swaps), and a
+// stop after randomizePatience·M consecutive rejected proposals. Depth-3
+// runs on heavily constrained graphs converge by exhausting their tiny
+// set of census-preserving swaps, which the patience bounds cleanly.
+const (
+	randomizeAttempts   = 10
+	randomizeAttempts3K = 40
+	randomizePatience   = 10
+)
+
 // RandomizeOptions configures dK-randomizing rewiring.
 type RandomizeOptions struct {
 	Rng *rand.Rand
 	// SwapFactor scales the accepted-swap target: SwapFactor·M successful
 	// swaps (default 10, following the paper's 10× convention and the
-	// O(m) mixing result it cites).
+	// O(m) mixing result it cites). The run makes at most 10·SwapFactor·M
+	// proposals (40·SwapFactor·M at depth 3) and stops after 10·M
+	// consecutive rejected ones.
 	SwapFactor int
-	// AttemptFactor scales the proposal budget: AttemptFactor·M proposals
-	// (default 40·SwapFactor for depth 3, where census changes reject
-	// most JDD-preserving swaps, and 10·SwapFactor otherwise).
-	AttemptFactor int
-	// PatienceFactor stops the run after PatienceFactor·M consecutive
-	// rejected proposals (default 10; negative disables). Depth-3 runs on
-	// heavily constrained graphs converge by exhausting their tiny set of
-	// census-preserving swaps, which this bounds cleanly.
-	PatienceFactor int
 	// PreserveConnectivity rejects disconnecting moves (expensive).
 	PreserveConnectivity bool
 	// OnProgress and ProgressEvery mirror the Rewirer fields: periodic
@@ -797,24 +822,12 @@ func Randomize(g *graph.CSR, depth int, opt RandomizeOptions) (*graph.CSR, Rewir
 	if swapFactor <= 0 {
 		swapFactor = 10
 	}
-	attemptFactor := opt.AttemptFactor
-	if attemptFactor <= 0 {
-		attemptFactor = 10 * swapFactor
-		if depth == 3 {
-			attemptFactor = 40 * swapFactor
-		}
-	}
-	patienceFactor := opt.PatienceFactor
-	if patienceFactor == 0 {
-		patienceFactor = 10
-	}
-	patience := 0
-	if patienceFactor > 0 {
-		patience = patienceFactor * g.M()
-	}
 	want := swapFactor * g.M()
-	budget := attemptFactor * g.M()
-	st, err := r.Run(want, budget, patience)
+	budget := randomizeAttempts * want
+	if depth == 3 {
+		budget = randomizeAttempts3K * want
+	}
+	st, err := r.Run(want, budget, randomizePatience*g.M())
 	if err != nil {
 		return nil, st, err
 	}

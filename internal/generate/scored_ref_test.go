@@ -96,11 +96,7 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 	var delta float64
 	if r.Obj != nil {
 		delta = r.Obj.Score(m)
-		accept := r.Accept
-		if accept == nil {
-			accept = PolicyAlways
-		}
-		if !accept(r.Rng, delta) {
+		if r.Accept != nil && !r.Accept(r.Rng, delta) {
 			r.decline(m)
 			r.Stats.Rejected.Objective++
 			r.Stats.Reverted++
@@ -150,17 +146,15 @@ func (r *Rewirer) stepRef() (bool, error) {
 
 // scoredCase is one configuration of scored rewiring: a preserved
 // depth, an objective built from a target profile (nil for an
-// objective-free run), and the acceptance rule. Metropolis runs start at
-// temperature temp and, with anneal > 0, cool by that factor every M
-// attempts, as TargetRewire does; maximize runs accept increases, as
-// Explore does. Every objective scores 0 on a depth-3 move, which keeps
+// objective-free run), and the acceptance rule. Metropolis runs keep
+// temperature temp, as TargetRewire does; maximize runs accept
+// increases, as Explore does. Every objective scores 0 on a depth-3 move, which keeps
 // the census, so the depth-3 case accepts a random third of its moves.
 type scoredCase struct {
 	name      string
 	depth     int
 	obj       func(p *dk.Profile) Objective
 	temp      float64
-	anneal    float64
 	maximize  bool
 	coin      bool
 	connected bool
@@ -171,15 +165,15 @@ var scoredCases = []scoredCase{
 	{name: "free/d1", depth: 1},
 	{name: "free/d1/connected", depth: 1, connected: true},
 	{name: "target1K", depth: 0, obj: func(p *dk.Profile) Objective { return NewDegreeDistObjective(p.Degrees) }},
-	{name: "target1K/metropolis", depth: 0, temp: 2, anneal: 0.9, connected: true,
+	{name: "target1K/metropolis", depth: 0, temp: 2, connected: true,
 		obj: func(p *dk.Profile) Objective { return NewDegreeDistObjective(p.Degrees) }},
 	{name: "target2K", depth: 1, obj: func(p *dk.Profile) Objective { return NewJDDObjective(p.Joint) }},
-	{name: "target2K/metropolis", depth: 1, temp: 4, anneal: 0.8,
+	{name: "target2K/metropolis", depth: 1, temp: 4,
 		obj: func(p *dk.Profile) Objective { return NewJDDObjective(p.Joint) }},
 	{name: "target2K/connected", depth: 1, connected: true,
 		obj: func(p *dk.Profile) Objective { return NewJDDObjective(p.Joint) }},
 	{name: "target3K", depth: 2, obj: func(p *dk.Profile) Objective { return NewCensusObjective(p.Census) }},
-	{name: "target3K/metropolis", depth: 2, temp: 4, anneal: 0.8, connected: true,
+	{name: "target3K/metropolis", depth: 2, temp: 4, connected: true,
 		obj: func(p *dk.Profile) Objective { return NewCensusObjective(p.Census) }},
 	{name: "explore/likelihood", depth: 1, maximize: true, obj: func(*dk.Profile) Objective { return &LikelihoodObjective{} }},
 	{name: "explore/likelihood/d0", depth: 0, obj: func(*dk.Profile) Objective { return &LikelihoodObjective{} }},
@@ -218,8 +212,8 @@ func newScoredSide(tb testing.TB, g *graph.CSR, p *dk.Profile, c scoredCase, see
 
 // checkScoredMatchesReference runs c on g from seed twice in lockstep,
 // through Step and through stepRef, for the given number of attempts.
-// Every attempt must end the same way with the same stats. Unless c
-// anneals, a third side makes the same attempts in one Run. At the end
+// Every attempt must end the same way with the same stats. A third side
+// makes the same attempts in one Run. At the end
 // every side must agree with the reference on the stats, the accepted
 // moves, the committed objective change, the edge list in EdgeAt order
 // once written back, every neighbor window, and the next value of the
@@ -230,12 +224,7 @@ func checkScoredMatchesReference(tb testing.TB, g *graph.CSR, p *dk.Profile, c s
 	if got == nil {
 		return RewireStats{}
 	}
-	temp := c.temp
 	for a := 0; a < attempts; a++ {
-		if c.anneal > 0 && a > 0 && a%g.M() == 0 {
-			temp *= c.anneal
-			got.Accept, ref.Accept = PolicyMetropolis(temp), PolicyMetropolis(temp)
-		}
 		okGot, err := got.Step()
 		if err != nil {
 			tb.Fatal(err)
@@ -251,15 +240,11 @@ func checkScoredMatchesReference(tb testing.TB, g *graph.CSR, p *dk.Profile, c s
 	}
 	got.sync()
 	want := ref.Rng.Int63()
-	sides := []*Rewirer{got}
-	if c.anneal == 0 {
-		run := newScoredSide(tb, g, p, c, seed)
-		if _, err := run.Run(0, attempts, 0); err != nil {
-			tb.Fatal(err)
-		}
-		sides = append(sides, run)
+	run := newScoredSide(tb, g, p, c, seed)
+	if _, err := run.Run(0, attempts, 0); err != nil {
+		tb.Fatal(err)
 	}
-	for k, side := range sides {
+	for k, side := range []*Rewirer{got, run} {
 		name := fmt.Sprintf("%s seed=%d %s", c.name, seed, []string{"Step", "Run"}[k])
 		if side.Stats != ref.Stats || !reflect.DeepEqual(side.AcceptedMoves(), ref.AcceptedMoves()) {
 			tb.Fatalf("%s: stats %+v, reference %+v, or the accepted moves differ", name, side.Stats, ref.Stats)
@@ -285,8 +270,8 @@ func checkScoredMatchesReference(tb testing.TB, g *graph.CSR, p *dk.Profile, c s
 // TestScoredMatchesReference pins scored rewiring on the end index
 // against the retired per-move path: on every differential graph family,
 // for objective-free depths 0 and 1 and for the targeting and
-// exploration objectives at depths 0–3, greedy and Metropolis with
-// annealing, with and without PreserveConnectivity, both paths must
+// exploration objectives at depths 0–3, greedy and fixed-temperature
+// Metropolis, with and without PreserveConnectivity, both paths must
 // take the same moves and leave the same graph, EdgeAt order, stats and
 // random-source state, whether driven by Step or by Run. Each
 // configuration must accept moves and, where it has an objective or

@@ -12,22 +12,19 @@ import (
 // (Metropolis dynamics, Section 4.1.4).
 type TargetOptions struct {
 	Rng *rand.Rand
-	// Temperature T of the Metropolis acceptance rule. 0 (the default)
-	// is the paper's zero-temperature targeting: only improving moves
-	// are accepted.
+	// Temperature T of the Metropolis acceptance rule, fixed for the
+	// whole run. 0 (the default) is the paper's zero-temperature
+	// targeting, which it found sufficient: only improving moves are
+	// accepted.
 	Temperature float64
-	// Anneal, when positive, multiplies the temperature by this factor
-	// every M proposals (a simple geometric cooling schedule); used for
-	// the ergodicity experiments of the paper's §4.1.4.
-	Anneal float64
 	// MaxAttempts bounds the number of proposals (default 200·M).
 	MaxAttempts int
 	// StopAtZero stops as soon as the distance reaches zero, or before
 	// the first proposal if it starts there.
 	StopAtZero bool
-	// Patience aborts after this many consecutive proposals without an
-	// accepted move (default 20·M); zero-temperature greedy search stalls
-	// once no single swap improves the distance.
+	// Patience stops after this many consecutive proposals without an
+	// accepted move (default 20·M; negative disables); zero-temperature
+	// greedy search stalls once no single swap improves the distance.
 	Patience int
 }
 
@@ -58,12 +55,11 @@ func (s StopReason) String() string {
 
 // TargetResult reports a targeting run.
 type TargetResult struct {
-	Stats         RewireStats
-	InitialD      float64
-	FinalD        float64
-	FinalGraph    *graph.CSR
-	TemperatureAt float64    // temperature when the run stopped
-	Stop          StopReason // why the run stopped
+	Stats      RewireStats
+	InitialD   float64
+	FinalD     float64
+	FinalGraph *graph.CSR
+	Stop       StopReason // why the run stopped
 }
 
 // targetObjective is an Objective that can also report its distance to
@@ -77,10 +73,12 @@ type targetObjective interface {
 // dK-distribution at depth d, using d′K-preserving moves with d′ = d−1
 // (the paper's combinations: 1K-targeting 0K-preserving, 2K-targeting
 // 1K-preserving, 3K-targeting 2K-preserving). The distance driven to zero
-// is the corresponding D_d. The run tracks D_d as InitialD plus the
-// committed objective deltas; FinalD is read from the objective once, at
-// the end. With StopAtZero, a start already at distance zero returns at
-// once: no attempt, Stop = StopZero, and FinalGraph an unchanged clone.
+// is the corresponding D_d. It is one Run of Metropolis acceptance at
+// opt.Temperature, which tracks D_d as InitialD plus the committed
+// objective deltas for StopAtZero and reports why it stopped; FinalD is
+// read from the objective once, at the end. With StopAtZero, a start
+// already at distance zero returns at once: no attempt, Stop = StopZero,
+// and FinalGraph an unchanged clone.
 func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*TargetResult, error) {
 	if opt.Rng == nil {
 		return nil, fmt.Errorf("generate: TargetRewire requires Rng")
@@ -100,61 +98,44 @@ func TargetRewire(g *graph.CSR, target *dk.Profile, d int, opt TargetOptions) (*
 	case 3:
 		obj = NewCensusObjective(target.Census)
 	}
-	out := g.Clone()
-	r, err := NewRewirer(out, d-1, opt.Rng)
+	r, err := newScored(g, d-1, opt.Rng, obj, PolicyMetropolis(opt.Temperature))
 	if err != nil {
 		return nil, err
 	}
-	if err := obj.Init(out); err != nil {
+	res := &TargetResult{InitialD: obj.Current(), FinalGraph: r.G}
+	r.stopAtZero, r.zeroAt = opt.StopAtZero, res.InitialD
+	if res.Stats, err = r.runScored(opt.MaxAttempts, opt.Patience); err != nil {
 		return nil, err
 	}
-	r.Obj = obj
-
-	temp := opt.Temperature
-	r.Accept = PolicyMetropolis(temp)
-	maxAttempts := opt.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 200 * g.M()
-	}
-	patience := opt.Patience
-	if patience == 0 {
-		patience = 20 * g.M()
-	}
-	res := &TargetResult{InitialD: obj.Current(), FinalGraph: out, Stop: StopMaxAttempts}
-	if opt.StopAtZero && res.InitialD == 0 {
-		maxAttempts, res.Stop = 0, StopZero
-	}
-
-	sinceAccept := 0
-	annealEvery := g.M()
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if opt.Anneal > 0 && attempt > 0 && attempt%annealEvery == 0 {
-			temp *= opt.Anneal
-			r.Accept = PolicyMetropolis(temp)
-		}
-		ok, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			sinceAccept = 0
-			if opt.StopAtZero && res.InitialD+r.objSum == 0 {
-				res.Stop = StopZero
-				break
-			}
-		} else {
-			sinceAccept++
-			if sinceAccept >= patience {
-				res.Stop = StopPatience
-				break
-			}
-		}
-	}
-	r.sync()
-	res.Stats = r.Stats
-	res.FinalD = obj.Current()
-	res.TemperatureAt = temp
+	res.FinalD, res.Stop = obj.Current(), r.stop
 	return res, nil
+}
+
+// newScored returns a Rewirer over a clone of g at the given depth, with
+// obj initialised on the clone and accept deciding from its deltas.
+func newScored(g *graph.CSR, depth int, rng *rand.Rand, obj Objective, accept Policy) (*Rewirer, error) {
+	r, err := NewRewirer(g.Clone(), depth, rng)
+	if err != nil {
+		return nil, err
+	}
+	if err := obj.Init(r.G); err != nil {
+		return nil, err
+	}
+	r.Obj, r.Accept = obj, accept
+	return r, nil
+}
+
+// runScored runs r for up to maxAttempts proposals (default 200·M),
+// stopping after patience consecutive rejections (default 20·M; negative
+// disables): the budget of targeting and exploration.
+func (r *Rewirer) runScored(maxAttempts, patience int) (RewireStats, error) {
+	if maxAttempts == 0 {
+		maxAttempts = 200 * r.G.M()
+	}
+	if patience == 0 {
+		patience = 20 * r.G.M()
+	}
+	return r.Run(0, maxAttempts, patience)
 }
 
 // ExploreMetric selects the scalar functional driven by Explore.
@@ -219,31 +200,17 @@ func Explore(g *graph.CSR, metric ExploreMetric, opt ExploreOptions) (*ExploreRe
 	default:
 		return nil, fmt.Errorf("generate: unknown exploration metric %d", metric)
 	}
-	out := g.Clone()
-	r, err := NewRewirer(out, metric.preserveDepth(), opt.Rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := obj.Init(out); err != nil {
-		return nil, err
-	}
-	r.Obj = obj
+	accept := PolicyMinimize
 	if opt.Maximize {
-		r.Accept = PolicyMaximize
-	} else {
-		r.Accept = PolicyMinimize
+		accept = PolicyMaximize
 	}
-	maxAttempts := opt.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 200 * g.M()
-	}
-	patience := opt.Patience
-	if patience == 0 {
-		patience = 20 * g.M()
-	}
-	st, err := r.Run(0, maxAttempts, patience)
+	r, err := newScored(g, metric.preserveDepth(), opt.Rng, obj, accept)
 	if err != nil {
 		return nil, err
 	}
-	return &ExploreResult{Stats: st, FinalGraph: out}, nil
+	st, err := r.runScored(opt.MaxAttempts, opt.Patience)
+	if err != nil {
+		return nil, err
+	}
+	return &ExploreResult{Stats: st, FinalGraph: r.G}, nil
 }
