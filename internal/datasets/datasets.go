@@ -102,14 +102,18 @@ func Skitter(cfg SkitterConfig) (*graph.CSR, error) {
 	g, _ = graph.GiantComponent(g)
 
 	// Steer assortativity down (disassortative hubs-to-leaves mixing) by
-	// minimizing the likelihood S in bounded chunks.
-	if err := exploreUntil(g, generate.MetricLikelihood, false, rng, func() bool {
+	// minimizing the likelihood S.
+	if err := exploreUntil(g, generate.MetricLikelihood, false, rng, func(g *graph.CSR, _ generate.Objective) bool {
 		return metrics.Assortativity(g) <= cfg.TargetR
 	}); err != nil {
 		return nil, err
 	}
-	// Raise clustering to the target with 2K-preserving rewiring.
-	if err := exploreUntil(g, generate.MetricClustering, true, rng, func() bool {
+	// Raise clustering to the target with 2K-preserving rewiring. Once the
+	// chain runs, C̄ comes from its objective's running triangle counts.
+	if err := exploreUntil(g, generate.MetricClustering, true, rng, func(g *graph.CSR, obj generate.Objective) bool {
+		if c, ok := obj.(*generate.ClusteringObjective); ok {
+			return metrics.MeanClusteringFrom(g, c.Triangles()) >= cfg.TargetC
+		}
 		return metrics.MeanClustering(g) >= cfg.TargetC
 	}); err != nil {
 		return nil, err
@@ -120,30 +124,41 @@ func Skitter(cfg SkitterConfig) (*graph.CSR, error) {
 	return g, nil
 }
 
-// exploreUntil runs dK-preserving exploration on g in place, in chunks of
-// proposals, until done() reports the target is reached or progress
-// stalls.
-func exploreUntil(g *graph.CSR, metric generate.ExploreMetric, maximize bool, rng *rand.Rand, done func() bool) error {
-	const chunks = 60
-	chunk := 4 * g.M()
-	prevAccepted := -1
-	for i := 0; i < chunks && !done(); i++ {
-		res, err := generate.Explore(g, metric, generate.ExploreOptions{
-			Rng:         rng,
-			Maximize:    maximize,
-			MaxAttempts: chunk,
-			Patience:    chunk,
-		})
-		if err != nil {
-			return err
-		}
-		// Explore works on a copy; adopt its result.
-		*g = *res.FinalGraph
-		if res.Stats.Accepted == 0 && prevAccepted == 0 {
-			break // stalled two chunks in a row
-		}
-		prevAccepted = res.Stats.Accepted
+// exploreUntil runs dK-preserving exploration on g in place, as one
+// chain, until done reports the target reached or progress stalls. done
+// sees g and a nil objective before the chain starts, then the chain's
+// graph and objective at the end of every window of 4·M attempts. The
+// chain stops after 60 windows, or after two windows in a row without an
+// accepted move.
+func exploreUntil(g *graph.CSR, metric generate.ExploreMetric, maximize bool, rng *rand.Rand, done func(*graph.CSR, generate.Objective) bool) error {
+	if done(g, nil) {
+		return nil
 	}
+	window := 4 * g.M()
+	idle, last := 0, 0
+	res, err := generate.Explore(g, metric, generate.ExploreOptions{
+		Rng:         rng,
+		Maximize:    maximize,
+		MaxAttempts: 60 * window,
+		Patience:    -1,
+		OnSweep: func(r *generate.Rewirer) bool {
+			if r.Stats.Attempts%window != 0 {
+				return false
+			}
+			if r.Stats.Accepted == last {
+				idle++
+			} else {
+				idle = 0
+			}
+			last = r.Stats.Accepted
+			return idle == 2 || done(r.G, r.Obj)
+		},
+	})
+	if err != nil {
+		return err
+	}
+	// Explore works on a copy; adopt its result.
+	*g = *res.FinalGraph
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 )
 
 // Graphical reports whether the degree sequence can be realized by a
@@ -14,47 +13,44 @@ import (
 //
 //	Σ_{i<=k} d_i  <=  k(k−1) + Σ_{i>k} min(d_i, k).
 //
-// The suffix sums are evaluated in O(n log n) total using a pointer sweep.
+// It runs in O(n): every degree must lie in [0, n−1], so a counting sort
+// orders them, and the same counts give, for each k, the first index
+// max(k, #{d_i > k}) from which the d_i no longer exceed k.
 func Graphical(seq []int) bool {
 	n := len(seq)
 	if n == 0 {
 		return true
 	}
-	d := make([]int, n)
-	copy(d, seq)
-	sort.Sort(sort.Reverse(sort.IntSlice(d)))
-	if d[n-1] < 0 || d[0] >= n {
-		return false
-	}
+	cnt := make([]int, n)
 	total := 0
-	for _, x := range d {
+	for _, x := range seq {
+		if x < 0 || x >= n {
+			return false
+		}
+		cnt[x]++
 		total += x
 	}
 	if total%2 != 0 {
 		return false
 	}
-	// suffix[i] = Σ_{j >= i} d_j
-	suffix := make([]int, n+1)
-	for i := n - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + d[i]
-	}
-	left := 0
-	for k := 1; k <= n; k++ {
-		left += d[k-1]
-		// Σ_{i>k} min(d_i, k): entries d_i > k contribute k each; the rest
-		// contribute themselves. Since d is sorted descending, find the
-		// first index >= k (0-based) where d_i <= k.
-		lo, hi := k, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if d[mid] > k {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	// pre[i] = Σ_{j<i} d_j over the degrees sorted descending.
+	pre := make([]int, n+1)
+	i := 0
+	for x := n - 1; x >= 0; x-- {
+		for range cnt[x] {
+			pre[i+1] = pre[i] + x
+			i++
 		}
-		right := k*(k-1) + (lo-k)*k + suffix[lo]
-		if left > right {
+	}
+	above := n - cnt[0] // #{d_i > k}, for k = 0
+	for k := 1; k <= n; k++ {
+		if k < n {
+			above -= cnt[k]
+		}
+		// Σ_{i>k} min(d_i, k): the d_i > k past index k contribute k
+		// each, and the rest, from index lo on, themselves.
+		lo := max(k, above)
+		if pre[k] > k*(k-1)+(lo-k)*k+total-pre[lo] {
 			return false
 		}
 	}

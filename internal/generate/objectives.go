@@ -395,6 +395,11 @@ func (o *ClusteringObjective) Commit(m Move) {
 	o.t.ApplySwap(m.U, m.V, m.X, m.Y)
 }
 
+// Triangles returns the running per-node triangle counts, current after
+// every Commit; callers must not modify them. metrics.MeanClusteringFrom
+// turns them into C̄ exactly as metrics.MeanClustering computes it.
+func (o *ClusteringObjective) Triangles() []int64 { return o.tri }
+
 // Current returns the tracked C̄ value.
 func (o *ClusteringObjective) Current() float64 {
 	var sum float64

@@ -113,7 +113,9 @@ type Rewirer struct {
 	// Objective-free Steps at depths 2 and 3 keep the order current too.
 	// Inside Run's own loop, objective-free moves at depths 0–2 without
 	// PreserveConnectivity leave G untouched until Run returns, so
-	// OnProgress callbacks see G as Run began.
+	// OnProgress and OnSweep callbacks see G as Run began; scored runs
+	// keep G's neighbor windows current after every accepted move, and
+	// only its EdgeAt order waits for Run to return.
 	G     *graph.CSR
 	Depth int // preserved depth d: 0, 1, 2 or 3
 	Rng   *rand.Rand
@@ -138,8 +140,15 @@ type Rewirer struct {
 	// sequence, so tracing a run cannot change its result.
 	OnProgress func(RewireProgress)
 	// ProgressEvery is the attempt interval between OnProgress samples
-	// (<= 0 selects the per-sweep default).
+	// and OnSweep calls (<= 0 selects the per-sweep default).
 	ProgressEvery int
+	// OnSweep, when set, is called each time Run's attempt count reaches
+	// a multiple of ProgressEvery, after that point's OnProgress sample,
+	// unless that attempt already stopped the run at zero, on its
+	// acceptance target or on patience. Returning true stops the run
+	// with StopHook. It may read the Rewirer (G as the G field
+	// describes, Obj, Stats) but must not change it or draw from Rng.
+	OnSweep func(*Rewirer) bool
 	// Stats accumulates across all Steps of this Rewirer's lifetime.
 	Stats RewireStats
 
@@ -678,8 +687,9 @@ func (b RejectionBreakdown) sub(o RejectionBreakdown) RejectionBreakdown {
 // returned stats are the Rewirer's cumulative r.Stats (identical to the
 // run's own when the Rewirer is fresh). With OnProgress set, Run emits a
 // convergence sample every ProgressEvery attempts and a final one at
-// whatever attempt count the run stopped on. On return, r.G holds the
-// EdgeAt order of the run's moves (see Rewirer.G).
+// whatever attempt count the run stopped on; with OnSweep set, the hook
+// may stop the run at the same points. On return, r.G holds the EdgeAt
+// order of the run's moves (see Rewirer.G).
 func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, error) {
 	defer r.sync()
 	var ix *endIndex
@@ -722,6 +732,7 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 	}
 	sinceAccept := 0
 	accepted := 0
+	toSweep := every // attempts left to the next sample point
 	for attempts := 0; attempts < maxAttempts; attempts++ {
 		if ix != nil && ix.next == ix.n {
 			// Draw no further than the next point where the run may stop
@@ -734,17 +745,14 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 			if patience > 0 {
 				k = min(k, patience-sinceAccept)
 			}
-			if r.OnProgress != nil {
-				k = min(k, every-(r.Stats.Attempts-last.Attempts))
+			if r.OnProgress != nil || r.OnSweep != nil {
+				k = min(k, toSweep)
 			}
 			ix.draw(r.Rng, r.deg, k)
 		}
 		ok, err := r.Step()
 		if err != nil {
 			return r.Stats, err
-		}
-		if r.OnProgress != nil && r.Stats.Attempts-last.Attempts >= every {
-			emit()
 		}
 		if ok {
 			accepted++
@@ -760,6 +768,16 @@ func (r *Rewirer) Run(wantAccepted, maxAttempts, patience int) (RewireStats, err
 			sinceAccept++
 			if patience > 0 && sinceAccept >= patience {
 				r.stop = StopPatience
+				break
+			}
+		}
+		if toSweep--; toSweep == 0 {
+			toSweep = every
+			if r.OnProgress != nil {
+				emit()
+			}
+			if r.OnSweep != nil && r.OnSweep(r) {
+				r.stop = StopHook
 				break
 			}
 		}

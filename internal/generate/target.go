@@ -28,10 +28,10 @@ type TargetOptions struct {
 	Patience int
 }
 
-// StopReason says why a targeting run ended.
+// StopReason says why a rewiring run ended.
 type StopReason int
 
-// The ways a targeting run ends.
+// The ways a rewiring run ends.
 const (
 	// StopMaxAttempts: the proposal budget ran out.
 	StopMaxAttempts StopReason = iota
@@ -39,6 +39,8 @@ const (
 	StopZero
 	// StopPatience: Patience consecutive proposals went unaccepted.
 	StopPatience
+	// StopHook: the Rewirer's OnSweep hook stopped the run.
+	StopHook
 )
 
 // String names the reason as the benchmark and trace spans do.
@@ -48,6 +50,8 @@ func (s StopReason) String() string {
 		return "zero"
 	case StopPatience:
 		return "patience"
+	case StopHook:
+		return "hook"
 	default:
 		return "max_attempts"
 	}
@@ -173,6 +177,9 @@ type ExploreOptions struct {
 	// Patience stops after this many consecutive rejections
 	// (default 20·M; negative disables).
 	Patience int
+	// OnSweep is passed to the Rewirer: called once per M attempts, it
+	// may stop the run (see Rewirer.OnSweep).
+	OnSweep func(*Rewirer) bool
 }
 
 // ExploreResult reports an exploration run.
@@ -208,6 +215,7 @@ func Explore(g *graph.CSR, metric ExploreMetric, opt ExploreOptions) (*ExploreRe
 	if err != nil {
 		return nil, err
 	}
+	r.OnSweep = opt.OnSweep
 	st, err := r.runScored(opt.MaxAttempts, opt.Patience)
 	if err != nil {
 		return nil, err

@@ -169,15 +169,27 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // WriteEdgeList writes the graph as a sorted "u v" edge list, suitable for
-// ReadEdgeList round-tripping.
+// ReadEdgeList round-tripping. It walks the sorted neighbor windows, u
+// ascending and then each neighbor v > u, which is the sorted edge list
+// without sorting it.
 func WriteEdgeList(w io.Writer, g *CSR) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes=%d edges=%d\n", g.N(), g.M()); err != nil {
 		return err
 	}
-	for _, e := range g.SortedEdges() {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
-			return err
+	var line []byte
+	for u := range g.N() {
+		for _, v := range g.window(u) {
+			if int(v) <= u {
+				continue
+			}
+			line = strconv.AppendInt(line[:0], int64(u), 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(v), 10)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

@@ -194,16 +194,19 @@ func localClustering(s *graph.CSR, ts TriangleStats) []float64 {
 // MeanClustering returns C̄, the mean local clustering over nodes of
 // degree >= 2 (nodes that can participate in a triangle). Returns 0 when
 // no such node exists.
-func MeanClustering(s *graph.CSR) float64 { return meanClustering(s, Triangles(s)) }
+func MeanClustering(s *graph.CSR) float64 { return MeanClusteringFrom(s, Triangles(s).PerNode) }
 
-// meanClustering is MeanClustering with the triangle pass already done.
-func meanClustering(s *graph.CSR, ts TriangleStats) float64 {
-	cl := localClustering(s, ts)
+// MeanClusteringFrom is MeanClustering from per-node triangle counts
+// already at hand, such as a rewiring objective's running counts: it
+// sums 2·t(v)/(d(d−1)) over the nodes of degree >= 2 in node order and
+// divides by their count, so for the same counts it returns the same
+// float as MeanClustering, bit for bit.
+func MeanClusteringFrom(s *graph.CSR, perNode []int64) float64 {
 	var sum float64
 	cnt := 0
-	for v, c := range cl {
-		if s.Degree(v) >= 2 {
-			sum += c
+	for v, t := range perNode {
+		if d := s.Degree(v); d >= 2 {
+			sum += 2 * float64(t) / (float64(d) * float64(d-1))
 			cnt++
 		}
 	}

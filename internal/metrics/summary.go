@@ -69,7 +69,7 @@ func Summarize(s *graph.CSR, opt SummaryOptions) (Summary, error) {
 		M:         s.M(),
 		AvgDegree: s.AvgDegree(),
 		R:         Assortativity(s),
-		CBar:      meanClustering(s, ts),
+		CBar:      MeanClusteringFrom(s, ts.PerNode),
 		S:         LikelihoodS(s),
 	}
 	if !opt.SkipS2 {

@@ -553,8 +553,9 @@ func (e *Engine) execute(j *Job) {
 	e.mu.Unlock()
 
 	result, stream, err := runSafely(j.run, j.setProgress)
-	j.finish(result, stream, err)
 
+	// Count the job before finish wakes its pollers, so a poller that
+	// sees it finished reads stats that include it.
 	e.mu.Lock()
 	e.running--
 	if err != nil {
@@ -563,6 +564,7 @@ func (e *Engine) execute(j *Job) {
 		e.stats.Completed++
 	}
 	e.mu.Unlock()
+	j.finish(result, stream, err)
 }
 
 // runSafely converts a panicking job body into a failed job rather than

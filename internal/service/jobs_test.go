@@ -71,6 +71,37 @@ func TestEngineFailureAndPanic(t *testing.T) {
 	}
 }
 
+// TestEngineStatsCountFinishedJobs checks that a job's terminal state and
+// its stats land together: a poller woken by Done reads stats that
+// already count the job, whether it succeeded, failed or panicked.
+func TestEngineStatsCountFinishedJobs(t *testing.T) {
+	e := NewEngine(2, 8, 16)
+	defer e.Close()
+
+	boom := errors.New("boom")
+	bodies := []func() (any, StreamFunc, error){
+		func() (any, StreamFunc, error) { return 1, nil, nil },
+		func() (any, StreamFunc, error) { return nil, nil, boom },
+		func() (any, StreamFunc, error) { panic("kaboom") },
+	}
+	var completed, failed int64
+	for i := 0; i < 300; i++ {
+		j, err := e.Submit("stats", bodies[i%3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if waitJob(t, j).Status == JobDone {
+			completed++
+		} else {
+			failed++
+		}
+		st := e.Stats()
+		if st.Completed != completed || st.Failed != failed || st.Running != 0 {
+			t.Fatalf("job %d: stats %+v once it finished, want %d completed / %d failed / 0 running", i, st, completed, failed)
+		}
+	}
+}
+
 func TestEngineQueueBound(t *testing.T) {
 	e := NewEngine(1, 2, 16)
 	defer e.Close()
