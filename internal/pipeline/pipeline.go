@@ -101,15 +101,7 @@ type Outcome struct {
 // names the failing step). Call Validate first: Run assumes the request
 // is well-formed and panics are not part of its contract.
 func Run(ctx context.Context, b Backend, req dkapi.PipelineRequest, progress Progress) (*Outcome, error) {
-	return RunObserved(ctx, b, req, progress, nil)
-}
-
-// RunObserved is Run with per-phase timing instrumentation; obs may be
-// nil. It exists as a separate entry point so the common local path
-// (pkg/dk) keeps the plain signature while the service threads its
-// stats recorder through.
-func RunObserved(ctx context.Context, b Backend, req dkapi.PipelineRequest, progress Progress, obs Observer) (*Outcome, error) {
-	return RunTraced(ctx, b, req, progress, obs, nil)
+	return RunTraced(ctx, b, req, progress, nil, nil)
 }
 
 // SpanSetter is implemented by backends whose handle operations record
@@ -121,13 +113,14 @@ type SpanSetter interface {
 	SetTraceSpan(*trace.Span)
 }
 
-// RunTraced is RunObserved under a parent trace span: the executor
-// opens one child span per step and one grandchild per execution phase,
-// and generate steps additionally record a span per replica carrying
-// periodic rewiring convergence events. A nil parent degrades to
-// RunObserved exactly (the nil-tracer contract: no clock reads, no
-// allocations beyond the observer's own). Spans and events are
-// observational only — the Outcome stays a pure function of the
+// RunTraced is Run with per-phase timing instrumentation (obs may be
+// nil) under a parent trace span: the executor opens one child span per
+// step and one grandchild per execution phase, and generate steps
+// additionally record a span per replica carrying periodic rewiring
+// convergence events. A nil parent costs nothing beyond the observer
+// (the nil-tracer contract: no clock reads, no allocations), and the
+// backend's SpanSetter, if any, is then never called. Spans and events
+// are observational only — the Outcome stays a pure function of the
 // request.
 func RunTraced(ctx context.Context, b Backend, req dkapi.PipelineRequest, progress Progress, obs Observer, parent *trace.Span) (*Outcome, error) {
 	ex := &executor{
@@ -283,8 +276,8 @@ func (ex *executor) resolve(ref dkapi.GraphRef) (Handle, error) {
 	return out.single, nil
 }
 
-// depth applies the per-op default for a step's optional D field.
-func depth(st dkapi.PipelineStep) int {
+// Depth applies the per-op default for a step's optional D field.
+func Depth(st dkapi.PipelineStep) int {
 	if st.D != nil {
 		return *st.D
 	}
@@ -329,7 +322,7 @@ func (ex *executor) runExtract(st dkapi.PipelineStep) (*dkapi.StepResult, error)
 	if err != nil {
 		return nil, err
 	}
-	d := depth(st)
+	d := Depth(st)
 	done := ex.phase(st.Op, "extract")
 	p, hit, err := h.Profile(d)
 	done()
@@ -365,18 +358,13 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 	if err != nil {
 		return nil, err
 	}
-	d := depth(st)
-	name := methodName(st)
-	method, randomize, err := generate.ParseMethod(name, d)
+	gen, err := GenerateRules(st, 0)
 	if err != nil {
 		return nil, err
 	}
-	replicas := st.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
+	d := gen.D
 	var profile *dk.Profile
-	if !randomize || st.Compare {
+	if gen.NeedsProfile(st.Compare) {
 		done := ex.phase(st.Op, "extract")
 		p, _, err := h.Profile(d)
 		done()
@@ -391,23 +379,17 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 	// replica fan-out runs concurrently, so each goroutine gets its own
 	// child rather than touching the executor's span cursor.
 	constructSpan := ex.cur
-	graphs, err := generate.Replicas(replicas, st.Seed, func(i int, rng *rand.Rand) (*graph.CSR, error) {
-		var rsp *trace.Span
+	graphs, err := generate.Replicas(gen.Replicas, st.Seed, func(i int, rng *rand.Rand) (*graph.CSR, error) {
+		var onProgress func(generate.RewireProgress)
 		if constructSpan != nil {
-			rsp = constructSpan.Child("replica", "i", strconv.Itoa(i))
+			rsp := constructSpan.Child("replica", "i", strconv.Itoa(i))
 			defer rsp.End()
-		}
-		if randomize {
-			opt := generate.RandomizeOptions{Rng: rng}
-			if rsp != nil {
-				opt.OnProgress = func(p generate.RewireProgress) {
-					rsp.Event("rewire", convergenceFields(p))
-				}
+			onProgress = func(p generate.RewireProgress) {
+				rsp.Event("rewire", convergenceFields(p))
 			}
-			g, _, err := generate.Randomize(src, d, opt)
-			return g, err
 		}
-		return generate.FromProfile(profile, d, method, rng)
+		g, _, err := gen.Replica(src, profile, rng, onProgress)
+		return g, err
 	})
 	construct()
 	if err != nil {
@@ -416,7 +398,7 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 	gi := h.Info()
 	res := &dkapi.StepResult{
 		ID: st.ID, Op: st.Op, Graph: &gi, D: d,
-		Method: name, Seed: st.Seed,
+		Method: gen.Name, Seed: st.Seed,
 		Replicas: make([]dkapi.ReplicaInfo, len(graphs)),
 	}
 	handles := make([]Handle, len(graphs))
@@ -491,7 +473,7 @@ func (ex *executor) runCompare(st dkapi.PipelineStep) (*dkapi.StepResult, error)
 	if err != nil {
 		return nil, err
 	}
-	d := depth(st)
+	d := Depth(st)
 	seed := analysisSeed(st.Seed)
 	ia, ib := ha.Info(), hb.Info()
 	res := &dkapi.StepResult{ID: st.ID, Op: st.Op, A: &ia, B: &ib, D: d}

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/generate"
 	"repro/internal/scenario"
 	"repro/pkg/dkapi"
 )
@@ -80,25 +79,16 @@ func Validate(req dkapi.PipelineRequest, limits Limits) error {
 			if err := requireSource(st, seen); err != nil {
 				return fmt.Errorf("%s: %w", where, err)
 			}
-			replicas := st.Replicas
-			if replicas == 0 {
-				replicas = 1
+			gen, err := GenerateRules(st, limits.MaxReplicas)
+			if err != nil {
+				return fmt.Errorf("%s: %w", where, err)
 			}
-			if replicas < 1 || replicas > limits.MaxReplicas {
-				return fmt.Errorf("%s: replicas=%d outside 1..%d", where, replicas, limits.MaxReplicas)
-			}
-			totalReplicas += replicas
+			totalReplicas += gen.Replicas
 			if totalReplicas > limits.MaxTotalReplicas {
 				return fmt.Errorf("%s: pipeline generates %d replicas in total; the limit is %d",
 					where, totalReplicas, limits.MaxTotalReplicas)
 			}
-			meta.replicas = replicas
-			if st.Op == dkapi.OpRandomize && st.Method != "" && st.Method != "randomize" {
-				return fmt.Errorf("%s: op randomize does not take a method (got %q)", where, st.Method)
-			}
-			if _, _, err := generate.ParseMethod(methodName(st), depth(st)); err != nil {
-				return fmt.Errorf("%s: %w", where, err)
-			}
+			meta.replicas = gen.Replicas
 		case dkapi.OpCompare:
 			if st.Source != nil {
 				return fmt.Errorf("%s: compare takes a and b, not source", where)
@@ -138,7 +128,7 @@ func Validate(req dkapi.PipelineRequest, limits Limits) error {
 		if st.Op != dkapi.OpNetsim && (len(st.Ensemble) > 0 || len(st.Scenarios) > 0) {
 			return fmt.Errorf("%s: ensemble and scenarios are only valid on netsim steps", where)
 		}
-		if d := depth(st); d < 0 || d > 3 {
+		if d := Depth(st); d < 0 || d > 3 {
 			return fmt.Errorf("%s: depth d=%d outside 0..3", where, d)
 		}
 		seen[st.ID] = meta

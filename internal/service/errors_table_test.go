@@ -44,7 +44,7 @@ func TestDocumentedErrorCodes(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	started := make(chan struct{})
-	blocked, err := srv.jobs.Submit("block", func() (any, StreamFunc, error) {
+	blocked, err := srv.jobs.Submit("block", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) {
 		close(started)
 		<-release
 		return nil, nil, nil
@@ -55,7 +55,7 @@ func TestDocumentedErrorCodes(t *testing.T) {
 	// Wait for the runner to pick the blocker up, so the queue slot is
 	// free for the filler (and stays occupied for the queue-full case).
 	<-started
-	if _, err := srv.jobs.Submit("queued", func() (any, StreamFunc, error) { return nil, nil, nil }); err != nil {
+	if _, err := srv.jobs.Submit("queued", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) { return nil, nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,14 +2,10 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"time"
 
-	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
@@ -132,7 +128,12 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// generateStep maps a validated GenerateRequest onto its pipeline step.
+// generatePipeline is the one-step pipeline a generate job runs.
+func generatePipeline(req GenerateRequest) dkapi.PipelineRequest {
+	return dkapi.PipelineRequest{Steps: []dkapi.PipelineStep{generateStep(req)}}
+}
+
+// generateStep maps a GenerateRequest onto its pipeline step.
 func generateStep(req GenerateRequest) dkapi.PipelineStep {
 	return dkapi.PipelineStep{
 		ID: "generate", Op: dkapi.OpGenerate,
@@ -145,49 +146,21 @@ func generateStep(req GenerateRequest) dkapi.PipelineStep {
 	}
 }
 
-// handleGenerate implements POST /v1/generate: resolve the source graph,
-// validate the request synchronously, and enqueue an asynchronous job
-// that runs a one-step generate pipeline. Responds 202 with the job id,
-// 429 when the queue is full.
+// handleGenerate implements POST /v1/generate: check the step rules,
+// resolve the source graph synchronously, and enqueue an asynchronous
+// job that runs a one-step generate pipeline. Responds 202 with the job
+// id, 429 when the queue is full.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
-			"server is draining; submit to another instance")
-		return
-	}
 	var req GenerateRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeGraphError(w, err)
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
-	d := 2
-	if req.D != nil {
-		d = *req.D
-	}
-	if d < 0 || d > 3 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "depth d=%d outside 0..3", d)
-		return
-	}
-	// Reject invalid (depth, method) combinations before paying for
-	// resolution or extraction — a doomed d=3 request must not trigger
-	// a full census of a large graph first.
-	_, randomize, err := generate.ParseMethod(req.Method, d)
+	// Reject invalid (depth, method, replicas) combinations before
+	// paying for resolution or extraction — a doomed d=3 request must
+	// not trigger a full census of a large graph first.
+	gen, err := pipeline.GenerateRules(generateStep(req), s.opts.MaxReplicas)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	methodName := req.Method
-	if methodName == "" {
-		methodName = "randomize"
-	}
-	replicas := req.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	if replicas < 1 || replicas > s.opts.MaxReplicas {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"replicas=%d outside 1..%d", replicas, s.opts.MaxReplicas)
 		return
 	}
 	entry, err := s.resolveRef(req.Source)
@@ -201,8 +174,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// job body, which re-fetches it as a pure cache hit. Pure
 	// randomize-without-compare never reads the profile, so a potentially
 	// expensive census must not run in the handler.
-	if !randomize || req.Compare {
-		if _, _, err := (svcHandle{e: entry, s: s}).Profile(d); err != nil {
+	if gen.NeedsProfile(req.Compare) {
+		if _, _, err := (svcHandle{e: entry, s: s}).Profile(gen.D); err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, "extract: %v", err)
 			return
 		}
@@ -212,69 +185,22 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// spec stays small and resolvable after a restart even when the
 	// original request carried inline edges.
 	normalized := GenerateRequest{
-		Source: GraphRef{Hash: string(entry.Hash())}, D: &d, Method: methodName,
-		Replicas: replicas, Seed: req.Seed, Compare: req.Compare,
+		Source: GraphRef{Hash: string(entry.Hash())}, D: &gen.D, Method: gen.Name,
+		Replicas: gen.Replicas, Seed: req.Seed, Compare: req.Compare,
 	}
-	spec, _ := json.Marshal(normalized)
-	jt := s.newJobTracer(r, "generate")
-	job, err := s.jobs.SubmitTracked("generate", spec,
-		jt.wrap(untracked(s.generateJobFunc(normalized, jt.span()))))
-	jt.bind(job, err)
-	if errors.Is(err, ErrQueueFull) {
-		// Backpressure, not failure: carry Retry-After (dkclient honors
-		// it) so callers back off instead of hammering the full queue.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull,
-			"job queue full (%d queued); retry later", s.opts.JobQueue)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, GenerateAccepted{
-		JobID:     job.ID(),
-		StatusURL: "/v1/jobs/" + job.ID(),
-	})
+	s.submitJob(w, r, "generate", normalized, generatePipeline(normalized))
 }
 
-// generateJobFunc builds the body of a generate job: a one-step
-// pipeline run whose step result is reshaped into the historical
-// GenerateResult summary, with the replica edge lists streamed in the
-// PR2 "# replica i" format. It is shared by the HTTP submission path
-// (which passes the job's trace span) and journal recovery (which
-// passes nil — a recovered job's submission trace died with the old
-// process). Everything else it needs round-trips through the journaled
-// GenerateRequest spec.
-func (s *Server) generateJobFunc(req GenerateRequest, parent *trace.Span) JobFunc {
-	return func() (any, StreamFunc, error) {
-		out, err := s.runPipeline(dkapi.PipelineRequest{
-			Steps: []dkapi.PipelineStep{generateStep(req)},
-		}, nil, parent)
-		if err != nil {
-			return nil, nil, err
-		}
-		step := out.Result.Steps[0]
-		result := GenerateResult{
-			Source:   *step.Graph,
-			D:        step.D,
-			Method:   step.Method,
-			Seed:     step.Seed,
-			Replicas: step.Replicas,
-		}
-		handles := out.Graphs[0].Handles
-		stream := func(w io.Writer) error {
-			for i, h := range handles {
-				if _, err := fmt.Fprintf(w, "# replica %d\n", i); err != nil {
-					return err
-				}
-				if err := graph.WriteEdgeList(w, h.Graph()); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return result, stream, nil
+// generateResult reshapes the one-step run of a generate job into the
+// historical GenerateResult summary.
+func generateResult(out *pipeline.Outcome) GenerateResult {
+	step := out.Result.Steps[0]
+	return GenerateResult{
+		Source:   *step.Graph,
+		D:        step.D,
+		Method:   step.Method,
+		Seed:     step.Seed,
+		Replicas: step.Replicas,
 	}
 }
 

@@ -35,8 +35,7 @@ const (
 // pkg/dkapi): interactive work overtakes queued batch work.
 type JobClass = dkapi.JobClass
 
-// Job priority classes. Submissions that do not declare a class run as
-// batch — the historical single-queue behavior.
+// Job priority classes. A class other than interactive runs as batch.
 const (
 	ClassInteractive = dkapi.ClassInteractive
 	ClassBatch       = dkapi.ClassBatch
@@ -48,14 +47,12 @@ const (
 // must not mutate job state.
 type StreamFunc func(w io.Writer) error
 
-// JobFunc is the body of a job. It returns a JSON-marshalable result
-// summary and an optional bulk-result streamer.
-type JobFunc func() (result any, stream StreamFunc, err error)
-
-// TrackedJobFunc is a job body that reports live progress: setProgress
-// publishes a JSON-marshalable snapshot (e.g. per-step pipeline status)
-// that GET /v1/jobs/{id} serves while the job runs. It may be called
-// any number of times; the latest value wins.
+// TrackedJobFunc is the body of a job. It returns a JSON-marshalable
+// result summary and an optional bulk-result streamer, and may report
+// live progress: setProgress publishes a JSON-marshalable snapshot
+// (e.g. per-step pipeline status) that GET /v1/jobs/{id} serves while
+// the job runs. A body may call it any number of times or never; the
+// latest value wins.
 type TrackedJobFunc func(setProgress func(any)) (result any, stream StreamFunc, err error)
 
 // Job is one asynchronous unit of work tracked by the Engine. All fields
@@ -294,52 +291,23 @@ func (e *Engine) Close() {
 	}
 }
 
-// untracked adapts a plain JobFunc to the tracked signature.
-func untracked(run JobFunc) TrackedJobFunc {
-	return func(func(any)) (any, StreamFunc, error) { return run() }
-}
-
-// Submit enqueues a batch-class job. It never blocks: if the queue is
-// full the job is rejected with ErrQueueFull; after Close it is
-// rejected outright.
-func (e *Engine) Submit(kind string, run JobFunc) (*Job, error) {
-	return e.SubmitSpec(kind, nil, run)
-}
-
-// SubmitSpec is Submit with a serialized request spec that is written to
-// the journal alongside the queued record, making the job recoverable:
-// after a crash, the spec is what a fresh process re-queues from.
-func (e *Engine) SubmitSpec(kind string, spec json.RawMessage, run JobFunc) (*Job, error) {
-	return e.submit("", kind, ClassBatch, spec, untracked(run), false)
-}
-
-// SubmitTracked is SubmitSpec for a progress-reporting job body.
-func (e *Engine) SubmitTracked(kind string, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
-	return e.submit("", kind, ClassBatch, spec, run, false)
-}
-
-// SubmitClass is SubmitTracked with an explicit priority class:
-// interactive jobs overtake queued batch jobs.
-func (e *Engine) SubmitClass(kind string, class JobClass, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
-	return e.submit("", kind, class, spec, run, false)
+// Submit enqueues a job of the given priority class: interactive jobs
+// overtake queued batch jobs. spec, the serialized request, is written
+// to the journal with the queued record, which makes the job
+// recoverable: after a crash, the spec is what a fresh process
+// re-queues from (nil spec = not recoverable). Submit never blocks: if
+// the queue is full the job is rejected with ErrQueueFull; after Close
+// it is rejected outright.
+func (e *Engine) Submit(kind string, class JobClass, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
+	return e.submit("", kind, class, spec, run)
 }
 
 // Resubmit re-queues a job recovered from a previous process's journal
-// under its original id, so clients polling that id across the restart
-// find their job again. It fails if the id is already tracked.
-func (e *Engine) Resubmit(id, kind string, spec json.RawMessage, run JobFunc) (*Job, error) {
-	return e.submit(id, kind, ClassBatch, spec, untracked(run), true)
-}
-
-// ResubmitTracked is Resubmit for a progress-reporting job body.
-func (e *Engine) ResubmitTracked(id, kind string, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
-	return e.submit(id, kind, ClassBatch, spec, run, true)
-}
-
-// ResubmitClass is ResubmitTracked with an explicit priority class, so
-// recovery re-queues a job under the same class it was submitted with.
-func (e *Engine) ResubmitClass(id, kind string, class JobClass, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
-	return e.submit(id, kind, class, spec, run, true)
+// under its original id and class, so clients polling that id across
+// the restart find their job again. It fails if the id is already
+// tracked.
+func (e *Engine) Resubmit(id, kind string, class JobClass, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
+	return e.submit(id, kind, class, spec, run)
 }
 
 // RegisterFailed tracks a job in a terminal failed state without ever
@@ -372,7 +340,9 @@ func (e *Engine) RegisterFailed(id, kind string, spec json.RawMessage, msg strin
 	e.evictLocked()
 }
 
-func (e *Engine) submit(id, kind string, class JobClass, spec json.RawMessage, run TrackedJobFunc, recovered bool) (*Job, error) {
+// submit enqueues a job under a fresh id, or under id when recovering.
+func (e *Engine) submit(id, kind string, class JobClass, spec json.RawMessage, run TrackedJobFunc) (*Job, error) {
+	recovered := id != ""
 	if class != ClassInteractive {
 		class = ClassBatch
 	}

@@ -23,7 +23,7 @@ func TestEngineLifecycle(t *testing.T) {
 	e := NewEngine(2, 8, 16)
 	defer e.Close()
 
-	j, err := e.Submit("test", func() (any, StreamFunc, error) {
+	j, err := e.Submit("test", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) {
 		return map[string]int{"x": 1}, func(w io.Writer) error { return nil }, nil
 	})
 	if err != nil {
@@ -49,19 +49,19 @@ func TestEngineFailureAndPanic(t *testing.T) {
 	defer e.Close()
 
 	boom := errors.New("boom")
-	j1, _ := e.Submit("fail", func() (any, StreamFunc, error) { return nil, nil, boom })
+	j1, _ := e.Submit("fail", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) { return nil, nil, boom })
 	if view := waitJob(t, j1); view.Status != JobFailed || view.Error != "boom" {
 		t.Fatalf("got %+v, want failed/boom", view)
 	}
 
-	j2, _ := e.Submit("panic", func() (any, StreamFunc, error) { panic("kaboom") })
+	j2, _ := e.Submit("panic", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) { panic("kaboom") })
 	view := waitJob(t, j2)
 	if view.Status != JobFailed || !strings.Contains(view.Error, "kaboom") {
 		t.Fatalf("panicking job: %+v, want failed with panic message", view)
 	}
 
 	// The runner survived the panic and still executes work.
-	j3, _ := e.Submit("after", func() (any, StreamFunc, error) { return 42, nil, nil })
+	j3, _ := e.Submit("after", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) { return 42, nil, nil })
 	if view := waitJob(t, j3); view.Status != JobDone {
 		t.Fatalf("runner dead after panic: %+v", view)
 	}
@@ -79,14 +79,14 @@ func TestEngineStatsCountFinishedJobs(t *testing.T) {
 	defer e.Close()
 
 	boom := errors.New("boom")
-	bodies := []func() (any, StreamFunc, error){
-		func() (any, StreamFunc, error) { return 1, nil, nil },
-		func() (any, StreamFunc, error) { return nil, nil, boom },
-		func() (any, StreamFunc, error) { panic("kaboom") },
+	bodies := []TrackedJobFunc{
+		func(func(any)) (any, StreamFunc, error) { return 1, nil, nil },
+		func(func(any)) (any, StreamFunc, error) { return nil, nil, boom },
+		func(func(any)) (any, StreamFunc, error) { panic("kaboom") },
 	}
 	var completed, failed int64
 	for i := 0; i < 300; i++ {
-		j, err := e.Submit("stats", bodies[i%3])
+		j, err := e.Submit("stats", ClassBatch, nil, bodies[i%3])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestEngineQueueBound(t *testing.T) {
 	defer e.Close()
 
 	release := make(chan struct{})
-	block := func() (any, StreamFunc, error) {
+	block := func(func(any)) (any, StreamFunc, error) {
 		<-release
 		return nil, nil, nil
 	}
@@ -117,7 +117,7 @@ func TestEngineQueueBound(t *testing.T) {
 	// rejected and check the accepted count stayed within the bound.
 	var jobs []*Job
 	for {
-		j, err := e.Submit("block", block)
+		j, err := e.Submit("block", ClassBatch, nil, block)
 		if err != nil {
 			if !errors.Is(err, ErrQueueFull) {
 				t.Fatalf("got %v, want ErrQueueFull", err)
@@ -149,7 +149,7 @@ func TestEngineMaxRunningBound(t *testing.T) {
 	release := make(chan struct{})
 	var jobs []*Job
 	for i := 0; i < 12; i++ {
-		j, err := e.Submit("block", func() (any, StreamFunc, error) {
+		j, err := e.Submit("block", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) {
 			<-release
 			return nil, nil, nil
 		})
@@ -185,7 +185,7 @@ func TestEngineRetention(t *testing.T) {
 
 	var last *Job
 	for i := 0; i < 10; i++ {
-		j, err := e.Submit("quick", func() (any, StreamFunc, error) { return nil, nil, nil })
+		j, err := e.Submit("quick", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) { return nil, nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}

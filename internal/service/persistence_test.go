@@ -336,7 +336,7 @@ func TestGracefulShutdownJournalsQueued(t *testing.T) {
 	srv := New(Options{Store: st, JobRunners: 1, JobQueue: 8})
 
 	release := make(chan struct{})
-	if _, err := srv.jobs.Submit("blocker", func() (any, StreamFunc, error) {
+	if _, err := srv.jobs.Submit("blocker", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) {
 		<-release
 		return nil, nil, nil
 	}); err != nil {
@@ -350,7 +350,7 @@ func TestGracefulShutdownJournalsQueued(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	queued, err := srv.jobs.Submit("queued", func() (any, StreamFunc, error) { return nil, nil, nil })
+	queued, err := srv.jobs.Submit("queued", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) { return nil, nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,15 +69,8 @@ func (s *Server) resolvePipelineRefs(req *dkapi.PipelineRequest) error {
 // trips. Responds 202 with the job id; per-step progress appears in
 // the job view while it runs.
 func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
-			"server is draining; submit to another instance")
-		return
-	}
 	var req dkapi.PipelineRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeGraphError(w, err)
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
 	if err := pipeline.Validate(req, s.pipelineLimits()); err != nil {
@@ -88,15 +81,41 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	// Pipelines without generate steps are interactive-class: someone is
-	// waiting on a profile read, and it must not sit behind a queue of
-	// ensemble sweeps.
-	spec, _ := json.Marshal(req)
-	jt := s.newJobTracer(r, "pipeline")
-	job, err := s.jobs.SubmitClass("pipeline", pipeline.Class(req), spec,
-		jt.wrap(s.pipelineJobFunc(req, jt.span())))
+	s.submitJob(w, r, "pipeline", req, req)
+}
+
+// decodeSubmission is the front of both job-submission routes: it
+// refuses new jobs while the server drains, then decodes the request
+// body into v. It reports false when it has written an error response.
+func (s *Server) decodeSubmission(w http.ResponseWriter, r *http.Request, v any) bool {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
+			"server is draining; submit to another instance")
+		return false
+	}
+	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		writeGraphError(w, err)
+		return false
+	}
+	return true
+}
+
+// submitJob enqueues req as an asynchronous job of the given kind
+// ("generate" or "pipeline") under the request's trace, journaling spec
+// as the job's recoverable request, and answers 202 with the job id —
+// or 429 with Retry-After when the queue is full. Pipelines without
+// generate steps are interactive-class (pipeline.Class): someone is
+// waiting on a profile read, and it must not sit behind a queue of
+// ensemble sweeps.
+func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, spec any, req dkapi.PipelineRequest) {
+	raw, _ := json.Marshal(spec)
+	jt := s.newJobTracer(r, kind)
+	job, err := s.jobs.Submit(kind, pipeline.Class(req), raw, jt.wrap(s.jobBody(kind, req, jt.span())))
 	jt.bind(job, err)
 	if errors.Is(err, ErrQueueFull) {
+		// Backpressure, not failure: carry Retry-After (dkclient honors
+		// it) so callers back off instead of hammering the full queue.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, CodeQueueFull,
 			"job queue full (%d queued); retry later", s.opts.JobQueue)
@@ -112,37 +131,56 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pipelineJobFunc builds the body of a pipeline job: run the shared
-// executor over the service backend, publishing per-step status as
-// progress, and stream every generated ensemble in the bulk result —
-// each replica prefixed by "# step <id> replica <i>". Shared by the
-// HTTP submission path (which passes the job's trace span) and journal
-// recovery (which passes nil); everything else it needs round-trips
-// through the journaled (normalized) request spec.
-func (s *Server) pipelineJobFunc(req dkapi.PipelineRequest, parent *trace.Span) TrackedJobFunc {
+// jobBody builds the body of a job of the given kind: one run of the
+// shared executor over req. A pipeline job publishes per-step status as
+// progress and streams every generated ensemble, each replica prefixed
+// by "# step <id> replica <i>". A generate job is a one-step pipeline
+// whose result is reshaped into GenerateResult and whose replicas are
+// prefixed by "# replica <i>"; its job view carries no progress, as it
+// never has. Shared by submission (which passes the
+// job's trace span) and journal recovery (which passes nil — a
+// recovered job's submission trace died with the old process).
+func (s *Server) jobBody(kind string, req dkapi.PipelineRequest, parent *trace.Span) TrackedJobFunc {
 	return func(setProgress func(any)) (any, StreamFunc, error) {
-		out, err := s.runPipeline(req,
-			func(steps []dkapi.StepStatus) { setProgress(steps) }, parent)
+		var progress pipeline.Progress
+		if kind == "pipeline" {
+			progress = func(steps []dkapi.StepStatus) { setProgress(steps) }
+		}
+		out, err := s.runPipeline(req, progress, parent)
 		if err != nil {
 			return nil, nil, err
 		}
-		var stream StreamFunc
-		if len(out.Graphs) > 0 {
-			graphs := out.Graphs
-			stream = func(w io.Writer) error {
-				for _, sg := range graphs {
-					for i, h := range sg.Handles {
-						if _, err := fmt.Fprintf(w, "# step %s replica %d\n", sg.StepID, i); err != nil {
-							return err
-						}
-						if err := graph.WriteEdgeList(w, h.Graph()); err != nil {
-							return err
-						}
-					}
+		var result any = out.Result
+		if kind == "generate" {
+			result = generateResult(out)
+		}
+		return result, replicaStream(kind, out.Graphs), nil
+	}
+}
+
+// replicaStream writes every replica of a run's ensembles as an edge
+// list under its marker line; it is nil when the run generated nothing.
+func replicaStream(kind string, graphs []pipeline.StepGraphs) StreamFunc {
+	if len(graphs) == 0 {
+		return nil
+	}
+	return func(w io.Writer) error {
+		for _, sg := range graphs {
+			for i, h := range sg.Handles {
+				var err error
+				if kind == "generate" {
+					_, err = fmt.Fprintf(w, "# replica %d\n", i)
+				} else {
+					_, err = fmt.Fprintf(w, "# step %s replica %d\n", sg.StepID, i)
 				}
-				return nil
+				if err != nil {
+					return err
+				}
+				if err := graph.WriteEdgeList(w, h.Graph()); err != nil {
+					return err
+				}
 			}
 		}
-		return out.Result, stream, nil
+		return nil
 	}
 }

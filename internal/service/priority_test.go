@@ -29,7 +29,7 @@ func TestEnginePriority(t *testing.T) {
 		}
 	}
 
-	blocker, err := e.Submit("block", func() (any, StreamFunc, error) {
+	blocker, err := e.Submit("block", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) {
 		<-release
 		return nil, nil, nil
 	})
@@ -40,9 +40,9 @@ func TestEnginePriority(t *testing.T) {
 	// actually running so the queued order below is unambiguous.
 	waitRunning(t, e, blocker.ID())
 
-	b1, _ := e.SubmitClass("batch-1", ClassBatch, nil, record("b1"))
-	b2, _ := e.SubmitClass("batch-2", ClassBatch, nil, record("b2"))
-	i1, _ := e.SubmitClass("interactive-1", ClassInteractive, nil, record("i1"))
+	b1, _ := e.Submit("batch-1", ClassBatch, nil, record("b1"))
+	b2, _ := e.Submit("batch-2", ClassBatch, nil, record("b2"))
+	i1, _ := e.Submit("interactive-1", ClassInteractive, nil, record("i1"))
 	if b1 == nil || b2 == nil || i1 == nil {
 		t.Fatal("submissions rejected with queue capacity to spare")
 	}

@@ -278,7 +278,7 @@ func TestThrottledSplitFromErrors(t *testing.T) {
 	release := make(chan struct{})
 	var wedged []*Job
 	for {
-		j, err := srv.jobs.Submit("block", func() (any, StreamFunc, error) {
+		j, err := srv.jobs.Submit("block", ClassBatch, nil, func(func(any)) (any, StreamFunc, error) {
 			<-release
 			return nil, nil, nil
 		})

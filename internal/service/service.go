@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/datasets"
-	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
@@ -270,68 +269,66 @@ func New(opts Options) *Server {
 }
 
 // recoverJobs re-queues journaled jobs that never reached a terminal
-// state in the previous process. Each recovered job keeps its original
-// id, so a client polling across the restart finds it again. Specs are
-// re-validated and their graph references re-resolved up front; jobs
-// whose spec no longer resolves (e.g. the graph artifact was GC'd) are
-// closed out — journaled failed AND registered in the engine as failed,
-// so the poll answers with the reason rather than 404.
+// state in the previous process, through the same job body submission
+// uses. Each recovered job keeps its original id, so a client polling
+// across the restart finds it again. Jobs whose spec no longer checks
+// or resolves (e.g. the graph artifact was GC'd) are closed out —
+// journaled failed AND registered in the engine as failed, so the poll
+// answers with the reason rather than 404.
 func (s *Server) recoverJobs(states []store.JobState) {
 	for _, st := range states {
 		if st.Terminal() {
 			continue
 		}
-		fail := func(format string, args ...any) {
-			msg := fmt.Sprintf(format, args...)
+		req, err := s.recoverRequest(st.Kind, st.Spec)
+		if err == nil {
+			_, err = s.jobs.Resubmit(st.ID, st.Kind, pipeline.Class(req), st.Spec, s.jobBody(st.Kind, req, nil))
+		}
+		if err != nil {
+			msg := "recovery: " + err.Error()
 			s.jobs.note(store.JobRecord{ID: st.ID, Status: store.JobFailed, Error: msg})
 			s.jobs.RegisterFailed(st.ID, st.Kind, st.Spec, msg)
 		}
-		switch st.Kind {
-		case "generate":
-			var req GenerateRequest
-			if err := json.Unmarshal(st.Spec, &req); err != nil {
-				fail("recovery: bad spec: %v", err)
-				continue
-			}
-			d := 2
-			if req.D != nil {
-				d = *req.D
-			}
-			_, _, err := generate.ParseMethod(req.Method, d)
-			if err != nil || d < 0 || d > 3 || req.Replicas < 1 {
-				fail("recovery: invalid spec (d=%d replicas=%d method=%q)", d, req.Replicas, req.Method)
-				continue
-			}
-			if _, err := s.resolveRef(req.Source); err != nil {
-				fail("recovery: source: %v", err)
-				continue
-			}
-			if _, err := s.jobs.Resubmit(st.ID, "generate", st.Spec, s.generateJobFunc(req, nil)); err != nil {
-				fail("recovery: %v", err)
-			}
-		case "pipeline":
-			var req dkapi.PipelineRequest
-			if err := json.Unmarshal(st.Spec, &req); err != nil {
-				fail("recovery: bad spec: %v", err)
-				continue
-			}
-			if err := pipeline.Validate(req, s.pipelineLimits()); err != nil {
-				fail("recovery: invalid spec: %v", err)
-				continue
-			}
-			// Journaled specs are normalized to hash references, so this
-			// resolves from the disk tier without recomputation — and
-			// tells us now, not mid-job, when an artifact is gone.
-			if err := s.resolvePipelineRefs(&req); err != nil {
-				fail("recovery: %v", err)
-				continue
-			}
-			if _, err := s.jobs.ResubmitClass(st.ID, "pipeline", pipeline.Class(req), st.Spec, s.pipelineJobFunc(req, nil)); err != nil {
-				fail("recovery: %v", err)
-			}
-		default:
-			fail("recovery: unknown job kind %q", st.Kind)
+	}
+}
+
+// recoverRequest turns a journaled spec back into the pipeline its job
+// runs, re-checking it as submission did. Journaled specs are
+// normalized to hash references, so resolving them reads the disk tier
+// without recomputation — and tells now, not mid-job, when an artifact
+// is gone.
+func (s *Server) recoverRequest(kind string, spec json.RawMessage) (dkapi.PipelineRequest, error) {
+	switch kind {
+	case "generate":
+		var req GenerateRequest
+		if err := json.Unmarshal(spec, &req); err != nil {
+			return dkapi.PipelineRequest{}, fmt.Errorf("bad spec: %v", err)
 		}
+		// Submission journals the replica count explicitly, so a spec
+		// without one was not written by a server.
+		step := generateStep(req)
+		if _, err := pipeline.GenerateRules(step, s.opts.MaxReplicas); err != nil || req.Replicas < 1 {
+			return dkapi.PipelineRequest{}, fmt.Errorf("invalid spec (d=%d replicas=%d method=%q)",
+				pipeline.Depth(step), req.Replicas, req.Method)
+		}
+		if _, err := s.resolveRef(req.Source); err != nil {
+			return dkapi.PipelineRequest{}, fmt.Errorf("source: %v", err)
+		}
+		return generatePipeline(req), nil
+	case "pipeline":
+		var req dkapi.PipelineRequest
+		if err := json.Unmarshal(spec, &req); err != nil {
+			return req, fmt.Errorf("bad spec: %v", err)
+		}
+		if err := pipeline.Validate(req, s.pipelineLimits()); err != nil {
+			return req, fmt.Errorf("invalid spec: %v", err)
+		}
+		if err := s.resolvePipelineRefs(&req); err != nil {
+			return req, err
+		}
+		return req, nil
+	default:
+		return dkapi.PipelineRequest{}, fmt.Errorf("unknown job kind %q", kind)
 	}
 }
 

@@ -1,15 +1,11 @@
 package service
 
 import (
-	"context"
 	"net/http"
 	"sync"
 
-	"repro/internal/graph"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/pkg/dkapi"
 )
 
 // shouldTrace decides whether a request gets a trace: explicit opt-in
@@ -165,44 +161,4 @@ func (jt *jobTracer) bind(job *Job, err error) {
 	}
 	jt.jobSpan.SetAttr("job", job.ID())
 	jt.idCh <- job.ID()
-}
-
-// tracedBackend is svcBackend plus a span cursor: the pipeline executor
-// publishes its current step/phase span through SetTraceSpan, and
-// handles created by this backend read the cursor at operation time —
-// which is what nests artifact-store spans under the exact phase that
-// caused them. The executor serializes SetTraceSpan with handle
-// operations on its own goroutine, so the cursor needs no lock; the
-// concurrent replica fan-out never touches handles.
-type tracedBackend struct {
-	s   *Server
-	cur *trace.Span
-}
-
-var _ pipeline.SpanSetter = (*tracedBackend)(nil)
-
-func (b *tracedBackend) SetTraceSpan(sp *trace.Span) { b.cur = sp }
-
-func (b *tracedBackend) Resolve(ref dkapi.GraphRef) (pipeline.Handle, error) {
-	e, err := b.s.resolveRef(ref)
-	if err != nil {
-		return nil, err
-	}
-	return svcHandle{e: e, s: b.s, tb: b}, nil
-}
-
-func (b *tracedBackend) Intern(g *graph.CSR) pipeline.Handle {
-	return svcHandle{e: NewDetachedEntry(g), tb: b}
-}
-
-// runPipeline executes one pipeline through the shared executor,
-// picking the traced backend when a parent span is present. All service
-// execution surfaces (sync handlers, jobs, recovery) funnel through
-// here so phase timings and trace threading stay uniform.
-func (s *Server) runPipeline(req dkapi.PipelineRequest, progress pipeline.Progress, parent *trace.Span) (*pipeline.Outcome, error) {
-	var b pipeline.Backend = svcBackend{s}
-	if parent != nil {
-		b = &tracedBackend{s: s}
-	}
-	return pipeline.RunTraced(context.Background(), b, req, progress, s.observePhase, parent)
 }

@@ -160,9 +160,10 @@ type GenerateOptions struct {
 	// statistics — acceptance counts plus the rejection-reason breakdown
 	// that makes a collapsed acceptance rate diagnosable. Only the
 	// randomize method produces stats; other methods never call it.
-	// Honored by GenerateStream, where replicas run concurrently: the
-	// callback may be invoked from multiple goroutines at once and in
-	// any replica order.
+	// Only GenerateStream takes it (Generate returns an error when it
+	// is set). Replicas run concurrently there: the callback may be
+	// invoked from multiple goroutines at once and in any replica
+	// order.
 	OnRewireStats func(replica int, st RewireStats)
 	// OnRewireProgress, when set, receives periodic convergence samples
 	// while a replica rewires — roughly one per sweep (M attempts) plus

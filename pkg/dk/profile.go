@@ -8,6 +8,7 @@ import (
 	"repro/internal/generate"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/pipeline"
 	"repro/pkg/dkapi"
 )
 
@@ -25,26 +26,16 @@ type Profile = dkapi.Profile
 // original graph; use Generate for that. Replica i derives its own
 // seed stream, identically to Generate and the HTTP service.
 func GenerateFromProfile(p *Profile, opts GenerateOptions) ([]*Graph, error) {
-	d := 2
-	if opts.D != nil {
-		d = *opts.D
-	}
-	if d < 0 || d > 3 {
-		return nil, fmt.Errorf("depth d=%d outside 0..3", d)
-	}
-	method, randomize, err := generate.ParseMethod(opts.Method, d)
+	gen, err := generateRules(opts)
 	if err != nil {
 		return nil, err
 	}
-	if randomize {
+	if gen.Randomize {
 		return nil, fmt.Errorf("method randomize needs a source graph; use Generate")
 	}
-	replicas := opts.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	graphs, err := generate.Replicas(replicas, opts.Seed, func(i int, rng *rand.Rand) (*graph.CSR, error) {
-		return generate.FromProfile(p, d, method, rng)
+	graphs, err := generate.Replicas(gen.Replicas, opts.Seed, func(i int, rng *rand.Rand) (*graph.CSR, error) {
+		g, _, err := gen.Replica(nil, p, rng, nil)
+		return g, err
 	})
 	if err != nil {
 		return nil, err
@@ -54,6 +45,15 @@ func GenerateFromProfile(p *Profile, opts GenerateOptions) ([]*Graph, error) {
 		out[i] = wrap(g, nil)
 	}
 	return out, nil
+}
+
+// generateRules applies the pipeline's generate step rules to opts,
+// with no upper bound on the replica count: the streaming and
+// profile-only entry points build ensembles of any size.
+func generateRules(opts GenerateOptions) (pipeline.Generation, error) {
+	return pipeline.GenerateRules(dkapi.PipelineStep{
+		Op: dkapi.OpGenerate, D: opts.D, Method: opts.Method, Replicas: opts.Replicas,
+	}, 0)
 }
 
 // Connect returns a connected copy of g, produced by degree-preserving
@@ -83,20 +83,9 @@ func (s *Session) GenerateStream(ctx context.Context, src *Graph, opts GenerateO
 	if opts.Compare {
 		return fmt.Errorf("GenerateStream does not support Compare; use Generate")
 	}
-	d := 2
-	if opts.D != nil {
-		d = *opts.D
-	}
-	if d < 0 || d > 3 {
-		return fmt.Errorf("depth d=%d outside 0..3", d)
-	}
-	method, randomize, err := generate.ParseMethod(opts.Method, d)
+	gen, err := generateRules(opts)
 	if err != nil {
 		return err
-	}
-	replicas := opts.Replicas
-	if replicas == 0 {
-		replicas = 1
 	}
 	// Resolve through the session so the profile extraction is cached
 	// like every other execution path.
@@ -106,61 +95,53 @@ func (s *Session) GenerateStream(ctx context.Context, src *Graph, opts GenerateO
 		return err
 	}
 	var profile *Profile
-	if !randomize {
-		profile, _, err = h.Profile(d)
+	if gen.NeedsProfile(opts.Compare) {
+		profile, _, err = h.Profile(gen.D)
 		if err != nil {
 			return err
 		}
 	}
 	base := h.Graph()
-	return parallel.ForErr(replicas, func(i int) error {
+	return parallel.ForErr(gen.Replicas, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		rng := rand.New(rand.NewSource(parallel.SubSeed(opts.Seed, i)))
-		var out *graph.CSR
-		var err error
-		if randomize {
-			ropts := generate.RandomizeOptions{Rng: rng}
-			if opts.OnRewireProgress != nil {
-				replica := i
-				ropts.OnProgress = func(p generate.RewireProgress) {
-					opts.OnRewireProgress(replica, RewireProgress{
-						Sweep:                 p.Sweep,
-						Attempts:              p.Attempts,
-						Accepted:              p.Accepted,
-						WindowAttempts:        p.WindowAttempts,
-						WindowAccepted:        p.WindowAccepted,
-						AcceptanceRate:        p.AcceptanceRate,
-						RejectedSelfLoop:      p.Rejected.SelfLoop,
-						RejectedDuplicateEdge: p.Rejected.DuplicateEdge,
-						RejectedJDDMismatch:   p.Rejected.JDDMismatch,
-						RejectedCensusChanged: p.Rejected.CensusChanged,
-						RejectedObjective:     p.Rejected.Objective,
-						RejectedDisconnected:  p.Rejected.Disconnected,
-					})
-				}
-			}
-			var st generate.RewireStats
-			out, st, err = generate.Randomize(base, d, ropts)
-			if err == nil && opts.OnRewireStats != nil {
-				opts.OnRewireStats(i, RewireStats{
-					Attempts:              st.Attempts,
-					Accepted:              st.Accepted,
-					Reverted:              st.Reverted,
-					RejectedSelfLoop:      st.Rejected.SelfLoop,
-					RejectedDuplicateEdge: st.Rejected.DuplicateEdge,
-					RejectedJDDMismatch:   st.Rejected.JDDMismatch,
-					RejectedCensusChanged: st.Rejected.CensusChanged,
-					RejectedObjective:     st.Rejected.Objective,
-					RejectedDisconnected:  st.Rejected.Disconnected,
+		var onProgress func(generate.RewireProgress)
+		if opts.OnRewireProgress != nil {
+			onProgress = func(p generate.RewireProgress) {
+				opts.OnRewireProgress(i, RewireProgress{
+					Sweep:                 p.Sweep,
+					Attempts:              p.Attempts,
+					Accepted:              p.Accepted,
+					WindowAttempts:        p.WindowAttempts,
+					WindowAccepted:        p.WindowAccepted,
+					AcceptanceRate:        p.AcceptanceRate,
+					RejectedSelfLoop:      p.Rejected.SelfLoop,
+					RejectedDuplicateEdge: p.Rejected.DuplicateEdge,
+					RejectedJDDMismatch:   p.Rejected.JDDMismatch,
+					RejectedCensusChanged: p.Rejected.CensusChanged,
+					RejectedObjective:     p.Rejected.Objective,
+					RejectedDisconnected:  p.Rejected.Disconnected,
 				})
 			}
-		} else {
-			out, err = generate.FromProfile(profile, d, method, rng)
 		}
+		out, st, err := gen.Replica(base, profile, rng, onProgress)
 		if err != nil {
 			return err
+		}
+		if gen.Randomize && opts.OnRewireStats != nil {
+			opts.OnRewireStats(i, RewireStats{
+				Attempts:              st.Attempts,
+				Accepted:              st.Accepted,
+				Reverted:              st.Reverted,
+				RejectedSelfLoop:      st.Rejected.SelfLoop,
+				RejectedDuplicateEdge: st.Rejected.DuplicateEdge,
+				RejectedJDDMismatch:   st.Rejected.JDDMismatch,
+				RejectedCensusChanged: st.Rejected.CensusChanged,
+				RejectedObjective:     st.Rejected.Objective,
+				RejectedDisconnected:  st.Rejected.Disconnected,
+			})
 		}
 		return emit(i, wrap(out, nil))
 	})

@@ -231,7 +231,13 @@ func (s *Session) Extract(ctx context.Context, g *Graph, opts ExtractOptions) (*
 
 // Generate builds a dK-random ensemble from g — the local twin of
 // POST /v1/generate, sharing its executor, defaults, and validation.
+// The rewiring callbacks are not supported here: the executor reports
+// convergence as trace events, not per-replica calls; use
+// GenerateStream.
 func (s *Session) Generate(ctx context.Context, g *Graph, opts GenerateOptions) (*GenerateOutput, error) {
+	if opts.OnRewireStats != nil || opts.OnRewireProgress != nil {
+		return nil, fmt.Errorf("Generate does not support OnRewireStats or OnRewireProgress; use GenerateStream")
+	}
 	ref := s.Add(g)
 	res, out, err := s.runStep(ctx, dkapi.PipelineStep{
 		ID: "generate", Op: dkapi.OpGenerate,
